@@ -4,8 +4,7 @@ lowest-weight (Verma) modules with PBW normal ordering, singular vector
 search, factor-module classification, the invariant bilinear form, and
 vector-field realizations on polynomial superspace."""
 
-from .scalars import (GradedScalar, OddVariableAlgebra, QI, ScalarRing,
-                      parse_qi, parse_rational)
+from .scalars import GradedScalar, QI, ScalarRing, parse_qi, parse_rational
 from .superalgebra import (AdjointMap, StructureTable, build_adjoint,
                            build_algebra, closes_under_bracket,
                            identity_adjoint, triangular_decompose,
@@ -26,11 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointMap", "ClassificationRecord", "FactorModule", "GradedScalar",
-    "GramMatrix", "LowestWeight", "ModuleVector", "OddVariableAlgebra", "QI",
-    "ScalarRing", "SingularVectorReport", "StructureTable", "SuperDiffOp",
-    "SuperPoly", "SuperSpace", "VermaModule", "build_adjoint",
-    "build_algebra", "build_realization", "check_recurrences", "chi_eta_ops",
-    "classify", "closed_form_n1", "closed_form_n2", "closed_form_n2_extra",
+    "GramMatrix", "LowestWeight", "ModuleVector", "QI", "ScalarRing",
+    "SingularVectorReport", "StructureTable", "SuperDiffOp", "SuperPoly",
+    "SuperSpace", "VermaModule", "build_adjoint", "build_algebra",
+    "build_realization", "check_recurrences", "chi_eta_ops", "classify",
+    "closed_form_n1", "closed_form_n2", "closed_form_n2_extra",
     "closes_under_bracket", "expected_closed_forms", "find_singular",
     "find_singular_in_factor", "gram", "gram_pair", "identity_adjoint",
     "in_span", "intertwiner_failures", "parse_qi", "parse_rational",

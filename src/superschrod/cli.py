@@ -28,6 +28,10 @@ from .verma import LowestWeight, VermaModule
 
 ENV_CUTOFF = "SUPERSCHROD_CUTOFF"
 
+# Largest accepted degree, cutoff, --p or --weight.  The recursive action
+# engine exceeds Python's default recursion limit near degree 1000.
+MAX_DEGREE = 500
+
 
 @dataclass
 class RunConfig:
@@ -35,11 +39,6 @@ class RunConfig:
     d: Optional[Fraction] = None
     m: Optional[Fraction] = None
     r: Optional[Fraction] = None
-    max_degree: int = 8
-    poly_degree: int = 8
-    json_output: bool = False
-    epsilon: int = 0
-    lam: int = 0
 
 
 class UsageError(Exception):
@@ -51,8 +50,10 @@ def _default_cutoff() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError("%s must be a positive integer, got %r"
-                         % (ENV_CUTOFF, raw))
+        value = 0
+    if not 0 < value <= MAX_DEGREE:
+        raise UsageError("%s must be an integer from 1 to %d, got %r"
+                         % (ENV_CUTOFF, MAX_DEGREE, raw))
     return value
 
 
@@ -71,15 +72,18 @@ def _config(args) -> RunConfig:
         cfg.m = _rational(args.m)
     if getattr(args, "r", None) is not None:
         cfg.r = _rational(args.r)
+    for name in ("max_degree", "cutoff"):
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, _default_cutoff())
     for name in ("max_degree", "degree", "cutoff"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise UsageError("--%s must be positive" % name.replace("_", "-"))
-    cfg.max_degree = getattr(args, "max_degree", cfg.max_degree)
-    cfg.poly_degree = getattr(args, "degree", cfg.poly_degree)
-    cfg.json_output = bool(getattr(args, "json", False))
-    cfg.epsilon = getattr(args, "epsilon", 0)
-    cfg.lam = getattr(args, "lam", 0)
+    for name in ("max_degree", "degree", "cutoff", "p", "weight"):
+        value = getattr(args, name, None)
+        if value is not None and value > MAX_DEGREE:
+            raise UsageError("--%s must be at most %d"
+                             % (name.replace("_", "-"), MAX_DEGREE))
     return cfg
 
 
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     singular_sub = singular.add_subparsers(dest="subcommand", required=True)
     sfind = singular_sub.add_parser("find")
     add_common(sfind, kinds=("ssch1", "ssch2"), module=True)
-    sfind.add_argument("--max-degree", type=int, default=_default_cutoff())
+    sfind.add_argument("--max-degree", type=int, default=None)
     sfind.set_defaults(func=cmd_singular_find)
     scheck = singular_sub.add_parser("check")
     add_common(scheck, kinds=("ssch1", "ssch2"), module=True)
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="irreducible module classification")
     add_common(cls, kinds=("ssch1", "ssch2"), module=True)
-    cls.add_argument("--max-degree", type=int, default=_default_cutoff())
+    cls.add_argument("--max-degree", type=int, default=None)
     cls.add_argument("--certify", action="store_true",
                      help="search the terminal module for singular vectors")
     cls.set_defaults(func=cmd_classify)
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(gramp, kinds=("ssch1", "ssch2"), module=True)
     gramp.add_argument("--weight", type=int, required=True)
     gramp.add_argument("--rweight", type=int, default=None)
-    gramp.add_argument("--cutoff", type=int, default=_default_cutoff())
+    gramp.add_argument("--cutoff", type=int, default=None)
     gramp.add_argument("--epsilon", type=int, default=0, choices=[0, 1])
     gramp.add_argument("--lam", type=int, default=0, choices=[0, 1])
     gramp.set_defaults(func=cmd_gram)

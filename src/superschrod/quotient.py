@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional
 
 from .scalars import QI, QI_ONE, qi_str
@@ -37,6 +38,7 @@ class FactorModule:
                  verify_singular=True):
         self.base = base
         self.kind = base.kind
+        self.table = base.table
         self.lw = base.lw
         self.chain = list(chain or [])
         self.rules = []  # list of (lead monomial, monic ModuleVector)
@@ -120,9 +122,17 @@ class FactorModule:
     def uses_chi(self) -> bool:
         return self.base.uses_chi
 
+    def _survives(self, mono) -> bool:
+        """Whether a base monomial is a basis vector of the quotient."""
+        return not any(_divides(lead, mono) for lead, _ in self.rules)
+
     def subspace_basis(self, weight, cutoff=None):
         return [mono for mono in self.base.subspace_basis(weight, cutoff)
-                if not any(_divides(lead, mono) for lead, _ in self.rules)]
+                if self._survives(mono)]
+
+    def enumerate_monomials(self, max_degree: int):
+        return [mono for mono in self.base.enumerate_monomials(max_degree)
+                if self._survives(mono)]
 
     def enumerate_weights(self, max_degree: int):
         out = []
@@ -143,28 +153,8 @@ class FactorModule:
         return self.base.vacuum_vector()
 
     def closure_failures(self, max_degree: int, max_report=5):
-        monos = [m for m in self.base.enumerate_monomials(max_degree)
-                 if not any(_divides(lead, m) for lead, _ in self.rules)]
-        names = self.base.table.names
-        failures = []
-        cache = {(g, m): self.act(g, m) for g in names for m in monos}
-        for i, x in enumerate(names):
-            px = self.base.table.parity(x)
-            for y in names[i:]:
-                sign = -1 if (px and self.base.table.parity(y)) else 1
-                bracket = self.base.table.bracket_gens(x, y)
-                for mono in monos:
-                    lhs = self.act(x, cache[(y, mono)]) \
-                        - self.act(y, cache[(x, mono)]).scale(QI(sign))
-                    rhs = ModuleVector(self.base)
-                    for h, c in bracket.items():
-                        for mn, coeff in cache[(h, mono)].terms.items():
-                            rhs.add_term(mn, coeff * c)
-                    if lhs != rhs:
-                        failures.append((x, y, mono))
-                        if len(failures) >= max_report:
-                            return failures
-        return failures
+        return VermaModule.closure_failures(self, max_degree,
+                                            max_report=max_report)
 
     # -- dimensions -----------------------------------------------------------
 
@@ -183,37 +173,18 @@ class FactorModule:
 
     def dimension(self) -> Optional[int]:
         """Total dimension (None when infinite)."""
-        k_cap, l_cap = self._caps()
-        if k_cap is None or l_cap is None:
+        if None in self._caps():
             return None
-        count = 0
-        odd_ranges = [(0, 1)] * (self.base.n_exponents - 2)
-        def tails(slots):
-            if not slots:
-                yield ()
-                return
-            for head in slots[0]:
-                for rest in tails(slots[1:]):
-                    yield (head,) + rest
-        for k in range(k_cap + 1):
-            for l in range(l_cap + 1):
-                for tail in tails(odd_ranges):
-                    mono = (k, l) + tail
-                    if not any(_divides(lead, mono) for lead, _ in self.rules):
-                        count += 1
-        return count
+        return len(self.all_basis_monomials())
 
     def all_basis_monomials(self):
         """Every surviving monomial (finite quotients only)."""
         k_cap, l_cap = self._caps()
         if k_cap is None or l_cap is None:
             raise ValueError("module is infinite dimensional")
-        out = []
-        for mono in self.base.enumerate_monomials(k_cap + 2 * l_cap + 4):
-            if mono[0] <= k_cap and mono[1] <= l_cap and \
-                    not any(_divides(lead, mono) for lead, _ in self.rules):
-                out.append(mono)
-        return out
+        odd = [(0, 1)] * (self.base.n_exponents - 2)
+        box = product(range(k_cap + 1), range(l_cap + 1), *odd)
+        return sorted(filter(self._survives, box), key=self.base.order_key)
 
 
 def quotient_by_singular(space, vec: ModuleVector, label: str) -> FactorModule:
@@ -381,9 +352,7 @@ def classify(lw: LowestWeight, cutoff: int = 8, certify: bool = False,
         if record.dimension is not None:
             k_cap, l_cap = terminal._caps()
             depth = max(cutoff, k_cap + 2 * l_cap + 4)
-        reports = find_singular(terminal, depth, match_closed_forms=False) \
-            if isinstance(terminal, VermaModule) else \
-            find_singular_in_factor(terminal, depth)
+        reports = find_singular(terminal, depth, match_closed_forms=False)
         record.no_singular_up_to = depth if not reports else -1
     record.terminal = terminal
     return record

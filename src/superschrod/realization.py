@@ -203,11 +203,6 @@ class SuperDiffOp:
                 best = raise_by if best is None else max(best, raise_by)
         return 0 if best is None else best
 
-    def __add__(self, other):
-        if other.space is not self.space:
-            raise ValueError("superspace mismatch")
-        return SuperDiffOp(self.space, self.terms + other.terms)
-
 
 def _op(space, *terms) -> SuperDiffOp:
     packed = []

@@ -6,9 +6,10 @@ Three layers, all built on ``fractions.Fraction`` (no floating point anywhere):
 * ``ScalarRing`` / ``GradedScalar`` -- the ring Q(i)[chi] with the odd
   generator chi squaring to a fixed even value (mass/2 by default, so that
   the mass eigenvalue equals 2*chi^2).
-* ``OddVariableAlgebra`` -- finite algebras on named anticommuting
-  generators, each squaring to 0 (Grassmann) or to a prescribed scalar
-  (Clifford).
+* ``mul_odd_words`` -- the Koszul-signed product of odd words, squaring
+  each generator to 0 (Grassmann) or to a prescribed scalar (Clifford).
+  Algebras on named odd variables are ``realization.SuperSpace`` with
+  ``SuperPoly`` elements.
 """
 
 from __future__ import annotations
@@ -134,10 +135,6 @@ class QI:
 
     def __str__(self):
         return qi_str(self)
-
-    @staticmethod
-    def parse(text: str) -> "QI":
-        return parse_qi(text)
 
 
 def _coerce_qi(value):
@@ -303,14 +300,6 @@ class GradedScalar:
     def conj(self) -> "GradedScalar":
         return _mk_gs(self.ring, self.even.conj(), self.odd.conj())
 
-    @property
-    def is_even(self) -> bool:
-        return not self.odd
-
-    @property
-    def is_odd(self) -> bool:
-        return not self.even and bool(self.odd)
-
     def inverse(self) -> "GradedScalar":
         """Multiplicative inverse; raises ValueError when not a unit."""
         norm = self.even * self.even - self.odd * self.odd * self.ring.chi_square
@@ -380,133 +369,3 @@ def mul_odd_words(word1, word2, order, squares):
             else:
                 i += 1
     return coeff, tuple(seq)
-
-
-class OddVariableAlgebra:
-    """Finite exterior/Clifford algebra on named odd generators."""
-
-    def __init__(self, generators):
-        # generators: iterable of (name, square) with square 0 for Grassmann
-        self.names = tuple(name for name, _ in generators)
-        self.order = {name: i for i, (name, _) in enumerate(generators)}
-        self.squares = {}
-        for name, square in generators:
-            self.squares[name] = square if isinstance(square, QI) else QI(square)
-
-    def element(self, terms=None) -> "OddElement":
-        elem = OddElement(self)
-        if terms:
-            for word, coeff in terms.items():
-                elem._add_term(tuple(word), coeff if isinstance(coeff, QI) else QI(coeff))
-        return elem
-
-    def gen(self, name) -> "OddElement":
-        if name not in self.order:
-            raise ValueError("unknown odd generator %r" % name)
-        return self.element({(name,): QI_ONE})
-
-    def one(self) -> "OddElement":
-        return self.element({(): QI_ONE})
-
-    def mul_words(self, word1, word2):
-        return mul_odd_words(word1, word2, self.order, self.squares)
-
-
-class OddElement:
-    """Linear combination of canonical odd words over one algebra instance."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.terms = {}
-
-    def _add_term(self, word, coeff):
-        if not coeff:
-            return
-        cur = self.terms.get(word)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[word] = new
-        elif cur is not None:
-            del self.terms[word]
-
-    def _check(self, other):
-        if not isinstance(other, OddElement) or other.algebra is not self.algebra:
-            raise ValueError("odd algebra instance mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = OddElement(self.algebra)
-        for word, c in self.terms.items():
-            out._add_term(word, c)
-        for word, c in other.terms.items():
-            out._add_term(word, c)
-        return out
-
-    def __sub__(self, other):
-        self._check(other)
-        out = OddElement(self.algebra)
-        for word, c in self.terms.items():
-            out._add_term(word, c)
-        for word, c in other.terms.items():
-            out._add_term(word, -c)
-        return out
-
-    def __neg__(self):
-        out = OddElement(self.algebra)
-        for word, c in self.terms.items():
-            out.terms[word] = -c
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
-            scale = other if isinstance(other, QI) else QI(other)
-            out = OddElement(self.algebra)
-            for word, c in self.terms.items():
-                out._add_term(word, c * scale)
-            return out
-        self._check(other)
-        out = OddElement(self.algebra)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                sign, word = self.algebra.mul_words(w1, w2)
-                if sign:
-                    out._add_term(word, c1 * c2 * sign)
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        if not isinstance(other, OddElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def parity(self):
-        """0/1 when every word has uniform parity, else None."""
-        parities = {len(word) % 2 for word in self.terms}
-        if not parities:
-            return 0
-        if len(parities) == 1:
-            return parities.pop()
-        return None
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = qi_str(self.terms[word])
-            label = "*".join(word) if word else "1"
-            bits.append("(%s)%s" % (coeff, label))
-        return " + ".join(bits)
-
-    __repr__ = __str__

@@ -12,6 +12,7 @@ reported vector corresponds to one singular line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
@@ -27,23 +28,12 @@ ANNIHILATORS = {"ssch1": ("Q", "P"), "ssch2": ("Q+", "Q-", "P", "X-")}
 
 
 def _clear_denominators(row):
-    lcm = 1
-    for entry in row:
-        for part in (entry.re, entry.im):
-            den = part.denominator
-            if den != 1:
-                g = _gcd(lcm, den)
-                lcm = lcm // g * den
+    lcm = math.lcm(*(part.denominator for entry in row
+                     for part in (entry.re, entry.im)))
     if lcm == 1:
         return list(row)
     scale = QI(lcm)
     return [entry * scale for entry in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def bareiss_echelon(rows):

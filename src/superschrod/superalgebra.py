@@ -97,14 +97,6 @@ class StructureTable:
                         del out[g]
         return out
 
-    def element_parity(self, elem: dict):
-        parities = {self.parity(g) for g in elem}
-        if not parities:
-            return EVEN
-        if len(parities) == 1:
-            return parities.pop()
-        return None
-
     def to_json_dict(self) -> dict:
         gens = [
             {"name": g.name, "parity": "odd" if g.parity else "even",

@@ -312,27 +312,16 @@ class VermaModule:
                     out.append((n1, n2))
         return out
 
-    def weight_shift(self, gen: str):
-        deg = self.table.degree(gen)
-        return deg[0] if self.kind == "ssch1" else deg
-
     def shift_weight(self, weight, gen: str):
+        deg = self.table.degree(gen)
         if self.kind == "ssch1":
-            return weight + self.weight_shift(gen)
-        d1, d2 = self.table.degree(gen)
-        return (weight[0] + d1, weight[1] + d2)
+            return weight + deg[0]
+        return (weight[0] + deg[0], weight[1] + deg[1])
 
     # -- action -------------------------------------------------------------
 
     def act(self, gen: str, target) -> ModuleVector:
-        """Action of a generator (name) or element (dict name->QI)."""
-        if isinstance(gen, dict):
-            out = ModuleVector(self)
-            for g, c in gen.items():
-                part = self.act(g, target)
-                for mono, coeff in part.terms.items():
-                    out.add_term(mono, coeff * c)
-            return out
+        """Action of a generator on a monomial or a vector."""
         if self.kind == "ssch1":
             return self._act_with(self._act_mono_table, gen, target)
         return self._act_with(self._act_mono_engine, gen, target)
@@ -556,38 +545,35 @@ class VermaModule:
         self._cache_engine[(gen, mono)] = out
         return out
 
-    # -- properties used by tests and the acceptance suite -------------------
+    # -- bracket compatibility ------------------------------------------------
 
-    def closure_failures(self, max_degree: int, act_fn=None, gens=None,
-                         max_report=5):
+    def closure_failures(self, max_degree: int, act_fn=None, max_report=5):
         """Bracket-compatibility check on all monomials up to max_degree.
 
         act(x, act(y, w)) - (-1)^{|x||y|} act(y, act(x, w)) must equal
         act([x,y}, w) for every generator pair.  Returns a list of failing
-        (x, y, monomial) triples (empty means the identity holds).
+        (x, y, monomial) triples (empty means the identity holds).  Factor
+        modules run the same loop over their surviving monomials.
         """
         act = act_fn or self.act
-        names = self.table.names
+        table = self.table
+        names = table.names
         monos = self.enumerate_monomials(max_degree)
         failures = []
-        vectors = {}
-        for g in names:
-            for mono in monos:
-                vectors[(g, mono)] = act(g, mono)
+        vectors = {(g, mono): act(g, mono) for g in names for mono in monos}
         for i, x in enumerate(names):
-            px = self._parity[x]
+            px = table.parity(x)
             for y in names[i:]:
-                sign = -1 if (px and self._parity[y]) else 1
-                bracket = self.table.bracket_gens(x, y)
+                sign = -1 if (px and table.parity(y)) else 1
+                minus_bracket = [(h, -c) for h, c in
+                                 table.bracket_gens(x, y).items()]
                 for mono in monos:
-                    lhs = act(x, vectors[(y, mono)])
-                    rhs_sw = act(y, vectors[(x, mono)])
-                    lhs = lhs - rhs_sw.scale(QI(sign))
-                    rhs = ModuleVector(self)
-                    for h, c in bracket.items():
+                    residual = act(x, vectors[(y, mono)]) \
+                        - act(y, vectors[(x, mono)]).scale(QI(sign))
+                    for h, c in minus_bracket:
                         for mn, coeff in vectors[(h, mono)].terms.items():
-                            rhs.add_term(mn, coeff * c)
-                    if lhs != rhs:
+                            residual.add_term(mn, coeff * c)
+                    if residual:
                         failures.append((x, y, mono))
                         if len(failures) >= max_report:
                             return failures

@@ -1,6 +1,6 @@
 import json
 
-from superschrod.cli import main
+from superschrod.cli import MAX_DEGREE, main
 from superschrod.singular import SingularVectorReport
 
 
@@ -99,6 +99,24 @@ def test_usage_errors(capsys):
                        "--d", "1", "--m", "1")
     assert code == 2
     assert "--r" in err
+    # beyond the bound the recursive action engine would overflow the stack
+    too_big = str(MAX_DEGREE + 1)
+    for argv, flag in [
+        (["singular", "check", "--algebra", "ssch2", "--d", "1", "--m", "0",
+          "--r", "0", "--p", "990"], "--p"),
+        (["gram", "--algebra", "ssch2", "--d", "1", "--m", "0", "--r", "0",
+          "--weight", too_big, "--rweight", "1", "--cutoff", "8"], "--weight"),
+        (["gram", "--algebra", "ssch2", "--d", "1", "--m", "0", "--r", "0",
+          "--weight", "1", "--rweight", "1", "--cutoff", too_big], "--cutoff"),
+        (["singular", "find", "--algebra", "ssch1", "--d", "1", "--m", "0",
+          "--max-degree", too_big], "--max-degree"),
+        (["realization", "verify", "--algebra", "ssch1", "--d", "1",
+          "--m", "0", "--degree", too_big], "--degree"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "%s must be at most %d" % (flag, MAX_DEGREE) in err
 
 
 def test_byte_determinism(capsys):
@@ -120,3 +138,21 @@ def test_env_cutoff(capsys, monkeypatch):
                        "--d", "-1/2", "--m", "1", "--json")
     assert code == 0
     assert json.loads(out)["max_degree"] == 3
+    # subcommands without a cutoff never read the variable
+    monkeypatch.setenv("SUPERSCHROD_CUTOFF", "abc")
+    code, out, _ = run(capsys, "algebra", "dump", "--algebra", "ssch1")
+    assert code == 0
+    assert json.loads(out)["kind"] == "ssch1"
+    # an explicit flag overrides a malformed variable
+    code, _, _ = run(capsys, "singular", "find", "--algebra", "ssch1",
+                     "--d", "-1/2", "--m", "1", "--max-degree", "2")
+    assert code == 0
+    # a non-positive value is reported against the variable, not a flag
+    monkeypatch.setenv("SUPERSCHROD_CUTOFF", "0")
+    for argv in (["singular", "find"], ["classify"],
+                 ["gram", "--weight", "1"]):
+        code, out, err = run(capsys, *argv, "--algebra", "ssch1",
+                             "--d", "-1/2", "--m", "1")
+        assert code == 2, argv
+        assert out == ""
+        assert "SUPERSCHROD_CUTOFF" in err and "--" not in err, argv

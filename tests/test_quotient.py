@@ -5,8 +5,8 @@ import pytest
 from superschrod.scalars import QI
 from superschrod.singular import (WeightCoords, closed_form_n1,
                                   find_singular, rank)
-from superschrod.quotient import (ClassificationRecord, build_pm_pair,
-                                  classify, find_singular_in_factor, gram,
+from superschrod.quotient import (ClassificationRecord, FactorModule,
+                                  build_pm_pair, classify, find_singular_in_factor, gram,
                                   gram_pair, intertwiner_failures,
                                   quotient_by_singular, reachable_weight)
 from superschrod.verma import LowestWeight, VermaModule
@@ -59,6 +59,18 @@ def test_massive_factor_has_no_singular_vectors(massive_factor):
 
 def test_massive_factor_closure(massive_factor):
     assert not massive_factor.closure_failures(4)
+
+
+def test_factor_closure_fails_for_a_non_singular_quotient():
+    # G v0 is not singular (P G v0 = m v0), so dividing it out breaks
+    # [P, G] = M on v0: both sides of P G - G P vanish, M v0 does not.
+    mod = VermaModule(LowestWeight("ssch1", F(7, 3), 1))
+    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))],
+                      verify_singular=False)
+    failures = fm.closure_failures(2, max_report=50)
+    assert ("P", "G", (0, 0, 0)) in failures
+    assert all(mono[0] == 0 for _, _, mono in failures)
+    assert len(fm.closure_failures(2)) == 5
 
 
 def test_massless_factor_n1():

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from superschrod.scalars import (OddVariableAlgebra, QI, ScalarRing,
-                                 gs_str, parse_gs, parse_qi, parse_rational,
-                                 qi_str)
+from superschrod.realization import SuperPoly, SuperSpace, poly_mono
+from superschrod.scalars import (QI, ScalarRing, gs_str, parse_gs, parse_qi,
+                                 parse_rational, qi_str)
 
 
 def test_rational_parsing():
@@ -106,52 +106,63 @@ def test_graded_scalar_render_parse():
         assert parse_gs(ring, gs_str(v)) == v
 
 
-def _n1_odd_algebra(m):
+# Odd-variable algebras are superspaces whose polynomials carry no t or x.
+
+
+def _n1_odd_space(m):
     # {theta,theta} = {theta,eta} = 0, {eta,eta} = -m
-    return OddVariableAlgebra([("theta", 0), ("eta", QI(F(-m, 2)))])
+    return SuperSpace([("theta", 0), ("eta", QI(F(-m, 2)))])
+
+
+def _odd_poly(space, terms):
+    return SuperPoly(space, {(0, 0, word): QI(c) for word, c in terms.items()})
+
+
+def _odd_gen(space, name):
+    return poly_mono(space, word=(name,))
 
 
 def test_odd_products():
-    alg = _n1_odd_algebra(1)
-    theta, eta = alg.gen("theta"), alg.gen("eta")
+    space = _n1_odd_space(1)
+    theta, eta = _odd_gen(space, "theta"), _odd_gen(space, "eta")
     assert theta * theta == 0
-    assert theta * eta == alg.element({("theta", "eta"): 1})
-    assert eta * theta == alg.element({("theta", "eta"): -1})
+    assert theta * eta == _odd_poly(space, {("theta", "eta"): 1})
+    assert eta * theta == _odd_poly(space, {("theta", "eta"): -1})
     # eta^2 = -m/2 per instance square
-    assert eta * eta == alg.element({(): QI(F(-1, 2))})
+    assert eta * eta == _odd_poly(space, {(): F(-1, 2)})
 
 
 def test_odd_anticommutation_of_pure_odd_elements():
     # x, y of odd parity with vanishing cross anticommutators satisfy
     # x y = -y x; all generator squares set to 0 so no cross terms appear.
-    alg = OddVariableAlgebra([("a", 0), ("b", 0), ("c", 0)])
+    space = SuperSpace([("a", 0), ("b", 0), ("c", 0)])
     rng = random.Random(3)
-    gens = [alg.gen(n) for n in ("a", "b", "c")]
-    triple = alg.gen("a") * alg.gen("b") * alg.gen("c")
+    gens = [_odd_gen(space, n) for n in ("a", "b", "c")]
+    triple = gens[0] * gens[1] * gens[2]
     for _ in range(20):
-        x = alg.element({})
-        y = alg.element({})
+        x = SuperPoly(space)
+        y = SuperPoly(space)
         for g in gens:
-            x = x + g * QI(rng.randint(-3, 3))
-            y = y + g * QI(rng.randint(-3, 3))
-        x = x + triple * QI(rng.randint(-3, 3))
+            x = x + g.scale(QI(rng.randint(-3, 3)))
+            y = y + g.scale(QI(rng.randint(-3, 3)))
+        x = x + triple.scale(QI(rng.randint(-3, 3)))
         assert x.parity() in (0, 1)
         assert x * y == -(y * x)
 
 
 def test_odd_associativity_seeded():
-    alg = OddVariableAlgebra([("theta", 0), ("eta", QI(F(-3, 2)))])
+    space = SuperSpace([("theta", 0), ("eta", QI(F(-3, 2)))])
     rng = random.Random(11)
     words = [(), ("theta",), ("eta",), ("theta", "eta")]
     def rand_elem():
-        return alg.element({w: QI(rng.randint(-4, 4)) for w in words})
+        return _odd_poly(space, {w: rng.randint(-4, 4) for w in words})
     for _ in range(30):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         assert (x * y) * z == x * (y * z)
 
 
 def test_odd_instance_mismatch():
-    a1 = _n1_odd_algebra(1)
-    a2 = _n1_odd_algebra(1)
+    s1 = _n1_odd_space(1)
+    s2 = _n1_odd_space(1)
     with pytest.raises(ValueError):
-        a1.gen("theta") * a2.gen("eta")
+        _odd_gen(s1, "theta") * _odd_gen(s2, "eta")
