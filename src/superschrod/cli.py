@@ -284,6 +284,8 @@ def cmd_gram(args) -> int:
         if args.rweight is None:
             raise UsageError("--rweight is required for ssch2 gram matrices")
         weight = (args.weight, args.rweight)
+    if not module.subspace_basis(weight):
+        raise UsageError("weight %s has an empty subspace" % (weight,))
     gm = gram(module, weight, epsilon=args.epsilon, lam=args.lam)
     payload = gm.to_json_dict(module)
     payload.update({

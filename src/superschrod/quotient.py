@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional
 
-from .scalars import QI, QI_ONE, qi_str
 from .singular import (ANNIHILATORS, WeightCoords, determinant,
                        find_singular, closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
@@ -196,10 +195,6 @@ def quotient_by_singular(space, vec: ModuleVector, label: str) -> FactorModule:
     fm.rules = list(space.rules)
     fm._install(vec, verify=True)
     return fm
-
-
-def find_singular_in_factor(fm: FactorModule, max_degree: int):
-    return find_singular(fm, max_degree, match_closed_forms=False)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +404,7 @@ def intertwiner_failures(d, max_weight=8):
         image, sign = rho_relabel(gen)
         for mono in monos:
             lhs = minus.act(gen, t_map(plus.base.basis_vector(mono)))
-            rhs = t_map(plus.act(image, mono)).scale(QI(sign))
+            rhs = t_map(plus.act(image, mono)).scale(sign)
             if lhs != rhs:
                 failures.append((gen, mono))
     return failures
@@ -424,8 +419,8 @@ class GramMatrix:
     weight: object
     labels: list           # [(monomial, chi exponent)]
     parities: list         # total parity per label
-    matrix: list           # QI entries, even scalar parts
-    det: QI
+    matrix: list           # Fraction entries, even scalar parts
+    det: Fraction
     parity_violations: list = field(default_factory=list)
 
     @property
@@ -439,8 +434,8 @@ class GramMatrix:
             "basis": ["%s%s" % ("chi*" if e else "", module.monomial_str(m))
                       for m, e in self.labels],
             "parities": list(self.parities),
-            "matrix": [[qi_str(v) for v in row] for row in self.matrix],
-            "det": qi_str(self.det),
+            "matrix": [[str(v) for v in row] for row in self.matrix],
+            "det": str(self.det),
         }
 
 
@@ -465,16 +460,20 @@ def _omega1_word(module, label, epsilon, lam):
     return word, sign
 
 
-def gram_pair(module: VermaModule, left_label, right_label, epsilon=0, lam=0):
-    """Single pairing value as a GradedScalar (full chi-carrying value)."""
-    mono, e = right_label
-    coeff = module.ring.one if e == 0 else module.ring.chi
-    vec = ModuleVector(module, {mono: coeff})
-    word, wsign = _omega1_word(module, left_label, epsilon, lam)
+def _pair(module: VermaModule, word, wsign, vec: ModuleVector):
+    """Apply the omega1 word to ``vec`` and read the signed v0 coefficient."""
     for gen in reversed(word):
         vec = module.act(gen, vec)
     value = vec.terms.get(module.vacuum, module.ring.zero)
     return value if wsign > 0 else -value
+
+
+def gram_pair(module: VermaModule, left_label, right_label, epsilon=0, lam=0):
+    """Single pairing value as a GradedScalar (full chi-carrying value)."""
+    mono, e = right_label
+    coeff = module.ring.one if e == 0 else module.ring.chi
+    word, wsign = _omega1_word(module, left_label, epsilon, lam)
+    return _pair(module, word, wsign, ModuleVector(module, {mono: coeff}))
 
 
 def gram(module: VermaModule, weight, epsilon=0, lam=0,
@@ -504,22 +503,13 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     parities = [parity_of(lab) for lab in labels]
     matrix = []
     violations = []
-    right_vecs = {}
-    for right in labels:
-        mono, e = right
-        coeff = module.ring.one if e == 0 else module.ring.chi
-        right_vecs[right] = ModuleVector(module, {mono: coeff})
+    right_vecs = [coords.basis_element(right) for right in labels]
     for left in labels:
         word, wsign = _omega1_word(module, left, epsilon, lam)
         row = []
         pl = parity_of(left)
-        for right in labels:
-            vec = right_vecs[right]
-            for gen in reversed(word):
-                vec = module.act(gen, vec)
-            value = vec.terms.get(module.vacuum, module.ring.zero)
-            if wsign < 0:
-                value = -value
+        for right, vec in zip(labels, right_vecs):
+            value = _pair(module, word, wsign, vec)
             if pl == parity_of(right):
                 if value.odd:
                     violations.append((left, right, "chi part on diagonal block"))
@@ -527,8 +517,7 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
                 violations.append((left, right, "even part across parities"))
             row.append(value.even)
         matrix.append(row)
-    det = determinant(matrix) if matrix else QI_ONE
-    return GramMatrix(weight, labels, parities, matrix, det,
+    return GramMatrix(weight, labels, parities, matrix, determinant(matrix),
                       parity_violations=violations)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import QI, as_fraction, mul_odd_words, qi_str
+from .scalars import as_fraction, mul_odd_words
 from .superalgebra import StructureTable
 
 
@@ -23,22 +23,21 @@ class SuperSpace:
     def __init__(self, odd_generators):
         self.names = tuple(name for name, _ in odd_generators)
         self.order = {name: i for i, (name, _) in enumerate(odd_generators)}
-        self.squares = {name: (sq if isinstance(sq, QI) else QI(sq))
-                        for name, sq in odd_generators}
+        self.squares = {name: as_fraction(sq) for name, sq in odd_generators}
 
     @staticmethod
     def for_kind(kind: str, m) -> "SuperSpace":
         m = as_fraction(m)
         if kind == "ssch1":
             # {eta, eta} = -m, so eta^2 = -m/2
-            return SuperSpace([("theta", 0), ("eta", QI(Fraction(-m, 2)))])
+            return SuperSpace([("theta", 0), ("eta", -m / 2)])
         if kind == "ssch2":
             return SuperSpace([("theta", 0), ("phi", 0), ("rho", 0)])
         raise ValueError("unknown realization kind %r" % kind)
 
 
 class SuperPoly:
-    """Sparse polynomial: (t exponent, x exponent, odd word) -> QI."""
+    """Sparse polynomial: (t exponent, x exponent, odd word) -> Fraction."""
 
     __slots__ = ("space", "terms")
 
@@ -80,7 +79,7 @@ class SuperPoly:
         return SuperPoly(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, coeff) -> "SuperPoly":
-        coeff = coeff if isinstance(coeff, QI) else QI(coeff)
+        coeff = as_fraction(coeff)
         if not coeff:
             return SuperPoly(self.space)
         return SuperPoly(self.space,
@@ -123,24 +122,23 @@ class SuperPoly:
                 (["t^%d" % t] if t else []) + (["x^%d" % x] if x else [])
                 + list(word)
             ) or "1"
-            bits.append("(%s)%s" % (qi_str(self.terms[mono]), label))
+            bits.append("(%s)%s" % (self.terms[mono], label))
         return " + ".join(bits)
 
     __repr__ = __str__
 
 
 def poly_mono(space, t=0, x=0, word=(), coeff=1) -> SuperPoly:
-    coeff = coeff if isinstance(coeff, QI) else QI(coeff)
-    return SuperPoly(space, {(t, x, tuple(word)): coeff})
+    return SuperPoly(space, {(t, x, tuple(word)): as_fraction(coeff)})
 
 
 def derive_even(which: str, poly: SuperPoly) -> SuperPoly:
     out = SuperPoly(poly.space)
     for (t, x, w), c in poly.terms.items():
         if which == "t" and t:
-            out.add_term((t - 1, x, w), c * QI(t))
+            out.add_term((t - 1, x, w), c * t)
         elif which == "x" and x:
-            out.add_term((t, x - 1, w), c * QI(x))
+            out.add_term((t, x - 1, w), c * x)
     return out
 
 
@@ -151,8 +149,7 @@ def derive_odd(name: str, poly: SuperPoly) -> SuperPoly:
         if name not in w:
             continue
         pos = w.index(name)
-        sign = -1 if pos % 2 else 1
-        out.add_term((t, x, w[:pos] + w[pos + 1:]), c * QI(sign))
+        out.add_term((t, x, w[:pos] + w[pos + 1:]), -c if pos % 2 else c)
     return out
 
 
@@ -228,20 +225,20 @@ def build_realization(kind: str, d, m):
         ops = {
             "H": _op(space, (one, 1, 0, ())),
             "P": _op(space, (one, 0, 1, ())),
-            "M": _op(space, (one.scale(QI(m)), 0, 0, ())),
+            "M": _op(space, (one.scale(m), 0, 0, ())),
             "D": _op(space, (t.scale(2), 1, 0, ()), (x, 0, 1, ()),
-                     (theta, 0, 0, ("theta",)), (one.scale(QI(-d)), 0, 0, ())),
-            "G": _op(space, (t, 0, 1, ()), (x.scale(QI(m)), 0, 0, ()),
+                     (theta, 0, 0, ("theta",)), (one.scale(-d), 0, 0, ())),
+            "G": _op(space, (t, 0, 1, ()), (x.scale(m), 0, 0, ()),
                      (theta * eta, 0, 0, ())),
             "K": _op(space, (tt, 1, 0, ()), (tx, 0, 1, ()),
                      (t * theta, 0, 0, ("theta",)),
                      (poly_mono(space, x=2, coeff=Fraction(m, 2)), 0, 0, ()),
                      (x * theta * eta, 0, 0, ()),
-                     (t.scale(QI(-d)), 0, 0, ())),
+                     (t.scale(-d), 0, 0, ())),
             "Q": _op(space, (-theta, 1, 0, ()), (one, 0, 0, ("theta",))),
             "S": _op(space, (-(theta * t), 1, 0, ()), (-(theta * x), 0, 1, ()),
                      (t, 0, 0, ("theta",)), (x * eta, 0, 0, ()),
-                     (theta.scale(QI(d)), 0, 0, ())),
+                     (theta.scale(d), 0, 0, ())),
             "X": _op(space, (-theta, 0, 1, ()), (eta, 0, 0, ())),
         }
         return ops
@@ -255,36 +252,36 @@ def build_realization(kind: str, d, m):
         ops = {
             "H": _op(space, (one, 1, 0, ())),
             "P": _op(space, (one, 0, 1, ())),
-            "M": _op(space, (one.scale(QI(m)), 0, 0, ())),
+            "M": _op(space, (one.scale(m), 0, 0, ())),
             "D": _op(space, (t.scale(2), 1, 0, ()), (x, 0, 1, ()),
                      (theta, 0, 0, ("theta",)), (phi, 0, 0, ("phi",)),
-                     (one.scale(QI(-d)), 0, 0, ())),
+                     (one.scale(-d), 0, 0, ())),
             "R": _op(space, (-theta, 0, 0, ("theta",)),
                      (phi, 0, 0, ("phi",)), (rho, 0, 0, ("rho",))),
             "G": _op(space, (t, 0, 1, ()),
-                     (x.scale(QI(m)) - (theta * rho).scale(QI(m)), 0, 0, ()),
+                     (x.scale(m) - (theta * rho).scale(m), 0, 0, ()),
                      (phi, 0, 0, ("rho",))),
             "K": _op(space, (tt, 1, 0, ()), (tx, 0, 1, ()),
                      (t * theta, 0, 0, ("theta",)), (t * phi, 0, 0, ("phi",)),
                      (theta * phi * rho, 0, 0, ("rho",)),
-                     (-(x * theta * rho).scale(QI(m)), 0, 0, ()),
+                     (-(x * theta * rho).scale(m), 0, 0, ()),
                      (poly_mono(space, x=2, coeff=Fraction(m, 2)), 0, 0, ()),
                      (x * phi, 0, 0, ("rho",)),
-                     (t.scale(QI(-d)), 0, 0, ())),
+                     (t.scale(-d), 0, 0, ())),
             "Q+": _op(space, (-phi, 1, 0, ()), (one, 0, 0, ("theta",))),
             "Q-": _op(space, (-theta, 1, 0, ()), (one, 0, 0, ("phi",))),
             "S+": _op(space, (-(phi * t), 1, 0, ()), (-(phi * x), 0, 1, ()),
                       (-(phi * theta), 0, 0, ("theta",)),
                       (phi * rho, 0, 0, ("rho",)),
                       (t, 0, 0, ("theta",)),
-                      (-(x * rho).scale(QI(m)), 0, 0, ()),
-                      (phi.scale(QI(d)), 0, 0, ())),
+                      (-(x * rho).scale(m), 0, 0, ()),
+                      (phi.scale(d), 0, 0, ())),
             "S-": _op(space, (-(theta * t), 1, 0, ()), (-(theta * x), 0, 1, ()),
                       (-(theta * phi), 0, 0, ("phi",)),
                       (-(theta * rho), 0, 0, ("rho",)),
                       (t, 0, 0, ("phi",)), (x, 0, 0, ("rho",)),
-                      (theta.scale(QI(d)), 0, 0, ())),
-            "X+": _op(space, (-phi, 0, 1, ()), (-rho.scale(QI(m)), 0, 0, ())),
+                      (theta.scale(d), 0, 0, ())),
+            "X+": _op(space, (-phi, 0, 1, ()), (-rho.scale(m), 0, 0, ())),
             "X-": _op(space, (-theta, 0, 1, ()), (one, 0, 0, ("rho",))),
         }
         return ops
@@ -361,7 +358,7 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
             for idx, f in enumerate(polys):
                 lhs = opx.apply(applied[yg][idx])
                 swapped = opy.apply(applied[xg][idx])
-                residual = lhs - swapped.scale(QI(sign))
+                residual = lhs - swapped.scale(sign)
                 for h, c in bracket.items():
                     residual = residual - applied[h][idx].scale(c)
                 if residual:
@@ -404,11 +401,11 @@ def verify_chi_eta(m) -> dict:
     basis = [poly_mono(space), poly_mono(space, word=("phi",))]
     results = {"chi_square": True, "eta_square": True, "anticommutator": True}
     for f in basis:
-        chi2 = raw_chi.apply(raw_chi.apply(f)).scale(QI(s2))
-        if chi2 != f.scale(QI(Fraction(m, 2))):
+        chi2 = raw_chi.apply(raw_chi.apply(f)).scale(s2)
+        if chi2 != f.scale(Fraction(m, 2)):
             results["chi_square"] = False
-        eta2 = raw_eta.apply(raw_eta.apply(f)).scale(QI(s2))
-        if eta2 != f.scale(QI(Fraction(-m, 2))):
+        eta2 = raw_eta.apply(raw_eta.apply(f)).scale(s2)
+        if eta2 != f.scale(Fraction(-m, 2)):
             results["eta_square"] = False
         anti = raw_chi.apply(raw_eta.apply(f)) + raw_eta.apply(raw_chi.apply(f))
         if anti:

@@ -1,15 +1,18 @@
 """Exact coefficient arithmetic.
 
-Three layers, all built on ``fractions.Fraction`` (no floating point anywhere):
+Everything is built on ``fractions.Fraction`` (no floating point anywhere):
 
-* ``QI`` -- Gaussian rationals a + b*i.
-* ``ScalarRing`` / ``GradedScalar`` -- the ring Q(i)[chi] with the odd
+* ``as_fraction`` -- the one coercion point into the real rationals.
+* ``ScalarRing`` / ``GradedScalar`` -- the ring Q[chi] with the odd
   generator chi squaring to a fixed even value (mass/2 by default, so that
-  the mass eigenvalue equals 2*chi^2).
+  the mass eigenvalue equals 2*chi^2).  Module, elimination, Gram and
+  realization coefficients all live here.
 * ``mul_odd_words`` -- the Koszul-signed product of odd words, squaring
   each generator to 0 (Grassmann) or to a prescribed scalar (Clifford).
   Algebras on named odd variables are ``realization.SuperSpace`` with
   ``SuperPoly`` elements.
+* ``QI`` -- Gaussian rationals a + b*i, needed only by the omega2/sigma1/
+  sigma2 adjoint images in ``superalgebra``.
 """
 
 from __future__ import annotations
@@ -19,11 +22,19 @@ from fractions import Fraction
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int/Fraction to Fraction; floats are rejected."""
+    """Coerce an int, Fraction or real QI to Fraction.
+
+    Floats (and other types) raise TypeError; a QI with a nonzero imaginary
+    part raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, QI):
+        if value.im:
+            raise ValueError("real rational expected, got %s" % value)
+        return value.re
     raise TypeError("exact rational expected, got %s" % type(value).__name__)
 
 
@@ -42,7 +53,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _mk_qi(re_part: Fraction, im_part: Fraction) -> "QI":
@@ -123,12 +133,8 @@ class QI:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
-    def conj(self) -> "QI":
+    def conjugate(self) -> "QI":
         return _mk_qi(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
 
     def __repr__(self):
         return "QI(%s)" % qi_str(self)
@@ -147,7 +153,6 @@ def _coerce_qi(value):
 
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
-QI_I = QI(0, 1)
 
 
 def qi_str(value: QI) -> str:
@@ -160,11 +165,6 @@ def qi_str(value: QI) -> str:
     if value.im > 0:
         return "%s+%s" % (value.re, imag)
     return "%s%s" % (value.re, imag)
-
-
-_QI_RE = _re.compile(
-    r"^(?P<re>[+-]?\d+(/\d+)?)?(?P<im>[+-]?\d+(/\d+)?)?i?$"
-)
 
 
 def parse_qi(text: str) -> QI:
@@ -189,7 +189,7 @@ def parse_qi(text: str) -> QI:
 
 
 class ScalarRing:
-    """The coefficient ring Q(i)[chi] with chi*chi folded to ``chi_square``.
+    """The coefficient ring Q[chi] with chi*chi folded to ``chi_square``.
 
     ``chi_square`` defaults to mass/2, the unique choice for which the odd
     scalar (anticommuting past odd operators) is compatible with the module
@@ -200,19 +200,14 @@ class ScalarRing:
 
     def __init__(self, mass, chi_square=None):
         self.mass = as_fraction(mass)
-        if chi_square is None:
-            chi_square = QI(Fraction(self.mass, 2))
-        elif not isinstance(chi_square, QI):
-            chi_square = QI(chi_square)
-        self.chi_square = chi_square
-        self.zero = _mk_gs(self, QI_ZERO, QI_ZERO)
-        self.one = _mk_gs(self, QI_ONE, QI_ZERO)
-        self.chi = _mk_gs(self, QI_ZERO, QI_ONE)
+        self.chi_square = self.mass / 2 if chi_square is None \
+            else as_fraction(chi_square)
+        self.zero = _mk_gs(self, _F0, _F0)
+        self.one = _mk_gs(self, Fraction(1), _F0)
+        self.chi = _mk_gs(self, _F0, Fraction(1))
 
     def scalar(self, even=0, odd=0) -> "GradedScalar":
-        ev = even if isinstance(even, QI) else QI(even)
-        od = odd if isinstance(odd, QI) else QI(odd)
-        return _mk_gs(self, ev, od)
+        return _mk_gs(self, as_fraction(even), as_fraction(odd))
 
     def __repr__(self):
         return "ScalarRing(m=%s, chi^2=%s)" % (self.mass, self.chi_square)
@@ -227,7 +222,7 @@ def _mk_gs(ring, even, odd):
 
 
 class GradedScalar:
-    """Element even + odd*chi of a ScalarRing.
+    """Element even + odd*chi of a ScalarRing, with Fraction parts.
 
     The ring product is commutative; the Koszul sign of moving chi past an
     odd operator or basis vector lives in :meth:`twist`, which callers apply
@@ -238,18 +233,15 @@ class GradedScalar:
 
     def __init__(self, ring, even=0, odd=0):
         self.ring = ring
-        self.even = even if isinstance(even, QI) else QI(even)
-        self.odd = odd if isinstance(odd, QI) else QI(odd)
+        self.even = as_fraction(even)
+        self.odd = as_fraction(odd)
 
     def _check(self, other) -> "GradedScalar":
         if isinstance(other, GradedScalar):
             if other.ring is not self.ring:
                 raise ValueError("scalar ring mismatch")
             return other
-        q = _coerce_qi(other)
-        if q is None:
-            raise TypeError("cannot combine GradedScalar with %r" % (other,))
-        return _mk_gs(self.ring, q, QI_ZERO)
+        return _mk_gs(self.ring, as_fraction(other), _F0)
 
     def __bool__(self):
         return bool(self.even) or bool(self.odd)
@@ -297,9 +289,6 @@ class GradedScalar:
             return self
         return _mk_gs(self.ring, self.even, -self.odd)
 
-    def conj(self) -> "GradedScalar":
-        return _mk_gs(self.ring, self.even.conj(), self.odd.conj())
-
     def inverse(self) -> "GradedScalar":
         """Multiplicative inverse; raises ValueError when not a unit."""
         norm = self.even * self.even - self.odd * self.odd * self.ring.chi_square
@@ -316,17 +305,17 @@ class GradedScalar:
 
 def gs_str(value: GradedScalar) -> str:
     if not value.odd:
-        return qi_str(value.even)
-    chi_part = "(%s)*chi" % qi_str(value.odd)
+        return str(value.even)
+    chi_part = "(%s)*chi" % value.odd
     if not value.even:
         return chi_part
-    return "%s+%s" % (qi_str(value.even), chi_part)
+    return "%s+%s" % (value.even, chi_part)
 
 
 def parse_gs(ring: ScalarRing, text: str) -> GradedScalar:
     text = text.strip().replace(" ", "")
     if "chi" not in text:
-        return ring.scalar(parse_qi(text))
+        return ring.scalar(parse_rational(text))
     head, _, _ = text.partition("*chi")
     if head.endswith(")") and "(" in head:
         open_pos = head.rindex("(")
@@ -334,19 +323,19 @@ def parse_gs(ring: ScalarRing, text: str) -> GradedScalar:
         odd_text = head[open_pos + 1 : -1]
     else:
         raise ValueError("malformed graded scalar %r" % text)
-    even = parse_qi(even_text) if even_text else QI_ZERO
-    return ring.scalar(even, parse_qi(odd_text))
+    even = parse_rational(even_text) if even_text else _F0
+    return ring.scalar(even, parse_rational(odd_text))
 
 
 def mul_odd_words(word1, word2, order, squares):
     """Multiply two canonical odd words with Koszul signs.
 
-    ``order`` maps generator name -> rank, ``squares`` maps name -> QI value
-    of the generator's square.  Returns ``(coefficient, word)``; a Grassmann
-    square gives coefficient 0.
+    ``order`` maps generator name -> rank, ``squares`` maps name -> Fraction
+    value of the generator's square.  Returns ``(coefficient, word)`` with
+    an int or Fraction coefficient; a Grassmann square gives coefficient 0.
     """
     seq = list(word1) + list(word2)
-    coeff = QI_ONE
+    coeff = 1
     changed = True
     while changed:
         changed = False
@@ -356,7 +345,7 @@ def mul_odd_words(word1, word2, order, squares):
             if a == b:
                 sq = squares[a]
                 if not sq:
-                    return QI_ZERO, ()
+                    return 0, ()
                 coeff = coeff * sq
                 del seq[i : i + 2]
                 changed = True

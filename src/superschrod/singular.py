@@ -3,11 +3,13 @@
 Each homogeneous weight subspace is searched for the joint kernel of the
 lowering generators that annihilate the lowest weight vector (Q, P for the
 N=1 module; Q+, Q-, P, X- for N=2).  Coefficients carrying the odd scalar
-chi are handled by doubling the linear system: the even and odd components
-of every coefficient become separate Gaussian-rational coordinates, and the
-kernel is computed by fraction-free Gaussian elimination.  Kernel bases are
-then regrouped into generators over the chi-extended ring so that one
-reported vector corresponds to one singular line.
+chi are handled by doubling the linear system: the even and chi components
+of every coefficient become separate rational (Fraction) coordinates, and
+the kernel is computed by fraction-free Gaussian elimination.  Kernel bases
+are then regrouped into generators over the chi-extended ring Q[chi] so that
+one reported vector corresponds to one singular line.  The JSON key
+``qi_dim`` keeps its name and reports the dimension of the doubled rational
+kernel.
 """
 
 from __future__ import annotations
@@ -17,36 +19,37 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .scalars import QI, QI_ONE, QI_ZERO, parse_gs
+from .scalars import parse_gs
 from .verma import LowestWeight, ModuleVector, VermaModule
 
 ANNIHILATORS = {"ssch1": ("Q", "P"), "ssch2": ("Q+", "Q-", "P", "X-")}
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
-# fraction-free exact linear algebra over the Gaussian rationals
+# fraction-free exact linear algebra over the rationals
 
 
 def _clear_denominators(row):
-    lcm = math.lcm(*(part.denominator for entry in row
-                     for part in (entry.re, entry.im)))
+    lcm = math.lcm(*(entry.denominator for entry in row))
     if lcm == 1:
         return list(row)
-    scale = QI(lcm)
-    return [entry * scale for entry in row]
+    return [entry * lcm for entry in row]
 
 
 def bareiss_echelon(rows):
     """Fraction-free (Bareiss) forward elimination.
 
-    Returns (echelon rows, pivot column list).  Input rows are copied and
-    denominator-cleared so all intermediate entries stay Gaussian integers.
+    Returns (echelon rows, pivot column list).  Input rows of Fractions are
+    copied and denominator-cleared so all intermediate entries stay integral.
     """
     m = [_clear_denominators(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
-    prev = QI_ONE
+    prev = _ONE
     r = 0
     for col in range(ncols):
         pivot_row = None
@@ -65,7 +68,7 @@ def bareiss_echelon(rows):
             row_r = m[r]
             for j in range(col, ncols):
                 row_i[j] = (pivot * row_i[j] - head * row_r[j]) / prev
-            row_i[col] = QI_ZERO
+            row_i[col] = _ZERO
         pivots.append(col)
         prev = pivot
         r += 1
@@ -75,20 +78,20 @@ def bareiss_echelon(rows):
 
 
 def nullspace(rows, ncols):
-    """Deterministic kernel basis of the matrix (list of QI rows)."""
+    """Deterministic kernel basis of the matrix (list of Fraction rows)."""
     if not rows:
-        return [[QI_ONE if j == i else QI_ZERO for j in range(ncols)]
+        return [[_ONE if j == i else _ZERO for j in range(ncols)]
                 for i in range(ncols)]
     ech, pivots = bareiss_echelon(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for free in free_cols:
-        vec = [QI_ZERO] * ncols
-        vec[free] = QI_ONE
+        vec = [_ZERO] * ncols
+        vec[free] = _ONE
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            acc = QI_ZERO
+            acc = _ZERO
             row = ech[r]
             for c in range(pc + 1, ncols):
                 if vec[c] and row[c]:
@@ -107,12 +110,16 @@ def rank(rows):
 
 
 def determinant(rows):
-    """Bareiss determinant of a square QI matrix (exact)."""
+    """Bareiss determinant of a square matrix (exact).
+
+    Works for any exact field type (Fraction in the kernel, Gaussian
+    rationals in tests); the empty matrix has determinant 1.
+    """
     n = len(rows)
     if n == 0:
-        return QI_ONE
+        return _ONE
     m = [list(r) for r in rows]
-    prev = QI_ONE
+    prev = _ONE
     sign = 1
     for col in range(n - 1):
         pivot_row = None
@@ -121,7 +128,7 @@ def determinant(rows):
                 pivot_row = i
                 break
         if pivot_row is None:
-            return QI_ZERO
+            return _ZERO
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
@@ -129,7 +136,7 @@ def determinant(rows):
         for i in range(col + 1, n):
             for j in range(col + 1, n):
                 m[i][j] = (pivot * m[i][j] - m[i][col] * m[col][j]) / prev
-            m[i][col] = QI_ZERO
+            m[i][col] = _ZERO
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
@@ -140,7 +147,7 @@ def determinant(rows):
 
 
 class WeightCoords:
-    """Gaussian-rational coordinates on one weight subspace.
+    """Rational (Fraction) coordinates on one weight subspace.
 
     When the module's coefficients can carry chi, each monomial contributes
     two coordinates (even part, chi part); otherwise one.
@@ -158,7 +165,7 @@ class WeightCoords:
         self.dim = len(self.labels)
 
     def to_coords(self, vec: ModuleVector):
-        out = [QI_ZERO] * self.dim
+        out = [_ZERO] * self.dim
         for mono, coeff in vec.terms.items():
             idx = self.index.get((mono, 0))
             if idx is None:
@@ -177,7 +184,7 @@ class WeightCoords:
             if not value:
                 continue
             coeff = module.ring.scalar(value) if e == 0 else \
-                module.ring.scalar(QI_ZERO, value)
+                module.ring.scalar(0, value)
             vec.add_term(mono, coeff)
         return vec
 
@@ -190,7 +197,7 @@ class WeightCoords:
     def chi_multiply_coords(self, coords):
         """Coordinates of chi * vector (only meaningful when doubled)."""
         chi_sq = self.module.ring.chi_square
-        out = [QI_ZERO] * self.dim
+        out = [_ZERO] * self.dim
         for i in range(0, self.dim, 2):
             even, odd = coords[i], coords[i + 1]
             out[i] = odd * chi_sq
@@ -332,7 +339,7 @@ def _annihilator_matrix(space, coords, annihilators):
         target = WeightCoords(space, target_weight)
         if target.dim == 0:
             continue
-        block = [[QI_ZERO] * coords.dim for _ in range(target.dim)]
+        block = [[_ZERO] * coords.dim for _ in range(target.dim)]
         for col, images in enumerate(columns):
             img = target.to_coords(images[a_idx])
             for row_idx, value in enumerate(img):
@@ -375,7 +382,9 @@ def closed_form_n1(module: VermaModule, p: int) -> ModuleVector:
         raise ValueError("closed_form_n1 needs an ssch1 module")
     lw = module.lw
     if lw.m:
-        if p < 0 or lw.d != Fraction(2 * p - 1, 2):
+        if p < 0:
+            raise ValueError("massive N=1 closed form needs p >= 0")
+        if lw.d != Fraction(2 * p - 1, 2):
             raise ValueError("massive N=1 closed form needs d = p - 1/2")
         vec = module.act("G", module.vacuum_vector())
         svec = module.act("S", module.vacuum_vector())
@@ -396,7 +405,9 @@ def closed_form_n2(module: VermaModule, p: int) -> ModuleVector:
         if p < 0:
             raise ValueError("massless N=2 closed form needs p >= 0")
         return module.basis_vector((p, 0, 0, 0, 1))
-    if p < 0 or lw.d != Fraction(2 * p + 1, 2):
+    if p < 0:
+        raise ValueError("massive N=2 closed form needs p >= 0")
+    if lw.d != Fraction(2 * p + 1, 2):
         raise ValueError("massive N=2 closed form needs d = p + 1/2")
     gamma = (lw.d + lw.r + 1) / (2 * lw.d + 1)
     u0 = ModuleVector(module, {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from .scalars import QI, QI_ZERO, QI_ONE, qi_str, parse_qi
+from .scalars import QI, QI_ONE, QI_ZERO, as_fraction, parse_rational
 
 KINDS = ("sch1", "ssch1", "ssch2")
 
@@ -31,7 +31,7 @@ class StructureTable:
 
     Odd-odd pairs are anticommutators, every other pair a commutator; the
     lookup direction is fixed by super-(anti)symmetry
-    [x,y} = -(-1)^{|x||y|} [y,x}.
+    [x,y} = -(-1)^{|x||y|} [y,x}.  Structure constants are Fractions.
     """
 
     def __init__(self, kind, generators, brackets):
@@ -41,12 +41,8 @@ class StructureTable:
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         self._pairs = {}
         for (x, y), value in brackets.items():
-            self._store(x, y, {g: self._qi(c) for g, c in value.items()})
+            self._store(x, y, {g: as_fraction(c) for g, c in value.items()})
         self.names = tuple(g.name for g in self.generators)
-
-    @staticmethod
-    def _qi(c):
-        return c if isinstance(c, QI) else QI(c)
 
     def _store(self, x, y, value):
         if x not in self._by_name or y not in self._by_name:
@@ -72,7 +68,7 @@ class StructureTable:
         return self.generator(name).degree
 
     def bracket_gens(self, x, y) -> dict:
-        """[x,y} for generator names, as a dict name -> QI."""
+        """[x,y} for generator names, as a dict name -> Fraction."""
         self.generator(x), self.generator(y)
         if self._index[x] <= self._index[y]:
             return dict(self._pairs.get((x, y), {}))
@@ -83,14 +79,15 @@ class StructureTable:
         return {g: c * sign for g, c in value.items()}
 
     def bracket(self, x, y) -> dict:
-        """Bilinear bracket of elements given as dicts name -> QI (or names)."""
-        ex = {x: QI_ONE} if isinstance(x, str) else x
-        ey = {y: QI_ONE} if isinstance(y, str) else y
+        """Bilinear bracket of elements given as dicts name -> coefficient
+        (or names)."""
+        ex = {x: 1} if isinstance(x, str) else x
+        ey = {y: 1} if isinstance(y, str) else y
         out = {}
         for gx, cx in ex.items():
             for gy, cy in ey.items():
                 for g, c in self.bracket_gens(gx, gy).items():
-                    val = out.get(g, QI_ZERO) + cx * cy * c
+                    val = out.get(g, 0) + cx * cy * c
                     if val:
                         out[g] = val
                     elif g in out:
@@ -108,7 +105,7 @@ class StructureTable:
             value = self._pairs[(x, y)]
             brackets.append({
                 "x": x, "y": y,
-                "value": {g: qi_str(c) for g, c in sorted(value.items())},
+                "value": {g: str(c) for g, c in sorted(value.items())},
             })
         return {"kind": self.kind, "generators": gens, "brackets": brackets}
 
@@ -125,7 +122,7 @@ class StructureTable:
         brackets = {}
         for row in data["brackets"]:
             brackets[(row["x"], row["y"])] = {
-                g: parse_qi(c) for g, c in row["value"].items()
+                g: parse_rational(c) for g, c in row["value"].items()
             }
         return StructureTable(data["kind"], gens, brackets)
 
@@ -246,7 +243,7 @@ class StructureReport:
 def _elem_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for g, c in b.items():
-        val = out.get(g, QI_ZERO) - c
+        val = out.get(g, 0) - c
         if val:
             out[g] = val
         elif g in out:
@@ -281,7 +278,7 @@ def verify_structure(table: StructureTable, max_failures=20) -> StructureReport:
                 lhs = table.bracket(x, table.bracket_gens(y, z))
                 rhs = table.bracket(table.bracket_gens(x, y), z)
                 for g, c in table.bracket(y, table.bracket_gens(x, z)).items():
-                    val = rhs.get(g, QI_ZERO) + c * sign
+                    val = rhs.get(g, 0) + c * sign
                     if val:
                         rhs[g] = val
                     elif g in rhs:
@@ -333,14 +330,15 @@ class AdjointMap:
 
     def apply(self, elem) -> dict:
         """Apply to an element dict (or generator name), conjugating scalars
-        when the map is antilinear."""
+        when the map is antilinear.  Coefficients may be Fractions or QIs;
+        both provide ``conjugate``."""
         if isinstance(elem, str):
             elem = {elem: QI_ONE}
         out = {}
         for g, c in elem.items():
             if g not in self.images:
                 raise ValueError("adjoint %s undefined on %r" % (self.name, g))
-            cc = c.conj() if self.antilinear else c
+            cc = c.conjugate() if self.antilinear else c
             for h, w in self.images[g].items():
                 val = out.get(h, QI_ZERO) + cc * w
                 if val:

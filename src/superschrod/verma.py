@@ -7,9 +7,9 @@ Basis monomials are exponent tuples applied to the lowest weight vector v0:
 
 The N=1 action is available both as the closed-form table and through the
 generic normal-ordering engine; the N=2 action comes from the engine alone.
-Coefficients are GradedScalars; a coefficient's chi part anticommutes with
-odd generators, which is realised by twisting the coefficient whenever an
-odd generator moves across it.
+Coefficients are GradedScalars over Q[chi] (Fraction even and chi parts); a
+coefficient's chi part anticommutes with odd generators, which is realised
+by twisting the coefficient whenever an odd generator moves across it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import GradedScalar, QI, QI_ONE, ScalarRing, as_fraction, gs_str
+from .scalars import GradedScalar, ScalarRing, as_fraction, gs_str
 from .superalgebra import StructureTable, build_algebra, triangular_decompose
 
 
@@ -135,9 +135,9 @@ class ModuleVector:
         try:
             return self.scale(c.inverse())
         except ValueError:
-            # pure chi coefficient with nilpotent chi: divide the QI part out
+            # pure chi coefficient with nilpotent chi: divide the part out
             part = c.odd if c.odd else c.even
-            return self.scale(QI_ONE / part)
+            return self.scale(1 / part)
 
     def render(self) -> dict:
         """Deterministic str->str rendering used by the JSON layer."""
@@ -193,9 +193,7 @@ class VermaModule:
             if value.ring is not self.ring:
                 raise ValueError("scalar ring mismatch")
             return value
-        if isinstance(value, QI):
-            return self.ring.scalar(value)
-        return self.ring.scalar(QI(value))
+        return self.ring.scalar(value)
 
     @property
     def uses_chi(self) -> bool:
@@ -371,47 +369,47 @@ class VermaModule:
             out = [(ring.one, (k, l, 1))] if a == 0 else \
                 [(-ring.one, (k, l + 1, 0))]
         elif gen == "D":
-            out = [(sc(QI(k + 2 * l + a - d)), (k, l, a))]
+            out = [(sc(k + 2 * l + a - d), (k, l, a))]
         elif gen == "M":
-            out = [(sc(QI(m)), (k, l, a))]
+            out = [(sc(m), (k, l, a))]
         elif gen == "X":
             out = [(chi, (k, l, a))]
             if a:
                 out.append((-ring.one, (k + 1, l, 0)))
         elif gen == "P":
             if l:
-                out.append((sc(QI(l)), (k + 1, l - 1, a)))
+                out.append((sc(l), (k + 1, l - 1, a)))
             if a:
                 out.append((chi, (k, l, 0)))
             if m and k:
-                out.append((sc(QI(m * k)), (k - 1, l, a)))
+                out.append((sc(m * k), (k - 1, l, a)))
         elif gen == "Q":
             if a == 0:
                 if k and chi:
-                    out.append((chi * sc(QI(k)), (k - 1, l, 0)))
+                    out.append((chi * sc(k), (k - 1, l, 0)))
                 if l:
-                    out.append((sc(QI(l)), (k, l - 1, 1)))
+                    out.append((sc(l), (k, l - 1, 1)))
             else:
                 if k and chi:
-                    out.append((chi * sc(QI(k)), (k - 1, l, 1)))
-                coeff = QI(d - l - k)
+                    out.append((chi * sc(k), (k - 1, l, 1)))
+                coeff = d - l - k
                 if coeff:
                     out.append((sc(coeff), (k, l, 0)))
         elif gen == "H":
             if a == 0:
-                c1 = QI(Fraction(l) * (k + l - d - 1))
+                c1 = l * (k + l - d - 1)
                 if l and c1:
                     out.append((sc(c1), (k, l - 1, 0)))
-                c2 = QI(Fraction(m * k * (k - 1), 2))
+                c2 = m * k * (k - 1) / 2
                 if k >= 2 and c2:
                     out.append((sc(c2), (k - 2, l, 0)))
             else:
-                c1 = QI(Fraction(l) * (k + l - d))
+                c1 = l * (k + l - d)
                 if l and c1:
                     out.append((sc(c1), (k, l - 1, 1)))
                 if k and chi:
-                    out.append((chi * sc(QI(k)), (k - 1, l, 0)))
-                c2 = QI(Fraction(m * k * (k - 1), 2))
+                    out.append((chi * sc(k), (k - 1, l, 0)))
+                c2 = m * k * (k - 1) / 2
                 if k >= 2 and c2:
                     out.append((sc(c2), (k - 2, l, 1)))
         else:
@@ -510,16 +508,16 @@ class VermaModule:
             # odd raising generator: pass the even G/K head, resolve the tail
             head, tail = mono[:2], mono[2:]
             for c, dk, dl, new_tail in self._raise_odd_tail(gen, tail):
-                add(ring.scalar(QI(c)), (head[0] + dk, head[1] + dl) + new_tail)
+                add(ring.scalar(c), (head[0] + dk, head[1] + dl) + new_tail)
         elif mono == self.vacuum:
             if gen in self.minus_set:
                 pass
             elif gen == "D":
-                add(ring.scalar(QI(-self._d)), mono)
+                add(ring.scalar(-self._d), mono)
             elif gen == "M":
-                add(ring.scalar(QI(self._m)), mono)
+                add(ring.scalar(self._m), mono)
             elif gen == "R":
-                add(ring.scalar(QI(self._r)), mono)
+                add(ring.scalar(self._r), mono)
             elif gen == "X" and self.kind == "ssch1":
                 add(self.chi, mono)
             else:
@@ -569,7 +567,7 @@ class VermaModule:
                                  table.bracket_gens(x, y).items()]
                 for mono in monos:
                     residual = act(x, vectors[(y, mono)]) \
-                        - act(y, vectors[(x, mono)]).scale(QI(sign))
+                        - act(y, vectors[(x, mono)]).scale(sign)
                     for h, c in minus_bracket:
                         for mn, coeff in vectors[(h, mono)].terms.items():
                             residual.add_term(mn, coeff * c)

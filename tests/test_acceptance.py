@@ -11,8 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from superschrod.cli import main as cli_main
-from superschrod.quotient import (classify, find_singular_in_factor,
-                                  gram, intertwiner_failures,
+from superschrod.quotient import (classify, gram, intertwiner_failures,
                                   quotient_by_singular, reachable_weight)
 from superschrod.realization import (build_realization, verify_chi_eta,
                                      verify_relations)
@@ -181,7 +180,7 @@ def test_criterion_06_n1_classification():
     # the massive factor module carries no singular vectors up to degree 8
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
     fm = quotient_by_singular(mod, closed_form_n1(mod, 1), "I^d")
-    assert find_singular_in_factor(fm, 8) == []
+    assert find_singular(fm, 8) == []
     _report(6, "N=1 classification: all four branches, dims 3/5/7 by "
                "explicit basis count, trivial P/G/M/X in the massless "
                "terminals, massive factor has no singular vectors <= 8")
@@ -213,7 +212,7 @@ def test_criterion_07_n2_classification():
                                   "I^0")
         fm = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)),
                                   "II^1")
-        reports = find_singular_in_factor(fm, 8)
+        reports = find_singular(fm, 8)
         if expect:
             ell = int(d) - 1
             expected = mod.basis_vector((0, ell, 1, 1, 0)) \
@@ -274,7 +273,7 @@ def test_criterion_08_shapovalov_form():
             assert not gm.parity_violations
             for row in gm.matrix:
                 for entry in row:
-                    assert entry.is_real
+                    assert isinstance(entry, F)
             vanish = not gm.det
             below = any(reachable_weight(module, s, w)
                         for s in singular_weights)
@@ -329,7 +328,7 @@ def test_criterion_10_determinism_and_exactness(capsys):
     for vec in rep.vectors:
         for coeff in vec.terms.values():
             for part in (coeff.even, coeff.odd):
-                assert isinstance(part.re, F) and isinstance(part.im, F)
+                assert isinstance(part, F)
     data = json.loads(out1)
     assert "." not in json.dumps(data["reports"])  # no decimal literals
     elapsed = time.monotonic() - _T0

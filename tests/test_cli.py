@@ -61,6 +61,17 @@ def test_singular_check_rejects_mismatched_parameters(capsys):
     assert "d = p - 1/2" in err
 
 
+def test_singular_check_rejects_negative_p(capsys):
+    for module in (["--algebra", "ssch1", "--d", "1/2", "--m", "1"],
+                   ["--algebra", "ssch2", "--d", "1/2", "--m", "1",
+                    "--r", "0"]):
+        code, out, err = run(capsys, "singular", "check", *module,
+                             "--p", "-1")
+        assert code == 2, module
+        assert out == ""
+        assert "needs p >= 0" in err and "needs d =" not in err, module
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--algebra", "ssch1",
                        "--d", "2", "--m", "0", "--json")
@@ -117,6 +128,17 @@ def test_usage_errors(capsys):
         assert code == 2, argv
         assert out == ""
         assert "%s must be at most %d" % (flag, MAX_DEGREE) in err
+    # a weight with an empty subspace has no Gram matrix
+    for argv, weight in [
+        (["gram", "--algebra", "ssch1", "--d", "1", "--m", "1",
+          "--weight", "-3"], "-3"),
+        (["gram", "--algebra", "ssch2", "--d", "1", "--m", "1", "--r", "0",
+          "--weight", "2", "--rweight", "7"], "(2, 7)"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "weight %s" % weight in err, argv
 
 
 def test_byte_determinism(capsys):

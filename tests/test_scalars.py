@@ -3,9 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from superschrod.realization import SuperPoly, SuperSpace, poly_mono
+from superschrod.quotient import gram
+from superschrod.realization import (SuperPoly, SuperSpace, build_realization,
+                                     enumerate_polyspace, poly_mono)
 from superschrod.scalars import (QI, ScalarRing, gs_str, parse_gs, parse_qi,
                                  parse_rational, qi_str)
+from superschrod.singular import bareiss_echelon, find_singular
+from superschrod.verma import LowestWeight, VermaModule
 
 
 def test_rational_parsing():
@@ -51,9 +55,9 @@ def test_qi_conjugation_is_ring_automorphism():
                   F(rng.randint(-9, 9), rng.randint(1, 9)))
     for _ in range(50):
         a, b = rand_qi(), rand_qi()
-        assert (a + b).conj() == a.conj() + b.conj()
-        assert (a * b).conj() == a.conj() * b.conj()
-        assert a.conj().conj() == a
+        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        assert a.conjugate().conjugate() == a
 
 
 def test_graded_scalar_chi_square():
@@ -100,10 +104,11 @@ def test_graded_scalar_twist_and_inverse():
 def test_graded_scalar_render_parse():
     ring = ScalarRing(F(1, 3))
     values = [ring.zero, ring.one, ring.chi,
-              ring.scalar(QI(F(3, 2)), QI(F(-1, 2))),
-              ring.scalar(QI(0, 1), QI(F(2, 7)))]
+              ring.scalar(QI(F(3, 2)), QI(F(-1, 2)))]
     for v in values:
         assert parse_gs(ring, gs_str(v)) == v
+    with pytest.raises(ValueError):
+        ring.scalar(QI(0, 1), QI(F(2, 7)))
 
 
 # Odd-variable algebras are superspaces whose polynomials carry no t or x.
@@ -166,3 +171,41 @@ def test_odd_instance_mismatch():
     s2 = _n1_odd_space(1)
     with pytest.raises(ValueError):
         _odd_gen(s1, "theta") * _odd_gen(s2, "eta")
+
+
+# Module coefficients are real: Gaussian rationals appear only in the
+# omega2/sigma1/sigma2 adjoint images.
+
+
+def _is_rational(value):
+    return isinstance(value, (int, F))
+
+
+def test_module_coefficients_are_fractions():
+    cases = [(LowestWeight("ssch1", F(1, 2), 1), 4, F(1, 2), 1),
+             (LowestWeight("ssch2", F(3, 2), 1, F(1, 3)), 4, F(3, 2), 1)]
+    for lw, degree, d, m in cases:
+        mod = VermaModule(lw)
+        reports = find_singular(mod, degree)
+        assert reports, lw
+        for rep in reports:
+            for vec in rep.vectors:
+                for coeff in vec.terms.values():
+                    assert _is_rational(coeff.even) and _is_rational(coeff.odd)
+        for weight in mod.enumerate_weights(3):
+            gm = gram(mod, weight, check_adjoint=False)
+            assert _is_rational(gm.det)
+            assert all(_is_rational(v) for row in gm.matrix for v in row)
+            echelon, _ = bareiss_echelon(gm.matrix)
+            assert all(_is_rational(v) for row in echelon for v in row)
+        ops = build_realization(lw.kind, d, m)
+        space = next(iter(ops.values())).space
+        polys = [poly_mono(space, t=a, x=b, word=w)
+                 for a, b, w in enumerate_polyspace(space, 2)]
+        for op in ops.values():
+            for coeff, _, _, _ in op.terms:
+                assert all(_is_rational(c) for c in coeff.terms.values())
+            for f in polys:
+                assert all(_is_rational(c) for c in op.apply(f).terms.values())
+        with pytest.raises(ValueError):
+            mod.basis_vector(mod.vacuum, QI(0, 1))
