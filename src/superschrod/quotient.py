@@ -460,20 +460,25 @@ def _omega1_word(module, label, epsilon, lam):
     return word, sign
 
 
-def _pair(module: VermaModule, word, wsign, vec: ModuleVector):
-    """Apply the omega1 word to ``vec`` and read the signed v0 coefficient."""
-    for gen in reversed(word):
-        vec = module.act(gen, vec)
+def _signed_v0(module: VermaModule, vec: ModuleVector, wsign):
+    """The signed v0 coefficient of ``vec``."""
     value = vec.terms.get(module.vacuum, module.ring.zero)
     return value if wsign > 0 else -value
 
 
 def gram_pair(module: VermaModule, left_label, right_label, epsilon=0, lam=0):
-    """Single pairing value as a GradedScalar (full chi-carrying value)."""
+    """Single pairing value as a GradedScalar (full chi-carrying value).
+
+    Applies the whole omega1 word of the left label to the right basis
+    vector; :func:`gram` must agree with it entry by entry.
+    """
     mono, e = right_label
     coeff = module.ring.one if e == 0 else module.ring.chi
+    vec = ModuleVector(module, {mono: coeff})
     word, wsign = _omega1_word(module, left_label, epsilon, lam)
-    return _pair(module, word, wsign, ModuleVector(module, {mono: coeff}))
+    for gen in reversed(word):
+        vec = module.act(gen, vec)
+    return _signed_v0(module, vec, wsign)
 
 
 def gram(module: VermaModule, weight, epsilon=0, lam=0,
@@ -485,6 +490,11 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     applied to v0).  Entries of mixed total parity vanish in their even
     scalar part; the matrix of even parts is therefore parity-block-diagonal
     and its determinant detects the radical exactly.
+
+    The omega1 words are walked in application order (each reversed word,
+    sorted lexicographically) with a stack whose level i holds every right
+    basis vector after the first i letters of the current word, so each
+    distinct prefix is applied once.
     """
     if check_adjoint:
         amap = build_adjoint(module.table, "omega1", epsilon, lam)
@@ -501,22 +511,38 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     labels.sort(key=lambda lab: (parity_of(lab),
                                  [-x for x in module.order_key(lab[0])], lab[1]))
     parities = [parity_of(lab) for lab in labels]
-    matrix = []
-    violations = []
-    right_vecs = [coords.basis_element(right) for right in labels]
+    words = []
     for left in labels:
         word, wsign = _omega1_word(module, left, epsilon, lam)
+        words.append((word[::-1], wsign))
+    stack = [[coords.basis_element(right) for right in labels]]
+    applied = []
+    matrix = [None] * len(labels)
+    found = []
+    for i in sorted(range(len(labels)), key=lambda i: words[i][0]):
+        letters, wsign = words[i]
+        shared = 0
+        for done, gen in zip(applied, letters):
+            if done != gen:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        del applied[shared:]
+        for gen in letters[shared:]:
+            stack.append([module.act(gen, vec) if vec else vec
+                          for vec in stack[-1]])
+            applied.append(gen)
         row = []
-        pl = parity_of(left)
-        for right, vec in zip(labels, right_vecs):
-            value = _pair(module, word, wsign, vec)
-            if pl == parity_of(right):
+        for j, vec in enumerate(stack[-1]):
+            value = _signed_v0(module, vec, wsign)
+            if parities[i] == parities[j]:
                 if value.odd:
-                    violations.append((left, right, "chi part on diagonal block"))
+                    found.append((i, j, "chi part on diagonal block"))
             elif value.even:
-                violations.append((left, right, "even part across parities"))
+                found.append((i, j, "even part across parities"))
             row.append(value.even)
-        matrix.append(row)
+        matrix[i] = row
+    violations = [(labels[i], labels[j], why) for i, j, why in sorted(found)]
     return GramMatrix(weight, labels, parities, matrix, determinant(matrix),
                       parity_violations=violations)
 

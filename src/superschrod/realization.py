@@ -46,8 +46,16 @@ class SuperPoly:
         self.terms = {}
         if terms:
             for mono, coeff in terms.items():
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError("coefficient %r is not an int or Fraction"
+                                    % (coeff,))
                 if coeff:
                     self.terms[mono] = coeff
+
+    def copy(self) -> "SuperPoly":
+        out = SuperPoly(self.space)
+        out.terms = dict(self.terms)
+        return out
 
     def _check(self, other):
         if not isinstance(other, SuperPoly) or other.space is not self.space:
@@ -63,27 +71,29 @@ class SuperPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = SuperPoly(self.space, dict(self.terms))
+        out = self.copy()
         for mono, c in other.terms.items():
             out.add_term(mono, c)
         return out
 
     def __sub__(self, other):
         self._check(other)
-        out = SuperPoly(self.space, dict(self.terms))
+        out = self.copy()
         for mono, c in other.terms.items():
             out.add_term(mono, -c)
         return out
 
     def __neg__(self):
-        return SuperPoly(self.space, {m: -c for m, c in self.terms.items()})
+        out = SuperPoly(self.space)
+        out.terms = {m: -c for m, c in self.terms.items()}
+        return out
 
     def scale(self, coeff) -> "SuperPoly":
         coeff = as_fraction(coeff)
-        if not coeff:
-            return SuperPoly(self.space)
-        return SuperPoly(self.space,
-                         {m: c * coeff for m, c in self.terms.items()})
+        out = SuperPoly(self.space)
+        if coeff:
+            out.terms = {m: c * coeff for m, c in self.terms.items()}
+        return out
 
     def __mul__(self, other):
         self._check(other)

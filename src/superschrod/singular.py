@@ -32,24 +32,36 @@ _ONE = Fraction(1)
 # fraction-free exact linear algebra over the rationals
 
 
-def _clear_denominators(row):
-    lcm = math.lcm(*(entry.denominator for entry in row))
-    if lcm == 1:
-        return list(row)
-    return [entry * lcm for entry in row]
+def _integer_rows(rows):
+    """Rows scaled by their denominator lcm to Python ints, and the product
+    of those lcms.  Entries must be int or Fraction."""
+    out = []
+    scale = 1
+    for row in rows:
+        try:
+            lcm = math.lcm(*(entry.denominator for entry in row))
+        except AttributeError:
+            raise TypeError("rational (int or Fraction) entries expected") \
+                from None
+        out.append([entry.numerator * (lcm // entry.denominator)
+                    for entry in row])
+        scale *= lcm
+    return out, scale
 
 
-def bareiss_echelon(rows):
-    """Fraction-free (Bareiss) forward elimination.
+def _eliminate(m, ncols, stop_at_zero_column=False):
+    """Integer Bareiss forward elimination of the int rows ``m`` in place.
 
-    Returns (echelon rows, pivot column list).  Input rows of Fractions are
-    copied and denominator-cleared so all intermediate entries stay integral.
+    Every update is divided exactly (``//``) by the previous pivot, so each
+    entry stays the corresponding minor of the input.  A row whose head entry
+    is already 0 is only rescaled by pivot/prev.  Returns (pivot columns,
+    row swaps); with ``stop_at_zero_column`` a column without a pivot returns
+    None at once (the square matrix is singular).
     """
-    m = [_clear_denominators(r) for r in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots = []
-    prev = _ONE
+    swaps = 0
+    prev = 1
     r = 0
     for col in range(ncols):
         pivot_row = None
@@ -58,23 +70,41 @@ def bareiss_echelon(rows):
                 pivot_row = i
                 break
         if pivot_row is None:
+            if stop_at_zero_column:
+                return None
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][col]
+            swaps += 1
+        row_r = m[r]
+        pivot = row_r[col]
+        lead = [0] * (col + 1)
+        tail_r = row_r[col + 1:]
         for i in range(r + 1, nrows):
-            head = m[i][col]
             row_i = m[i]
-            row_r = m[r]
-            for j in range(col, ncols):
-                row_i[j] = (pivot * row_i[j] - head * row_r[j]) / prev
-            row_i[col] = _ZERO
+            head = row_i[col]
+            if head:
+                m[i] = lead + [(pivot * a - head * b) // prev
+                               for a, b in zip(row_i[col + 1:], tail_r)]
+            elif pivot != prev:
+                m[i] = lead + [pivot * a // prev for a in row_i[col + 1:]]
         pivots.append(col)
         prev = pivot
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return pivots, swaps
+
+
+def bareiss_echelon(rows):
+    """Fraction-free (Bareiss) forward elimination of int/Fraction rows.
+
+    Returns (echelon rows, pivot column list).  Each input row is cleared of
+    denominators once, so the echelon entries are Python ints.
+    """
+    m, _ = _integer_rows(rows)
+    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
+    return m[:len(pivots)], pivots
 
 
 def nullspace(rows, ncols):
@@ -110,36 +140,21 @@ def rank(rows):
 
 
 def determinant(rows):
-    """Bareiss determinant of a square matrix (exact).
+    """Exact determinant of a square matrix of int/Fraction entries.
 
-    Works for any exact field type (Fraction in the kernel, Gaussian
-    rationals in tests); the empty matrix has determinant 1.
+    Integer Bareiss on the denominator-cleared rows: the determinant is
+    sign * last pivot / (product of the row lcms).  The empty matrix has
+    determinant 1; entries other than int or Fraction raise TypeError.
     """
     n = len(rows)
     if n == 0:
         return _ONE
-    m = [list(r) for r in rows]
-    prev = _ONE
-    sign = 1
-    for col in range(n - 1):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][col] * m[col][j]) / prev
-            m[i][col] = _ZERO
-        prev = pivot
+    m, scale = _integer_rows(rows)
+    result = _eliminate(m, n, stop_at_zero_column=True)
+    if result is None:
+        return _ZERO
     det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    return Fraction(-det if result[1] % 2 else det, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -325,51 +340,52 @@ def find_singular(space, max_degree: int, annihilators=None,
 
 def _annihilator_matrix(space, coords, annihilators):
     module = _space_module(space)
-    rows_by_target = []
-    columns = []
-    for label in coords.labels:
+    targets = [WeightCoords(space, module.shift_weight(coords.weight, ann))
+               for ann in annihilators]
+    blocks = [[[_ZERO] * coords.dim for _ in range(target.dim)]
+              for target in targets]
+    # one image at a time goes straight into its block
+    for col, label in enumerate(coords.labels):
         vec = coords.basis_element(label)
-        images = []
-        for ann in annihilators:
-            images.append(space.act(ann, vec))
-        columns.append(images)
-    rows = []
-    for a_idx, ann in enumerate(annihilators):
-        target_weight = module.shift_weight(coords.weight, ann)
-        target = WeightCoords(space, target_weight)
-        if target.dim == 0:
-            continue
-        block = [[_ZERO] * coords.dim for _ in range(target.dim)]
-        for col, images in enumerate(columns):
-            img = target.to_coords(images[a_idx])
-            for row_idx, value in enumerate(img):
+        for ann, target, block in zip(annihilators, targets, blocks):
+            image = space.act(ann, vec)
+            if not target.dim:
+                continue
+            for row_idx, value in enumerate(target.to_coords(image)):
                 if value:
                     block[row_idx][col] = value
-        rows.extend(block)
-    return rows
+    return [row for block in blocks for row in block]
 
 
 def _ring_generators(coords, kernel):
     """Minimal generating set of the kernel over the chi-extended ring."""
     if not coords.doubled:
         return kernel
+    # The kernel and the span of the selected {v, chi v} are both closed
+    # under chi: a kernel vector lies in the span exactly when adding it with
+    # its chi multiple keeps the rank, and once the rank reaches the kernel
+    # dimension every remaining vector does.
     selected = []
     span_rows = []
+    span_rank = 0
     for vec in kernel:
-        if span_rows and rank(span_rows + [vec]) == rank(span_rows):
+        if span_rank == len(kernel):
+            break
+        pair = [vec, coords.chi_multiply_coords(vec)]
+        new_rank = rank(span_rows + pair)
+        if new_rank == span_rank:
             continue
         selected.append(vec)
-        span_rows.append(vec)
-        span_rows.append(coords.chi_multiply_coords(vec))
+        span_rows.extend(pair)
+        span_rank = new_rank
     return selected
 
 
 def in_span(space, weight, vectors, candidate) -> bool:
     """Exact span membership test inside one weight subspace."""
     coords = WeightCoords(space, weight)
-    rows = [coords.to_coords(v) for v in vectors]
-    extended = rows + [coords.to_coords(candidate)]
-    return rank(rows) == rank(extended)
+    echelon, pivots = bareiss_echelon([coords.to_coords(v) for v in vectors])
+    return rank(echelon + [coords.to_coords(candidate)]) == len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +495,8 @@ def _match_closed_forms(module: VermaModule, report: SingularVectorReport):
     if coords.doubled:
         kernel_rows = kernel_rows + [coords.chi_multiply_coords(r)
                                      for r in list(kernel_rows)]
-    kernel_rank = rank(kernel_rows)
+    # the generators and their chi multiples span the doubled kernel
+    kernel_rank = report.qi_dim
     expected_rows = []
     for label, vec in expected:
         row = coords.to_coords(vec)

@@ -60,7 +60,11 @@ class ModuleVector:
         self.module = module
         self.terms = {}
         if terms:
+            ring = module.ring
             for mono, coeff in terms.items():
+                if not isinstance(coeff, GradedScalar) or coeff.ring is not ring:
+                    raise TypeError("coefficient %r is not a scalar of the "
+                                    "module's ring" % (coeff,))
                 if coeff:
                     self.terms[mono] = coeff
 

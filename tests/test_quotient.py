@@ -310,6 +310,35 @@ def test_gram_entries_real_and_blocked():
                 assert not value
 
 
+def test_gram_matches_gram_pair():
+    # gram applies each shared word prefix once; gram_pair applies the whole
+    # omega1 word for every pair, so it is the entry-by-entry oracle
+    cases = [("ssch1", F(2, 3), 1, None, 5), ("ssch1", F(3, 2), 0, None, 5),
+             ("ssch2", F(3, 2), 1, F(1, 3), 4),
+             ("ssch2", F(4, 3), 0, F(-2, 5), 4)]
+    for kind, d, m, r, deg in cases:
+        mod = VermaModule(LowestWeight(kind, d, m, r))
+        for eps in (0, 1):
+            for lam in (0, 1):
+                for w in mod.enumerate_weights(deg):
+                    gm = gram(mod, w, eps, lam, check_adjoint=False)
+                    assert any(e for _, e in gm.labels) == mod.uses_chi
+                    violations = []
+                    for i, left in enumerate(gm.labels):
+                        for j, right in enumerate(gm.labels):
+                            value = gram_pair(mod, left, right, eps, lam)
+                            assert gm.matrix[i][j] == value.even
+                            if gm.parities[i] == gm.parities[j]:
+                                if value.odd:
+                                    violations.append(
+                                        (left, right,
+                                         "chi part on diagonal block"))
+                            elif value.even:
+                                violations.append(
+                                    (left, right, "even part across parities"))
+                    assert gm.parity_violations == violations
+
+
 def test_gram_epsilon_lambda_sign_pattern():
     # flipping epsilon/lambda rescales the pairing by the sign carried by
     # the left word: (-1)^{eps k + lam a + (eps+lam) e}

@@ -9,7 +9,7 @@ from superschrod.realization import (SuperPoly, SuperSpace, build_realization,
 from superschrod.scalars import (QI, ScalarRing, gs_str, parse_gs, parse_qi,
                                  parse_rational, qi_str)
 from superschrod.singular import bareiss_echelon, find_singular
-from superschrod.verma import LowestWeight, VermaModule
+from superschrod.verma import LowestWeight, ModuleVector, VermaModule
 
 
 def test_rational_parsing():
@@ -120,7 +120,7 @@ def _n1_odd_space(m):
 
 
 def _odd_poly(space, terms):
-    return SuperPoly(space, {(0, 0, word): QI(c) for word, c in terms.items()})
+    return SuperPoly(space, {(0, 0, word): F(c) for word, c in terms.items()})
 
 
 def _odd_gen(space, name):
@@ -209,3 +209,23 @@ def test_module_coefficients_are_fractions():
                 assert all(_is_rational(c) for c in op.apply(f).terms.values())
         with pytest.raises(ValueError):
             mod.basis_vector(mod.vacuum, QI(0, 1))
+
+
+def test_constructors_reject_non_rational_coefficients():
+    mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
+    for bad in (QI(1), QI(0, 1), F(1), 1):
+        with pytest.raises(TypeError):
+            ModuleVector(mod, {mod.vacuum: bad})
+    other = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
+    with pytest.raises(TypeError):
+        ModuleVector(mod, {mod.vacuum: other.ring.one})
+    assert ModuleVector(mod, {mod.vacuum: mod.ring.chi}).terms == \
+        {mod.vacuum: mod.ring.chi}
+    space = SuperSpace.for_kind("ssch1", 1)
+    for bad in (QI(1), QI(0, 1), 0.5):
+        with pytest.raises(TypeError):
+            SuperPoly(space, {(0, 0, ()): bad})
+    poly = SuperPoly(space, {(1, 0, ()): 2, (0, 0, ("theta",)): F(1, 3)})
+    assert (poly + poly).terms == poly.scale(2).terms
+    assert (-poly).terms == poly.scale(-1).terms
+    assert not (poly - poly)

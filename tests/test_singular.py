@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superschrod.scalars import QI, QI_ZERO
 from superschrod.singular import (ANNIHILATORS, SingularVectorReport,
@@ -45,18 +46,39 @@ def test_determinant_matches_cofactor_expansion():
         n = len(m)
         if n == 1:
             return m[0][0]
-        total = QI_ZERO
+        total = F(0)
         for j in range(n):
             minor = [row[:j] + row[j + 1:] for row in m[1:]]
             term = m[0][j] * cofactor_det(minor)
             total = total + (term if j % 2 == 0 else -term)
         return total
 
-    for _ in range(15):
-        n = rng.randint(1, 4)
-        m = [[QI(F(rng.randint(-4, 4), rng.randint(1, 3)),
-                 F(rng.randint(-2, 2))) for _ in range(n)] for _ in range(n)]
-        assert determinant(m) == cofactor_det(m)
+    def rand_entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for n in range(1, 7):
+        for trial in range(6):
+            m = [[rand_entry() for _ in range(n)] for _ in range(n)]
+            if trial == 1:
+                # a zero leading column entry forces a row swap
+                m[0][0] = F(0)
+            elif trial == 2 and n > 1:
+                # the last row is a combination of the first ones: singular
+                k = rand_entry()
+                m[-1] = [k * a + (b if n > 2 else 0)
+                         for a, b in zip(m[0], m[1])]
+            elif trial == 3:
+                # a zero column: singular, found before the last step
+                col = rng.randrange(n)
+                for row in m:
+                    row[col] = F(0)
+            assert determinant(m) == cofactor_det(m)
+            assert isinstance(determinant(m), F)
+    assert determinant([]) == 1
+    with pytest.raises(TypeError):
+        determinant([[QI(1, 1)]])
+    with pytest.raises(TypeError):
+        determinant([[F(1), F(0)], [F(2), QI(F(1, 2), -1)]])
 
 
 def test_bareiss_stays_integral():
@@ -66,6 +88,82 @@ def test_bareiss_stays_integral():
         for entry in row:
             assert entry.denominator == 1
     assert len(pivots) == 3
+
+
+_ENTRY = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Up to 7x7 rational matrices with forced dependent rows and zero
+    columns."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    combos = st.tuples(st.integers(0, 6), st.integers(0, 6),
+                       st.integers(0, 6), _ENTRY, _ENTRY)
+    for i, j, k, a, b in draw(st.lists(combos, max_size=3)):
+        if nrows > 1:
+            i = 1 + i % (nrows - 1)
+            rows[i] = [a * x + b * y
+                       for x, y in zip(rows[j % i], rows[k % i])]
+    for col in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for r in rows:
+            r[col] = F(0)
+    return rows
+
+
+def _gauss_jordan(rows):
+    """Reference (rank, determinant) by plain Fraction Gauss-Jordan
+    elimination; the determinant is meaningful for square input only."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    r = 0
+    det = F(1)
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            det = F(0)
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        p = m[r][col]
+        det *= p
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r, det
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_rational_matrices())
+def test_elimination_matches_gauss_jordan(rows):
+    ncols = len(rows[0])
+    ref_rank, _ = _gauss_jordan(rows)
+    assert rank(rows) == ref_rank
+    echelon, pivots = bareiss_echelon(rows)
+    assert len(pivots) == ref_rank
+    assert all(type(entry) is int for row in echelon for entry in row)
+    for row, col in zip(echelon, pivots):
+        assert row[col] and not any(row[:col])
+    kernel = nullspace(rows, ncols)
+    assert len(kernel) == ncols - ref_rank
+    for vec in kernel:
+        for row in rows:
+            assert not sum(a * b for a, b in zip(row, vec))
+    if kernel:
+        assert _gauss_jordan(kernel)[0] == len(kernel)
+    n = min(len(rows), ncols)
+    square = [row[:n] for row in rows[:n]]
+    _, ref_det = _gauss_jordan(square)
+    assert determinant(square) == ref_det
 
 
 # -- N=1 closed forms and search ---------------------------------------------
