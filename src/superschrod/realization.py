@@ -171,22 +171,51 @@ class SuperDiffOp:
     space: SuperSpace
     terms: list = field(default_factory=list)  # (SuperPoly, dt, dx, odd tuple)
 
-    def apply(self, poly: SuperPoly) -> SuperPoly:
-        out = SuperPoly(self.space)
+    def image(self, mono) -> dict:
+        """Image of one monomial as ``{monomial: Fraction}``, zeros dropped.
+
+        Each term's derivative word takes the monomial to a single monomial
+        times an integer (or to zero), which its coefficient then multiplies.
+        """
+        t, x, word = mono
+        order, squares = self.space.order, self.space.squares
+        out = {}
         for coeff, dt, dx, odds in self.terms:
-            g = poly
-            for od in reversed(odds):
-                g = derive_odd(od, g)
-                if not g:
-                    break
-            if not g:
+            if dt > t or dx > x:
                 continue
-            for _ in range(dx):
-                g = derive_even("x", g)
-            for _ in range(dt):
-                g = derive_even("t", g)
-            if g:
-                out = out + coeff * g
+            w, k = word, 1
+            for od in reversed(odds):
+                if od not in w:
+                    k = 0
+                    break
+                pos = w.index(od)
+                if pos % 2:
+                    k = -k
+                w = w[:pos] + w[pos + 1:]
+            if not k:
+                continue
+            for i in range(dx):
+                k *= x - i
+            for i in range(dt):
+                k *= t - i
+            t0, x0 = t - dt, x - dx
+            for (t1, x1, w1), c1 in coeff.terms.items():
+                sign, prod = mul_odd_words(w1, w, order, squares)
+                if sign:
+                    key = (t1 + t0, x1 + x0, prod)
+                    val = c1 * (k * sign)
+                    cur = out.get(key)
+                    out[key] = val if cur is None else cur + val
+        return {mn: c for mn, c in out.items() if c}
+
+    def apply(self, poly: SuperPoly) -> SuperPoly:
+        """Sum of c * image(mono) over the terms c * mono of ``poly``."""
+        if poly.space is not self.space:
+            raise ValueError("superspace mismatch")
+        out = SuperPoly(self.space)
+        for mono, c in poly.terms.items():
+            for mn, val in self.image(mono).items():
+                out.add_term(mn, c * val)
         return out
 
     def parity(self):
@@ -336,8 +365,16 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
 
     Operator application here is exact (no truncation), so agreement on the
     degree <= N monomial basis certifies each identity on every polynomial
-    of degree <= N.
+    of degree <= N.  Each operator's image of a monomial is computed once
+    per call and shared by every bracket; for each pair (X, Y) and basis
+    monomial f the residual X(Y f) - (-1)^{|X||Y|} Y(X f) - sum_h c_h H_h f
+    is accumulated into one dict.  Failures are (X, Y, monomial, residual
+    string) in bracket-table order, at most ``max_failures`` of them.
+    Raises ValueError for a negative ``max_degree``, which would check no
+    monomial at all.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
     space = next(iter(realization.values())).space
     monos = enumerate_polyspace(space, max_degree)
     polys = [poly_mono(space, t=a, x=b, word=w) for (a, b, w) in monos]
@@ -354,26 +391,44 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
         raise_by = max(raise_by, op.max_degree_raise())
     report.degree_raise = raise_by
     names = list(table.names)
-    applied = {}
+    # (generator, monomial) -> image dict, local to this call so that an
+    # edit to an operator's terms between calls is always seen
+    images = {}
     for gen in names:
         op = realization[gen]
-        applied[gen] = [op.apply(f) for f in polys]
+        for mono, f in zip(monos, polys):
+            images[(gen, mono)] = op.apply(f).terms
     for i, xg in enumerate(names):
         px = table.parity(xg)
         for yg in names[i:]:
             py = table.parity(yg)
             sign = -1 if (px and py) else 1
-            bracket = table.bracket_gens(xg, yg)
-            opx, opy = realization[xg], realization[yg]
-            for idx, f in enumerate(polys):
-                lhs = opx.apply(applied[yg][idx])
-                swapped = opy.apply(applied[xg][idx])
-                residual = lhs - swapped.scale(sign)
-                for h, c in bracket.items():
-                    residual = residual - applied[h][idx].scale(c)
+            minus_bracket = [(h, -c) for h, c in
+                             table.bracket_gens(xg, yg).items()]
+            # X(Y f) with factor +1, then Y(X f) with factor -sign
+            sides = ((realization[xg], xg, yg, False),
+                     (realization[yg], yg, xg, sign == 1))
+            for mono in monos:
+                acc = {}
+                for op, gen, first, negate in sides:
+                    for mn, c in images[(first, mono)].items():
+                        img = images.get((gen, mn))
+                        if img is None:
+                            img = images[(gen, mn)] = op.image(mn)
+                        if negate:
+                            c = -c
+                        for mn2, v in img.items():
+                            val = c * v
+                            cur = acc.get(mn2)
+                            acc[mn2] = val if cur is None else cur + val
+                for h, c in minus_bracket:
+                    for mn, v in images[(h, mono)].items():
+                        val = c * v
+                        cur = acc.get(mn)
+                        acc[mn] = val if cur is None else cur + val
+                residual = SuperPoly(space, acc)
                 if residual:
-                    report.failures.append(
-                        (xg, yg, monos[idx], str(residual)))
+                    report.failures.append((xg, yg, mono, str(residual)))
                     if len(report.failures) >= max_failures:
                         return report
     return report

@@ -382,9 +382,17 @@ def _ring_generators(coords, kernel):
 
 
 def in_span(space, weight, vectors, candidate) -> bool:
-    """Exact span membership test inside one weight subspace."""
+    """Exact span membership test inside one weight subspace.
+
+    The span is over the module's scalar ring: on chi-carrying modules the
+    chi multiple of each vector joins it, as for the generators that
+    ``find_singular`` reports one per line over Q[chi].
+    """
     coords = WeightCoords(space, weight)
-    echelon, pivots = bareiss_echelon([coords.to_coords(v) for v in vectors])
+    rows = [coords.to_coords(v) for v in vectors]
+    if coords.doubled:
+        rows += [coords.chi_multiply_coords(row) for row in rows]
+    echelon, pivots = bareiss_echelon(rows)
     return rank(echelon + [coords.to_coords(candidate)]) == len(pivots)
 
 

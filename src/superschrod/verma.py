@@ -555,7 +555,9 @@ class VermaModule:
         act(x, act(y, w)) - (-1)^{|x||y|} act(y, act(x, w)) must equal
         act([x,y}, w) for every generator pair.  Returns a list of failing
         (x, y, monomial) triples (empty means the identity holds).  Factor
-        modules run the same loop over their surviving monomials.
+        modules run the same loop over their surviving monomials.  ``act_fn``
+        (default ``self.act``) must return a new vector on every call: the
+        residual is accumulated into the first action's result.
         """
         act = act_fn or self.act
         table = self.table
@@ -570,8 +572,9 @@ class VermaModule:
                 minus_bracket = [(h, -c) for h, c in
                                  table.bracket_gens(x, y).items()]
                 for mono in monos:
-                    residual = act(x, vectors[(y, mono)]) \
-                        - act(y, vectors[(x, mono)]).scale(sign)
+                    residual = act(x, vectors[(y, mono)])
+                    for mn, coeff in act(y, vectors[(x, mono)]).terms.items():
+                        residual.add_term(mn, -coeff if sign == 1 else coeff)
                     for h, c in minus_bracket:
                         for mn, coeff in vectors[(h, mono)].terms.items():
                             residual.add_term(mn, coeff * c)

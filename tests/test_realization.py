@@ -2,11 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from superschrod.realization import (SuperDiffOp, SuperSpace,
+from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
                                      build_realization, chi_eta_ops,
-                                     derive_odd, enumerate_polyspace,
-                                     poly_mono, verify_chi_eta,
-                                     verify_relations)
+                                     derive_even, derive_odd,
+                                     enumerate_polyspace, poly_mono,
+                                     verify_chi_eta, verify_relations)
 from superschrod.superalgebra import build_algebra
 
 
@@ -63,6 +63,79 @@ def test_relations_hold(kind, d, m, deg):
     report = verify_relations(ops, table, deg, d=d, m=m)
     assert report.ok, report.failures[:3]
     assert report.certified_degree == deg
+
+
+def test_negative_degree_is_rejected():
+    table = build_algebra("ssch1")
+    ops = build_realization("ssch1", F(3, 4), 1)
+    with pytest.raises(ValueError):
+        verify_relations(ops, table, -1)
+    assert verify_relations(ops, table, 0).certified_degree == 0
+
+
+def _reference_apply(op, poly):
+    """Term by term: derivative word on the whole polynomial, then the
+    coefficient product."""
+    out = SuperPoly(op.space)
+    for coeff, dt, dx, odds in op.terms:
+        g = poly
+        for od in reversed(odds):
+            g = derive_odd(od, g)
+        for _ in range(dx):
+            g = derive_even("x", g)
+        for _ in range(dt):
+            g = derive_even("t", g)
+        out = out + coeff * g
+    return out
+
+
+@pytest.mark.parametrize("kind,d,m", [
+    ("ssch1", F(3, 4), F(5, 2)), ("ssch1", F(-1, 3), 0),
+    ("ssch2", F(2, 5), 2), ("ssch2", 1, 0),
+])
+def test_apply_matches_term_by_term_reference(kind, d, m):
+    ops = build_realization(kind, d, m)
+    space = ops["H"].space
+    monos = enumerate_polyspace(space, 4)
+    poly = SuperPoly(space, {mono: F(i + 1, 3) for i, mono in
+                             enumerate(monos[::7])})
+    # derivative orders above 1 and two-letter odd words, which the
+    # realizations themselves do not use
+    a, b = space.names[:2]
+    ops["extra"] = SuperDiffOp(space, [
+        (poly_mono(space, t=1, word=(a,), coeff=F(2, 3)), 0, 3, ()),
+        (poly_mono(space, x=2, coeff=-1), 2, 0, (b,)),
+        (poly_mono(space, word=(b,)), 1, 1, (b, a)),
+    ])
+    for gen, op in ops.items():
+        for t, x, word in monos:
+            f = poly_mono(space, t=t, x=x, word=word)
+            assert op.apply(f) == _reference_apply(op, f), (gen, t, x, word)
+        assert op.apply(poly) == _reference_apply(op, poly), gen
+
+
+@pytest.mark.parametrize("kind,d,m", [
+    ("ssch1", F(3, 4), 1), ("ssch1", F(3, 4), 0),
+    ("ssch2", 1, 2), ("ssch2", 1, 0),
+])
+def test_every_term_mutant_is_detected(kind, d, m):
+    # dropping any one operator term, or doubling its coefficient, breaks
+    # some bracket on the degree <= 3 monomials
+    table = build_algebra(kind)
+    base = build_realization(kind, d, m)
+    assert verify_relations(base, table, 3).ok
+    for gen, op in base.items():
+        for j, (coeff, dt, dx, odds) in enumerate(op.terms):
+            for term in (None, (coeff.scale(2), dt, dx, odds)):
+                terms = list(op.terms)
+                if term is None:
+                    del terms[j]
+                else:
+                    terms[j] = term
+                ops = dict(base)
+                ops[gen] = SuperDiffOp(op.space, terms)
+                report = verify_relations(ops, table, 3, max_failures=1)
+                assert not report.ok, (gen, j, term is None)
 
 
 def test_operator_parity_additivity():

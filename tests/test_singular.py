@@ -299,6 +299,21 @@ def test_s_minus_vacuum_singular_iff_r_equals_d():
         assert all(rep.weight != (1, -1) for rep in find_singular(mod2, 1))
 
 
+def test_in_span_is_over_the_chi_ring():
+    # massive ssch1 at d = 1/2: one singular line over Q[chi] at weight 3,
+    # reported by one generator
+    mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
+    rep = {r.weight: r for r in find_singular(mod, 3)}[3]
+    assert (rep.kernel_dim, rep.qi_dim, len(rep.vectors)) == (1, 2, 1)
+    v = rep.vectors[0]
+    chi = mod.ring.chi
+    assert in_span(mod, 3, rep.vectors, v.scale(2))
+    assert in_span(mod, 3, rep.vectors, v.scale(chi))
+    assert in_span(mod, 3, rep.vectors, v.scale(chi) + v.scale(F(1, 3)))
+    for mono in mod.subspace_basis(3):
+        assert not in_span(mod, 3, rep.vectors, mod.basis_vector(mono))
+
+
 def test_find_singular_massless_n2():
     mod = VermaModule(LowestWeight("ssch2", 3, 0, 1))
     reports = {rep.weight: rep for rep in find_singular(mod, 4)}
