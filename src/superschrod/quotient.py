@@ -36,6 +36,7 @@ class FactorModule:
     def __init__(self, base: VermaModule, rule_vectors, chain=None,
                  verify_singular=True):
         self.base = base
+        self.ring = base.ring
         self.kind = base.kind
         self.table = base.table
         self.lw = base.lw

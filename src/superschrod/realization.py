@@ -37,7 +37,14 @@ class SuperSpace:
 
 
 class SuperPoly:
-    """Sparse polynomial: (t exponent, x exponent, odd word) -> Fraction."""
+    """Sparse polynomial: (t exponent, x exponent, odd word) -> Fraction.
+
+    Odd words are canonical (increasing generator order, no repeats).  The
+    constructor canonicalises the words it is given through
+    ``mul_odd_words``, folding in the reordering sign and a Clifford square
+    and dropping a Grassmann square; ``copy``, ``add_term`` and
+    ``SuperDiffOp.image`` only ever produce canonical words.
+    """
 
     __slots__ = ("space", "terms")
 
@@ -45,12 +52,14 @@ class SuperPoly:
         self.space = space
         self.terms = {}
         if terms:
-            for mono, coeff in terms.items():
+            order, squares = space.order, space.squares
+            for (t, x, word), coeff in terms.items():
                 if not isinstance(coeff, (int, Fraction)):
                     raise TypeError("coefficient %r is not an int or Fraction"
                                     % (coeff,))
-                if coeff:
-                    self.terms[mono] = coeff
+                sign, word = mul_odd_words(word, (), order, squares)
+                if sign:
+                    self.add_term((t, x, word), coeff * sign)
 
     def copy(self) -> "SuperPoly":
         out = SuperPoly(self.space)
@@ -426,8 +435,8 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
                         val = c * v
                         cur = acc.get(mn)
                         acc[mn] = val if cur is None else cur + val
-                residual = SuperPoly(space, acc)
-                if residual:
+                if any(acc.values()):
+                    residual = SuperPoly(space, acc)
                     report.failures.append((xg, yg, mono, str(residual)))
                     if len(report.failures) >= max_failures:
                         return report

@@ -7,19 +7,29 @@ Basis monomials are exponent tuples applied to the lowest weight vector v0:
 
 The N=1 action is available both as the closed-form table and through the
 generic normal-ordering engine; the N=2 action comes from the engine alone.
-Coefficients are GradedScalars over Q[chi] (Fraction even and chi parts); a
-coefficient's chi part anticommutes with odd generators, which is realised
-by twisting the coefficient whenever an odd generator moves across it.
+Both produce rows: the image of one generator on one monomial as
+(monomial, even, chi) entries with Fraction parts.  The engine builds its
+rows bottom-up along the canonical word, without recursion; a coefficient's
+chi part anticommutes with odd generators, so moving an odd generator
+across it flips the sign of the chi part.  ``act`` turns rows into vectors
+with GradedScalar coefficients over Q[chi].  The bracket-closure check
+reads rows through ``act`` once, clears one common denominator and sums
+its residuals in Python ints.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .scalars import GradedScalar, ScalarRing, as_fraction, gs_str
+from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
 from .superalgebra import StructureTable, build_algebra, triangular_decompose
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,12 @@ class VermaModule:
         else:
             self.chi = self.ring.zero
         self._parity = {g: self.table.parity(g) for g in self.table.names}
+        self._raising = frozenset(plus)
+        # bracket constants as ints where integral (cheap to test for +-1)
+        self._brackets = {
+            (x, y): tuple((h, int(c) if c.denominator == 1 else c)
+                          for h, c in self.table.bracket_gens(x, y).items())
+            for x in self.table.names for y in self.table.names}
         self._cache_table = {}
         self._cache_engine = {}
         self._d = lw.d
@@ -321,6 +337,10 @@ class VermaModule:
         return (weight[0] + deg[0], weight[1] + deg[1])
 
     # -- action -------------------------------------------------------------
+    #
+    # A row is the image of one generator on one basis monomial: a tuple of
+    # (monomial, even, chi) with Fraction parts, nonzero, in order_key order.
+    # Rows become GradedScalar-weighted ModuleVectors only at this boundary.
 
     def act(self, gen: str, target) -> ModuleVector:
         """Action of a generator on a monomial or a vector."""
@@ -332,18 +352,34 @@ class VermaModule:
         """Action through the normal-ordering engine (both kinds)."""
         return self._act_with(self._act_mono_engine, gen, target)
 
-    def _act_with(self, mono_fn, gen: str, target) -> ModuleVector:
-        if isinstance(target, tuple):
-            out = ModuleVector(self)
-            for coeff, mono in mono_fn(gen, target):
-                out.add_term(mono, coeff)
-            return out
-        self_odd = self._parity[gen]
+    def _act_with(self, row_fn, gen: str, target) -> ModuleVector:
+        ring = self.ring
         out = ModuleVector(self)
-        for mono, c in target.terms.items():
-            cc = c.twist() if (self_odd and c.odd) else c
-            for coeff, mono2 in mono_fn(gen, mono):
-                out.add_term(mono2, cc * coeff)
+        if isinstance(target, tuple):
+            out.terms = {mn: _mk_gs(ring, e, c)
+                         for mn, e, c in row_fn(gen, target)}
+            return out
+        odd = self._parity[gen]
+        chi_square = ring.chi_square
+        even, chi = {}, {}  # every image monomial is a key of ``even``
+        for mono, coeff in target.terms.items():
+            ce, co = coeff.even, coeff.odd
+            if odd and co:
+                # the chi part anticommutes with an odd generator
+                co = -co
+            for mn, e, c in row_fn(gen, mono):
+                # (ce + co chi)(e + c chi) = ce e + co c chi^2 + (ce c + co e) chi
+                ve = ce * e
+                vc = ce * c if c else 0
+                if co:
+                    vc += co * e
+                    if c:
+                        ve += co * c * chi_square
+                even[mn] = even.get(mn, 0) + ve
+                if vc:
+                    chi[mn] = chi.get(mn, 0) + vc
+        out.terms = {mn: _mk_gs(ring, ve or _F0, chi.get(mn) or _F0)
+                     for mn, ve in even.items() if ve or chi.get(mn)}
         return out
 
     def normal_order(self, word) -> ModuleVector:
@@ -359,66 +395,64 @@ class VermaModule:
         if cached is not None:
             return cached
         k, l, a = mono
-        ring = self.ring
         d, m = self._d, self._m
-        chi = self.chi
-        sc = ring.scalar
+        chi = _F1 if self.chi else _F0  # X v0 = chi v0, or 0 when massless
         out = []
         if gen == "K":
-            out = [(ring.one, (k, l + 1, a))]
+            out = [((k, l + 1, a), _F1, _F0)]
         elif gen == "G":
-            out = [(ring.one, (k + 1, l, a))]
+            out = [((k + 1, l, a), _F1, _F0)]
         elif gen == "S":
             # raising: S v_{k,l} = nu_{k,l}; S nu_{k,l} = -v_{k,l+1} (S^2 = -K)
-            out = [(ring.one, (k, l, 1))] if a == 0 else \
-                [(-ring.one, (k, l + 1, 0))]
+            out = [((k, l, 1), _F1, _F0)] if a == 0 else \
+                [((k, l + 1, 0), -_F1, _F0)]
         elif gen == "D":
-            out = [(sc(k + 2 * l + a - d), (k, l, a))]
+            out = [((k, l, a), k + 2 * l + a - d, _F0)]
         elif gen == "M":
-            out = [(sc(m), (k, l, a))]
+            out = [((k, l, a), m, _F0)]
         elif gen == "X":
-            out = [(chi, (k, l, a))]
+            out = [((k, l, a), _F0, chi)]
             if a:
-                out.append((-ring.one, (k + 1, l, 0)))
+                out.append(((k + 1, l, 0), -_F1, _F0))
         elif gen == "P":
             if l:
-                out.append((sc(l), (k + 1, l - 1, a)))
+                out.append(((k + 1, l - 1, a), Fraction(l), _F0))
             if a:
-                out.append((chi, (k, l, 0)))
+                out.append(((k, l, 0), _F0, chi))
             if m and k:
-                out.append((sc(m * k), (k - 1, l, a)))
+                out.append(((k - 1, l, a), m * k, _F0))
         elif gen == "Q":
             if a == 0:
                 if k and chi:
-                    out.append((chi * sc(k), (k - 1, l, 0)))
+                    out.append(((k - 1, l, 0), _F0, chi * k))
                 if l:
-                    out.append((sc(l), (k, l - 1, 1)))
+                    out.append(((k, l - 1, 1), Fraction(l), _F0))
             else:
                 if k and chi:
-                    out.append((chi * sc(k), (k - 1, l, 1)))
+                    out.append(((k - 1, l, 1), _F0, chi * k))
                 coeff = d - l - k
                 if coeff:
-                    out.append((sc(coeff), (k, l, 0)))
+                    out.append(((k, l, 0), coeff, _F0))
         elif gen == "H":
             if a == 0:
                 c1 = l * (k + l - d - 1)
                 if l and c1:
-                    out.append((sc(c1), (k, l - 1, 0)))
+                    out.append(((k, l - 1, 0), c1, _F0))
                 c2 = m * k * (k - 1) / 2
                 if k >= 2 and c2:
-                    out.append((sc(c2), (k - 2, l, 0)))
+                    out.append(((k - 2, l, 0), c2, _F0))
             else:
                 c1 = l * (k + l - d)
                 if l and c1:
-                    out.append((sc(c1), (k, l - 1, 1)))
+                    out.append(((k, l - 1, 1), c1, _F0))
                 if k and chi:
-                    out.append((chi * sc(k), (k - 1, l, 0)))
+                    out.append(((k - 1, l, 0), _F0, chi * k))
                 c2 = m * k * (k - 1) / 2
                 if k >= 2 and c2:
-                    out.append((sc(c2), (k - 2, l, 1)))
+                    out.append(((k - 2, l, 1), c2, _F0))
         else:
             raise ValueError("unknown generator %r" % gen)
-        out = tuple((c, mn) for c, mn in out if c)
+        out = tuple(row for row in out if row[1] or row[2])
         self._cache_table[(gen, mono)] = out
         return out
 
@@ -463,6 +497,16 @@ class VermaModule:
             return [(1, 0, 0, (1, 1, 1)), (1, 1, 0, (1, 0, 0))]
         raise ValueError(gen)
 
+    def _raise(self, gen, mono):
+        """Raising generator on a monomial: [(int coeff, monomial)]."""
+        if gen == "G":
+            return [(1, (mono[0] + 1,) + mono[1:])]
+        if gen == "K":
+            return [(1, (mono[0], mono[1] + 1) + mono[2:])]
+        k, l = mono[0], mono[1]
+        return [(c, (k + dk, l + dl) + tail)
+                for c, dk, dl, tail in self._raise_odd_tail(gen, mono[2:])]
+
     def _leading_factor(self, mono):
         """First generator of the canonical word and the remaining monomial."""
         if self.kind == "ssch1":
@@ -488,64 +532,80 @@ class VermaModule:
         return None, None
 
     def _act_mono_engine(self, gen, mono):
-        cached = self._cache_engine.get((gen, mono))
-        if cached is not None:
-            return cached
-        ring = self.ring
-        out_map = {}
+        """Row of ``gen`` at ``mono`` through the normal-ordering engine.
 
-        def add(coeff, mn):
-            if not coeff:
-                return
-            cur = out_map.get(mn)
-            new = coeff if cur is None else cur + coeff
-            if new:
-                out_map[mn] = new
-            elif cur is not None:
-                del out_map[mn]
+        With mono = w rest (w the first letter of the canonical word),
+        gen w rest = (-1)^{|gen||w|} w (gen rest) + [gen, w} rest.  The walk
+        down the word collects, suffix by suffix, the generators whose rows
+        the level above still needs; the rows are then built bottom-up, so
+        the depth of the word costs no recursion.
+        """
+        cache = self._cache_engine
+        row = cache.get((gen, mono))
+        if row is not None:
+            return row
+        if gen not in self._parity:
+            raise ValueError("unknown generator %r" % gen)
+        levels = []
+        need, cur = (gen,), mono
+        while need:
+            todo = [g for g in need if (g, cur) not in cache]
+            if not todo:
+                break
+            levels.append((cur, todo))
+            if cur == self.vacuum:
+                break
+            w, rest = self._leading_factor(cur)
+            below = set()
+            for g in todo:
+                if g not in self._raising:
+                    below.add(g)
+                    below.update(h for h, _ in self._brackets[(g, w)])
+            need, cur = below, rest
+        for cur, todo in reversed(levels):
+            for g in todo:
+                cache[(g, cur)] = self._engine_row(g, cur)
+        return cache[(gen, mono)]
 
-        if gen == "G":
-            add(ring.one, (mono[0] + 1,) + mono[1:])
-        elif gen == "K":
-            add(ring.one, (mono[0], mono[1] + 1) + mono[2:])
-        elif gen in self.plus_set:
-            # odd raising generator: pass the even G/K head, resolve the tail
-            head, tail = mono[:2], mono[2:]
-            for c, dk, dl, new_tail in self._raise_odd_tail(gen, tail):
-                add(ring.scalar(c), (head[0] + dk, head[1] + dl) + new_tail)
-        elif mono == self.vacuum:
-            if gen in self.minus_set:
-                pass
-            elif gen == "D":
-                add(ring.scalar(-self._d), mono)
-            elif gen == "M":
-                add(ring.scalar(self._m), mono)
-            elif gen == "R":
-                add(ring.scalar(self._r), mono)
-            elif gen == "X" and self.kind == "ssch1":
-                add(self.chi, mono)
-            else:
-                raise ValueError("unknown generator %r" % gen)
-        else:
-            w1, rest = self._leading_factor(mono)
-            gp = self._parity[gen]
-            sign = -1 if (gp and self._parity[w1]) else 1
-            # gen w1 rest = (-1)^{|gen||w1|} w1 (gen rest) + [gen,w1} rest
-            sub = self._act_mono_engine(gen, rest)
-            for coeff, mn in sub:
-                cc = coeff.twist() if (self._parity[w1] and coeff.odd) else coeff
-                if sign < 0:
-                    cc = -cc
-                for c2, mn2 in self._act_mono_engine(w1, mn):
-                    add(cc * c2, mn2)
-            for h, c in self.table.bracket_gens(gen, w1).items():
-                ch = ring.scalar(c)
-                for c2, mn2 in self._act_mono_engine(h, rest):
-                    add(ch * c2, mn2)
-        out = tuple((c, mn) for mn, c in
-                    sorted(out_map.items(), key=lambda kv: self.order_key(kv[0])))
-        self._cache_engine[(gen, mono)] = out
-        return out
+    def _engine_row(self, gen, mono):
+        """One row, from the rows at the remaining monomial (already cached)."""
+        if gen in self._raising:
+            return tuple((mn, Fraction(c), _F0)
+                         for c, mn in self._raise(gen, mono))
+        if mono == self.vacuum:
+            value = {"D": -self._d, "M": self._m, "R": self._r}.get(gen)
+            if value:
+                return ((mono, value, _F0),)
+            if gen == "X" and self.chi:
+                return ((mono, _F0, _F1),)
+            return ()
+        cache = self._cache_engine
+        w, rest = self._leading_factor(mono)
+        sign = -1 if (self._parity[gen] and self._parity[w]) else 1
+        # moving past an odd w twists the coefficient: its chi part flips
+        chi_sign = -sign if self._parity[w] else sign
+        even, chi = {}, {}  # every row monomial is a key of ``even``
+
+        def add(k, mn, e, c):
+            e = e if k == 1 else -e if k == -1 else e * k
+            even[mn] = even.get(mn, 0) + e
+            if c:
+                c = c if k == 1 else -c if k == -1 else c * k
+                chi[mn] = chi.get(mn, 0) + c
+
+        for mn, e, c in cache[(gen, rest)]:
+            if sign < 0:
+                e = -e
+            if c and chi_sign < 0:
+                c = -c
+            for k, mn2 in self._raise(w, mn):
+                add(k, mn2, e, c)
+        for h, ch in self._brackets[(gen, w)]:
+            for mn, e, c in cache[(h, rest)]:
+                add(ch, mn, e, c)
+        row = [(mn, e or _F0, chi.get(mn) or _F0) for mn, e in even.items()]
+        row.sort(key=lambda entry: self.order_key(entry[0]))
+        return tuple(entry for entry in row if entry[1] or entry[2])
 
     # -- bracket compatibility ------------------------------------------------
 
@@ -554,31 +614,99 @@ class VermaModule:
 
         act(x, act(y, w)) - (-1)^{|x||y|} act(y, act(x, w)) must equal
         act([x,y}, w) for every generator pair.  Returns a list of failing
-        (x, y, monomial) triples (empty means the identity holds).  Factor
-        modules run the same loop over their surviving monomials.  ``act_fn``
-        (default ``self.act``) must return a new vector on every call: the
-        residual is accumulated into the first action's result.
+        (x, y, monomial) triples (empty means the identity holds), at most
+        ``max_report`` of them.  Factor modules run the same check over
+        their surviving monomials.  Raises ValueError for a negative
+        ``max_degree``, which would check no monomial at all.
+
+        Every row the check touches is read once through ``act_fn``
+        (default ``self.act``): the monomials up to the degree, then their
+        images.  The rows are scaled by one common denominator D to Python
+        ints on the doubled basis in which a coefficient e + c chi of a
+        monomial is e at the monomial and c at its chi multiple (the
+        monomial with a trailing 1).  With B clearing a pair's bracket
+        constants, B D^2 times each residual is then summed in ints.
         """
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
         act = act_fn or self.act
         table = self.table
         names = table.names
         monos = self.enumerate_monomials(max_degree)
+        frac = {g: {} for g in names}
+
+        def read(mono):
+            for g in names:
+                frac[g][mono] = [(mn, c.even, c.odd)
+                                 for mn, c in act(g, mono).terms.items()]
+
+        for mono in monos:
+            read(mono)
+        chi_monos = set()
+        seen = set(monos)
+        for g in names:
+            for mono in monos:
+                for mn, _, c in frac[g][mono]:
+                    if c:
+                        chi_monos.add(mn)
+                    if mn not in seen:
+                        seen.add(mn)
+                        read(mn)
+        chi_square = self.ring.chi_square
+        denoms = set()
+        for by_mono in frac.values():
+            for row in by_mono.values():
+                for _, e, c in row:
+                    denoms.add(e.denominator)
+                    if c:
+                        denoms.add(c.denominator)
+                        denoms.add((c * chi_square).denominator)
+        D = lcm(*denoms)
+
+        def scaled(value):
+            return value.numerator * (D // value.denominator)
+
+        rows = {}
+        for g in names:
+            by_mono = frac.pop(g)
+            twist = -1 if table.parity(g) else 1
+            rows[g] = out = {}
+            for mono, row in by_mono.items():
+                out[mono] = [(mn + (1,) if flag else mn, scaled(v))
+                             for mn, e, c in row
+                             for flag, v in ((0, e), (1, c)) if v]
+                if mono in chi_monos:
+                    # g (chi mono) = twist chi (g mono): chi (e + c chi) is
+                    # c chi^2 + e chi
+                    out[mono + (1,)] = [
+                        (mn + (1,) if flag else mn, twist * scaled(v))
+                        for mn, e, c in row
+                        for flag, v in ((0, c * chi_square), (1, e)) if v]
         failures = []
-        vectors = {(g, mono): act(g, mono) for g in names for mono in monos}
         for i, x in enumerate(names):
+            rx = rows[x]
             px = table.parity(x)
             for y in names[i:]:
-                sign = -1 if (px and table.parity(y)) else 1
-                minus_bracket = [(h, -c) for h, c in
-                                 table.bracket_gens(x, y).items()]
+                ry = rows[y]
+                bracket = table.bracket_gens(x, y)
+                B = lcm(*(c.denominator for c in bracket.values()))
+                swap = B if (px and table.parity(y)) else -B
+                minus_bracket = [(rows[h], -(c * B).numerator * D)
+                                 for h, c in bracket.items()]
                 for mono in monos:
-                    residual = act(x, vectors[(y, mono)])
-                    for mn, coeff in act(y, vectors[(x, mono)]).terms.items():
-                        residual.add_term(mn, -coeff if sign == 1 else coeff)
-                    for h, c in minus_bracket:
-                        for mn, coeff in vectors[(h, mono)].terms.items():
-                            residual.add_term(mn, coeff * c)
-                    if residual:
+                    acc = defaultdict(int)
+                    for key, c in ry[mono]:
+                        c *= B
+                        for k2, c2 in rx[key]:
+                            acc[k2] += c * c2
+                    for key, c in rx[mono]:
+                        c *= swap
+                        for k2, c2 in ry[key]:
+                            acc[k2] += c * c2
+                    for rh, f in minus_bracket:
+                        for k2, c2 in rh[mono]:
+                            acc[k2] += f * c2
+                    if any(acc.values()):
                         failures.append((x, y, mono))
                         if len(failures) >= max_report:
                             return failures

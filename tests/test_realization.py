@@ -36,6 +36,25 @@ def test_odd_derivative_examples():
                                                      coeff=-1)
 
 
+def test_odd_words_are_canonicalised():
+    s1 = SuperSpace.for_kind("ssch1", 1)
+    swapped = poly_mono(s1, word=("eta", "theta"))
+    assert swapped == -poly_mono(s1, word=("theta", "eta"))
+    assert not swapped + poly_mono(s1, word=("theta", "eta"))
+    # eta^2 = -m/2 is folded in, theta^2 = 0 is dropped
+    assert poly_mono(s1, word=("eta", "eta")) == poly_mono(s1, coeff=F(-1, 2))
+    assert not poly_mono(s1, t=1, word=("theta", "theta"))
+    assert poly_mono(s1, word=("eta", "theta", "eta")) == \
+        poly_mono(s1, word=("theta",), coeff=F(1, 2))
+    s2 = SuperSpace.for_kind("ssch2", 0)
+    # words that canonicalise to one key are summed
+    poly = SuperPoly(s2, {(0, 1, ("rho", "theta", "phi")): F(1),
+                          (0, 1, ("theta", "phi", "rho")): F(2),
+                          (0, 1, ("phi", "theta")): F(1),
+                          (0, 1, ("theta", "phi")): F(1)})
+    assert poly.terms == {(0, 1, ("theta", "phi", "rho")): F(3)}
+
+
 def test_apply_g_to_constant():
     ops = build_realization("ssch1", F(3, 4), 1)
     space = ops["G"].space

@@ -1,8 +1,12 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import closure_failures_oracle
+from superschrod.quotient import FactorModule
 from superschrod.scalars import QI
 from superschrod.verma import LowestWeight, VermaModule
 
@@ -134,3 +138,85 @@ def test_module_vector_algebra(mod_m1):
     other = VermaModule(LowestWeight("ssch1", F(7, 3), 1))
     with pytest.raises(ValueError):
         v + other.basis_vector((0, 0, 0))
+
+
+def test_engine_deeper_than_the_recursion_limit():
+    # rows are built bottom-up, so a canonical word longer than the
+    # recursion limit is no obstacle
+    depth = sys.getrecursionlimit() + 200
+    mod = VermaModule(LowestWeight("ssch1", 1, 1))
+    for gen, mono in (("H", (0, depth, 1)), ("Q", (3, depth, 1)),
+                      ("P", (depth, 2, 0))):
+        assert mod.act_engine(gen, mono) == mod.act(gen, mono), gen
+    n2 = VermaModule(LowestWeight("ssch2", F(1, 2), 1, F(1, 3)))
+    assert n2.act_engine("Q+", (2, depth, 1, 1, 1))
+
+
+def test_closure_rejects_a_negative_degree():
+    mod = VermaModule(LowestWeight("ssch1", F(7, 3), 1))
+    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))],
+                      verify_singular=False)
+    for space in (mod, fm):
+        with pytest.raises(ValueError):
+            space.closure_failures(-1)
+    assert mod.closure_failures(0) == []
+    assert fm.closure_failures(0) == [("P", "G", (0, 0, 0)),
+                                      ("G", "Q", (0, 0, 0))]
+
+
+class _MutatedTable(VermaModule):
+    """The N=1 table with Q on G^k K^l S v0 giving d - l - k + 1 on
+    G^k K^l v0 instead of d - l - k."""
+
+    def _act_mono_table(self, gen, mono):
+        row = super()._act_mono_table(gen, mono)
+        if gen != "Q" or mono[2] != 1:
+            return row
+        target = (mono[0], mono[1], 0)
+        parts = {mn: [e, c] for mn, e, c in row}
+        parts.setdefault(target, [F(0), F(0)])[0] += 1
+        return tuple((mn, e, c) for mn, (e, c) in parts.items() if e or c)
+
+
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _closure_cases(draw):
+    kind = draw(st.sampled_from(["ssch1", "ssch2"]))
+    d = draw(_RATIONAL)
+    m = draw(st.sampled_from([F(0), F(1)]) | _RATIONAL)
+    r = draw(_RATIONAL) if kind == "ssch2" else None
+    chi_square = draw(st.sampled_from([m / 2, -m / 2]) | _RATIONAL)
+    variants = ["verma", "engine", "quotient"]
+    if kind == "ssch1":
+        variants.append("mutated")
+    variant = draw(st.sampled_from(variants))
+    degree = draw(st.integers(0, 4 if kind == "ssch1" else 3))
+    return kind, d, m, r, chi_square, variant, degree
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_closure_cases())
+@example(("ssch1", F(7, 3), F(1), None, F(1, 2), "quotient", 2))
+@example(("ssch1", F(1, 2), F(1), None, F(-1, 2), "verma", 3))
+@example(("ssch1", F(1, 2), F(1), None, F(1, 2), "mutated", 3))
+def test_closure_matches_the_graded_scalar_oracle(case):
+    kind, d, m, r, chi_square, variant, degree = case
+    lw = LowestWeight(kind, d, m, r)
+    cls = _MutatedTable if variant == "mutated" else VermaModule
+    mod = cls(lw, chi_square=chi_square)
+    act_fn = mod.act_engine if variant == "engine" else None
+    if variant == "quotient":
+        # G v0 is not singular when m != 0 (P G v0 = m v0), so dividing it
+        # out breaks [P, G] = M on v0
+        g_v0 = mod.basis_vector((1,) + mod.vacuum[1:])
+        space = FactorModule(mod, [g_v0], verify_singular=False)
+        got = space.closure_failures(degree, max_report=10 ** 6)
+    else:
+        space = mod
+        got = mod.closure_failures(degree, act_fn=act_fn, max_report=10 ** 6)
+    assert got == closure_failures_oracle(space, degree, act_fn=act_fn,
+                                          max_report=10 ** 6)
+    if variant == "mutated" or (variant == "quotient" and m):
+        assert got
