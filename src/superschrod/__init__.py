@@ -14,7 +14,7 @@ from .singular import (SingularVectorReport, check_recurrences,
                        closed_form_n1, closed_form_n2, closed_form_n2_extra,
                        expected_closed_forms, find_singular, in_span)
 from .quotient import (ClassificationRecord, FactorModule, GramMatrix,
-                       classify, gram, gram_pair, intertwiner_failures,
+                       classify, gram, intertwiner_failures,
                        quotient_by_singular, reachable_weight)
 from .realization import (SuperDiffOp, SuperPoly, SuperSpace,
                           build_realization, chi_eta_ops, verify_chi_eta,
@@ -30,7 +30,7 @@ __all__ = [
     "build_realization", "check_recurrences", "chi_eta_ops", "classify",
     "closed_form_n1", "closed_form_n2", "closed_form_n2_extra",
     "closes_under_bracket", "expected_closed_forms", "find_singular",
-    "gram", "gram_pair", "identity_adjoint",
+    "gram", "identity_adjoint",
     "in_span", "intertwiner_failures", "parse_qi", "parse_rational",
     "quotient_by_singular", "reachable_weight", "triangular_decompose",
     "verify_adjoint", "verify_chi_eta", "verify_relations",

@@ -28,8 +28,8 @@ from .verma import LowestWeight, VermaModule
 
 ENV_CUTOFF = "SUPERSCHROD_CUTOFF"
 
-# Largest accepted degree, cutoff, --p or --weight.  The recursive action
-# engine exceeds Python's default recursion limit near degree 1000.
+# Largest accepted degree, cutoff, --p or --weight: a bound on the size of
+# one request (the action engine builds its rows without recursion).
 MAX_DEGREE = 500
 
 

@@ -12,9 +12,11 @@ a lead into a new shape (S S -> -K and friends).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import List, Optional
 
 from .singular import (ANNIHILATORS, WeightCoords, determinant,
@@ -23,6 +25,7 @@ from .superalgebra import build_adjoint, verify_adjoint
 from .verma import LowestWeight, ModuleVector, VermaModule
 
 _COMPLETION_CAP = 60
+_ZERO = Fraction(0)
 
 
 def _divides(lead, mono) -> bool:
@@ -42,6 +45,7 @@ class FactorModule:
         self.lw = base.lw
         self.chain = list(chain or [])
         self.rules = []  # list of (lead monomial, monic ModuleVector)
+        self._rows = {}
         for vec in rule_vectors:
             self._install(vec, verify=verify_singular)
 
@@ -65,6 +69,7 @@ class FactorModule:
                 continue
             f = self._monic(f)
             self.rules.append((f.leading_monomial(), f))
+            self._rows.clear()
             for gen in self.base.plus_set:
                 queue.append(self.base.act(gen, f))
 
@@ -142,15 +147,16 @@ class FactorModule:
         return out
 
     def act(self, gen, target) -> ModuleVector:
-        if isinstance(target, tuple):
-            target = self.base.basis_vector(target)
         return self.reduce(self.base.act(gen, target))
 
-    def weight(self, mono):
-        return self.base.weight(mono)
-
-    def vacuum_vector(self) -> ModuleVector:
-        return self.base.vacuum_vector()
+    def row(self, gen, mono):
+        """Row of a generator at a monomial: its reduced image, cached."""
+        row = self._rows.get((gen, mono))
+        if row is None:
+            terms = self.reduce(self.base.act(gen, mono)).terms.items()
+            row = self._rows[(gen, mono)] = tuple(
+                (mn, c.even, c.odd) for mn, c in terms)
+        return row
 
     def closure_failures(self, max_degree: int, max_report=5):
         return VermaModule.closure_failures(self, max_degree,
@@ -461,27 +467,6 @@ def _omega1_word(module, label, epsilon, lam):
     return word, sign
 
 
-def _signed_v0(module: VermaModule, vec: ModuleVector, wsign):
-    """The signed v0 coefficient of ``vec``."""
-    value = vec.terms.get(module.vacuum, module.ring.zero)
-    return value if wsign > 0 else -value
-
-
-def gram_pair(module: VermaModule, left_label, right_label, epsilon=0, lam=0):
-    """Single pairing value as a GradedScalar (full chi-carrying value).
-
-    Applies the whole omega1 word of the left label to the right basis
-    vector; :func:`gram` must agree with it entry by entry.
-    """
-    mono, e = right_label
-    coeff = module.ring.one if e == 0 else module.ring.chi
-    vec = ModuleVector(module, {mono: coeff})
-    word, wsign = _omega1_word(module, left_label, epsilon, lam)
-    for gen in reversed(word):
-        vec = module.act(gen, vec)
-    return _signed_v0(module, vec, wsign)
-
-
 def gram(module: VermaModule, weight, epsilon=0, lam=0,
          check_adjoint=True) -> GramMatrix:
     """Gram matrix of the weight subspace for the omega1-induced pairing.
@@ -495,19 +480,19 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     The omega1 words are walked in application order (each reversed word,
     sorted lexicographically) with a stack whose level i holds every right
     basis vector after the first i letters of the current word, so each
-    distinct prefix is applied once.
+    distinct prefix is applied once.  A level holds int vectors on the
+    doubled basis {(monomial, flag): int} over one denominator, which each
+    letter multiplies by the lcm of the ``int_row`` scales it reads.
     """
     if check_adjoint:
         amap = build_adjoint(module.table, "omega1", epsilon, lam)
         rep = verify_adjoint(module.table, amap)
         if not rep.ok:
             raise ValueError("omega1 failed its anti-automorphism check")
-    coords = WeightCoords(module, weight)
-    labels = list(coords.labels)
+    labels = list(WeightCoords(module, weight).labels)
 
     def parity_of(label):
-        mono, e = label
-        return (module.monomial_parity(mono) + e) & 1
+        return (module.monomial_parity(label[0]) + label[1]) & 1
 
     labels.sort(key=lambda lab: (parity_of(lab),
                                  [-x for x in module.order_key(lab[0])], lab[1]))
@@ -516,10 +501,11 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     for left in labels:
         word, wsign = _omega1_word(module, left, epsilon, lam)
         words.append((word[::-1], wsign))
-    stack = [[coords.basis_element(right) for right in labels]]
+    stack = [([{right: 1} for right in labels], 1)]
     applied = []
     matrix = [None] * len(labels)
     found = []
+    even_v0, chi_v0 = (module.vacuum, 0), (module.vacuum, 1)
     for i in sorted(range(len(labels)), key=lambda i: words[i][0]):
         letters, wsign = words[i]
         shared = 0
@@ -530,22 +516,37 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
         del stack[shared + 1:]
         del applied[shared:]
         for gen in letters[shared:]:
-            stack.append([module.act(gen, vec) if vec else vec
-                          for vec in stack[-1]])
+            stack.append(_apply_letter(module, gen, *stack[-1]))
             applied.append(gen)
-        row = []
-        for j, vec in enumerate(stack[-1]):
-            value = _signed_v0(module, vec, wsign)
+        vecs, den = stack[-1]
+        for j, vec in enumerate(vecs):  # zero entries are never stored
             if parities[i] == parities[j]:
-                if value.odd:
+                if chi_v0 in vec:
                     found.append((i, j, "chi part on diagonal block"))
-            elif value.even:
+            elif even_v0 in vec:
                 found.append((i, j, "even part across parities"))
-            row.append(value.even)
-        matrix[i] = row
+        matrix[i] = [Fraction(vec[even_v0], den * wsign) if even_v0 in vec
+                     else _ZERO for vec in vecs]
     violations = [(labels[i], labels[j], why) for i, j, why in sorted(found)]
     return GramMatrix(weight, labels, parities, matrix, determinant(matrix),
                       parity_violations=violations)
+
+
+def _apply_letter(module, gen, vecs, den):
+    """The next stack level: ``gen`` on int vectors over ``den``."""
+    rows = {key: module.int_row(gen, key) for key in set().union(*vecs)}
+    L = lcm(*(scale for scale, _ in rows.values()))
+    out = []
+    for vec in vecs:
+        acc = defaultdict(int)
+        for key, value in vec.items():
+            scale, entries = rows[key]
+            if scale != L:
+                value *= L // scale
+            for key2, c in entries:
+                acc[key2] += value * c
+        out.append({key: c for key, c in acc.items() if c})
+    return out, den * L
 
 
 def reachable_weight(module: VermaModule, source, target) -> bool:

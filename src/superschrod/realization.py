@@ -151,27 +151,6 @@ def poly_mono(space, t=0, x=0, word=(), coeff=1) -> SuperPoly:
     return SuperPoly(space, {(t, x, tuple(word)): as_fraction(coeff)})
 
 
-def derive_even(which: str, poly: SuperPoly) -> SuperPoly:
-    out = SuperPoly(poly.space)
-    for (t, x, w), c in poly.terms.items():
-        if which == "t" and t:
-            out.add_term((t - 1, x, w), c * t)
-        elif which == "x" and x:
-            out.add_term((t, x - 1, w), c * x)
-    return out
-
-
-def derive_odd(name: str, poly: SuperPoly) -> SuperPoly:
-    """Left derivative: the sign counts the odd variables passed over."""
-    out = SuperPoly(poly.space)
-    for (t, x, w), c in poly.terms.items():
-        if name not in w:
-            continue
-        pos = w.index(name)
-        out.add_term((t, x, w[:pos] + w[pos + 1:]), -c if pos % 2 else c)
-    return out
-
-
 @dataclass
 class SuperDiffOp:
     """Sum of terms coeff(t,x,odds) * d_t^a d_x^b d_odd...; application is

@@ -53,6 +53,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _mk_qi(re_part: Fraction, im_part: Fraction) -> "QI":
@@ -196,15 +197,17 @@ class ScalarRing:
     closure checks.  A mass of 0 makes chi a Grassmann generator.
     """
 
-    __slots__ = ("mass", "chi_square", "zero", "one", "chi")
+    __slots__ = ("mass", "chi_square")
 
     def __init__(self, mass, chi_square=None):
         self.mass = as_fraction(mass)
         self.chi_square = self.mass / 2 if chi_square is None \
             else as_fraction(chi_square)
-        self.zero = _mk_gs(self, _F0, _F0)
-        self.one = _mk_gs(self, Fraction(1), _F0)
-        self.chi = _mk_gs(self, _F0, Fraction(1))
+
+    # built on each access: stored, they would hold the ring in a cycle
+    zero = property(lambda self: _mk_gs(self, _F0, _F0))
+    one = property(lambda self: _mk_gs(self, _F1, _F0))
+    chi = property(lambda self: _mk_gs(self, _F0, _F1))
 
     def scalar(self, even=0, odd=0) -> "GradedScalar":
         return _mk_gs(self, as_fraction(even), as_fraction(odd))

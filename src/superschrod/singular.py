@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .scalars import parse_gs
-from .verma import LowestWeight, ModuleVector, VermaModule
+from .verma import LowestWeight, ModuleVector, VermaModule, chi_row
 
 ANNIHILATORS = {"ssch1": ("Q", "P"), "ssch2": ("Q+", "Q-", "P", "X-")}
 
@@ -203,12 +203,6 @@ class WeightCoords:
             vec.add_term(mono, coeff)
         return vec
 
-    def basis_element(self, label) -> ModuleVector:
-        mono, e = label
-        module = self.module
-        coeff = module.ring.one if e == 0 else module.ring.chi
-        return ModuleVector(module, {mono: coeff})
-
     def chi_multiply_coords(self, coords):
         """Coordinates of chi * vector (only meaningful when doubled)."""
         chi_sq = self.module.ring.chi_square
@@ -339,22 +333,29 @@ def find_singular(space, max_degree: int, annihilators=None,
 
 
 def _annihilator_matrix(space, coords, annihilators):
+    """The stacked annihilator blocks, filled from the rows ``space.row``."""
     module = _space_module(space)
-    targets = [WeightCoords(space, module.shift_weight(coords.weight, ann))
-               for ann in annihilators]
-    blocks = [[[_ZERO] * coords.dim for _ in range(target.dim)]
-              for target in targets]
-    # one image at a time goes straight into its block
-    for col, label in enumerate(coords.labels):
-        vec = coords.basis_element(label)
-        for ann, target, block in zip(annihilators, targets, blocks):
-            image = space.act(ann, vec)
-            if not target.dim:
-                continue
-            for row_idx, value in enumerate(target.to_coords(image)):
-                if value:
-                    block[row_idx][col] = value
-    return [row for block in blocks for row in block]
+    chi_square = module.ring.chi_square
+    rows = []
+    for ann in annihilators:
+        target = WeightCoords(space, module.shift_weight(coords.weight, ann))
+        if not target.dim:
+            continue
+        block = [[_ZERO] * coords.dim for _ in range(target.dim)]
+        for col, (mono, e) in enumerate(coords.labels):
+            row = space.row(ann, mono)
+            if e:
+                row = chi_row(row, module.table.parity(ann), chi_square)
+            for mn, even, chi in row:
+                idx = target.index.get((mn, 0))
+                if idx is None or (chi and not target.doubled):
+                    raise ValueError("image outside the target coordinates")
+                if even:
+                    block[idx][col] = even
+                if chi:
+                    block[idx + 1][col] = chi
+        rows.extend(block)
+    return rows
 
 
 def _ring_generators(coords, kernel):

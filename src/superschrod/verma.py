@@ -61,6 +61,13 @@ class LowestWeight:
         return "d=%s, m=%s, r=%s" % (self.d, self.m, self.r)
 
 
+def chi_row(row, odd, chi_square):
+    """The row at chi times a monomial, from the row at the monomial:
+    g (chi w) = (-1)^{|g|} chi (g w), and chi (e + c chi) = c chi^2 + e chi."""
+    sign = -1 if odd else 1
+    return tuple((mn, sign * c * chi_square, sign * e) for mn, e, c in row)
+
+
 class ModuleVector:
     """Sparse GradedScalar-weighted combination of basis monomials."""
 
@@ -202,6 +209,7 @@ class VermaModule:
             for x in self.table.names for y in self.table.names}
         self._cache_table = {}
         self._cache_engine = {}
+        self._cache_int = {}
         self._d = lw.d
         self._m = lw.m
         self._r = lw.r
@@ -340,13 +348,33 @@ class VermaModule:
     #
     # A row is the image of one generator on one basis monomial: a tuple of
     # (monomial, even, chi) with Fraction parts, nonzero, in order_key order.
-    # Rows become GradedScalar-weighted ModuleVectors only at this boundary.
+    # ``act`` wraps them in GradedScalar vectors; ``row``/``int_row`` do not.
+
+    def row(self, gen: str, mono):
+        """Row of a generator at a monomial, the one ``act`` reads."""
+        if self.kind == "ssch1":
+            return self._act_mono_table(gen, mono)
+        return self._act_mono_engine(gen, mono)
+
+    def int_row(self, gen: str, key):
+        """Row at a doubled-basis key (monomial, flag), flag 1 for chi times
+        the monomial, as (L, ((key, int), ...)): L times the rational row,
+        L the lcm of its denominators.  Cached per module."""
+        cached = self._cache_int.get((gen, key))
+        if cached is None:
+            mono, flag = key
+            row = self.row(gen, mono)
+            if flag:
+                row = chi_row(row, self._parity[gen], self.ring.chi_square)
+            L = lcm(*(v.denominator for _, e, c in row for v in (e, c)))
+            cached = self._cache_int[(gen, key)] = (L, tuple(
+                ((mn, f), v.numerator * (L // v.denominator))
+                for mn, e, c in row for f, v in ((0, e), (1, c)) if v))
+        return cached
 
     def act(self, gen: str, target) -> ModuleVector:
         """Action of a generator on a monomial or a vector."""
-        if self.kind == "ssch1":
-            return self._act_with(self._act_mono_table, gen, target)
-        return self._act_with(self._act_mono_engine, gen, target)
+        return self._act_with(self.row, gen, target)
 
     def act_engine(self, gen: str, target) -> ModuleVector:
         """Action through the normal-ordering engine (both kinds)."""
@@ -381,13 +409,6 @@ class VermaModule:
         out.terms = {mn: _mk_gs(ring, ve or _F0, chi.get(mn) or _F0)
                      for mn, ve in even.items() if ve or chi.get(mn)}
         return out
-
-    def normal_order(self, word) -> ModuleVector:
-        """Rewrite a generator word applied to v0 into the canonical basis."""
-        vec = self.vacuum_vector()
-        for gen in reversed(list(word)):
-            vec = self.act_engine(gen, vec)
-        return vec
 
     # closed-form action rows for the N=1 module
     def _act_mono_table(self, gen, mono):
@@ -663,25 +684,20 @@ class VermaModule:
                         denoms.add((c * chi_square).denominator)
         D = lcm(*denoms)
 
-        def scaled(value):
-            return value.numerator * (D // value.denominator)
+        def scaled(row):
+            return [(mn + (1,) if flag else mn,
+                     v.numerator * (D // v.denominator))
+                    for mn, e, c in row for flag, v in ((0, e), (1, c)) if v]
 
         rows = {}
         for g in names:
             by_mono = frac.pop(g)
-            twist = -1 if table.parity(g) else 1
             rows[g] = out = {}
             for mono, row in by_mono.items():
-                out[mono] = [(mn + (1,) if flag else mn, scaled(v))
-                             for mn, e, c in row
-                             for flag, v in ((0, e), (1, c)) if v]
+                out[mono] = scaled(row)
                 if mono in chi_monos:
-                    # g (chi mono) = twist chi (g mono): chi (e + c chi) is
-                    # c chi^2 + e chi
-                    out[mono + (1,)] = [
-                        (mn + (1,) if flag else mn, twist * scaled(v))
-                        for mn, e, c in row
-                        for flag, v in ((0, c * chi_square), (1, e)) if v]
+                    out[mono + (1,)] = scaled(
+                        chi_row(row, table.parity(g), chi_square))
         failures = []
         for i, x in enumerate(names):
             rx = rows[x]

@@ -1,11 +1,74 @@
 """Reference implementations that only the tests use.
 
-``closure_failures_oracle`` is the bracket-compatibility loop on
-GradedScalar-weighted vectors that ``VermaModule.closure_failures`` replaced
-with integer rows: it applies each generator to whole vectors through
-``act`` and accumulates every residual in Q[chi].  Its failure lists must
-equal the library's, triple for triple and in the same order.
+Each applies generators to whole GradedScalar-weighted vectors through
+``act``, the way the library did before it read integer rows, and must
+agree with the library exactly:
+
+* ``closure_failures_oracle`` -- the bracket-compatibility loop that
+  ``VermaModule.closure_failures`` replaced; same failure triples, in the
+  same order.
+* ``gram_pair`` -- one pairing value of the bilinear form, applying the
+  whole omega1 word of the left label; ``quotient.gram`` must agree with
+  its even part entry by entry, and its chi part decides the parity
+  violations.
+* ``annihilator_matrix_oracle`` -- the per-label act/to_coords loop that
+  ``singular._annihilator_matrix`` replaced.
+* ``normal_order`` -- a generator word applied to v0, rewritten into the
+  canonical basis through the engine.
+* ``derive_even`` / ``derive_odd`` -- one derivative on a whole superspace
+  polynomial, the term-by-term reference for ``SuperDiffOp.apply``.
 """
+
+from fractions import Fraction
+
+from superschrod.quotient import _omega1_word
+from superschrod.realization import SuperPoly
+from superschrod.singular import WeightCoords, _space_module
+from superschrod.verma import ModuleVector
+
+
+def _label_vector(module, label):
+    """The basis vector of a (monomial, chi exponent) label."""
+    mono, e = label
+    return ModuleVector(module, {mono: module.ring.chi if e else
+                                 module.ring.one})
+
+
+def gram_pair(module, left_label, right_label, epsilon=0, lam=0):
+    """Single pairing value as a GradedScalar (full chi-carrying value)."""
+    vec = _label_vector(module, right_label)
+    word, wsign = _omega1_word(module, left_label, epsilon, lam)
+    for gen in reversed(word):
+        vec = module.act(gen, vec)
+    value = vec.terms.get(module.vacuum, module.ring.zero)
+    return value if wsign > 0 else -value
+
+
+def annihilator_matrix_oracle(space, coords, annihilators):
+    """Stacked annihilator blocks, column by column through ``space.act``."""
+    module = _space_module(space)
+    targets = [WeightCoords(space, module.shift_weight(coords.weight, ann))
+               for ann in annihilators]
+    blocks = [[[Fraction(0)] * coords.dim for _ in range(target.dim)]
+              for target in targets]
+    for col, label in enumerate(coords.labels):
+        vec = _label_vector(module, label)
+        for ann, target, block in zip(annihilators, targets, blocks):
+            image = space.act(ann, vec)
+            if not target.dim:
+                continue
+            for row_idx, value in enumerate(target.to_coords(image)):
+                if value:
+                    block[row_idx][col] = value
+    return [row for block in blocks for row in block]
+
+
+def normal_order(module, word):
+    """Rewrite a generator word applied to v0 into the canonical basis."""
+    vec = module.vacuum_vector()
+    for gen in reversed(list(word)):
+        vec = module.act_engine(gen, vec)
+    return vec
 
 
 def closure_failures_oracle(space, max_degree, act_fn=None, max_report=5):
@@ -36,3 +99,24 @@ def closure_failures_oracle(space, max_degree, act_fn=None, max_report=5):
                     if len(failures) >= max_report:
                         return failures
     return failures
+
+
+def derive_even(which: str, poly: SuperPoly) -> SuperPoly:
+    out = SuperPoly(poly.space)
+    for (t, x, w), c in poly.terms.items():
+        if which == "t" and t:
+            out.add_term((t - 1, x, w), c * t)
+        elif which == "x" and x:
+            out.add_term((t, x - 1, w), c * x)
+    return out
+
+
+def derive_odd(name: str, poly: SuperPoly) -> SuperPoly:
+    """Left derivative: the sign counts the odd variables passed over."""
+    out = SuperPoly(poly.space)
+    for (t, x, w), c in poly.terms.items():
+        if name not in w:
+            continue
+        pos = w.index(name)
+        out.add_term((t, x, w[:pos] + w[pos + 1:]), -c if pos % 2 else c)
+    return out

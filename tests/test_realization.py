@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import derive_even, derive_odd
 from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
                                      build_realization, chi_eta_ops,
-                                     derive_even, derive_odd,
                                      enumerate_polyspace, poly_mono,
                                      verify_chi_eta, verify_relations)
 from superschrod.superalgebra import build_algebra

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -229,3 +230,20 @@ def test_constructors_reject_non_rational_coefficients():
     assert (poly + poly).terms == poly.scale(2).terms
     assert (-poly).terms == poly.scale(-1).terms
     assert not (poly - poly)
+
+
+def test_a_dropped_module_frees_its_ring_without_the_cycle_collector():
+    mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
+    find_singular(mod, 3)
+    gram(mod, 2, check_adjoint=False)
+    gc.collect()
+    del mod
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        rings = [obj for obj in gc.garbage if isinstance(obj, ScalarRing)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert rings == []

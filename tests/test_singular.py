@@ -4,9 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import annihilator_matrix_oracle
+from superschrod.quotient import classify
 from superschrod.scalars import QI, QI_ZERO
 from superschrod.singular import (ANNIHILATORS, SingularVectorReport,
-                                  WeightCoords, bareiss_echelon,
+                                  WeightCoords, _annihilator_matrix,
+                                  bareiss_echelon,
                                   binomial_coefficients, check_recurrences,
                                   closed_form_n1, closed_form_n2,
                                   closed_form_n2_extra, determinant,
@@ -421,3 +424,31 @@ def test_report_json_roundtrip():
     data = rep.to_json_dict()
     again = SingularVectorReport.from_json_dict(data)
     assert again.to_json_dict() == data
+
+
+def _annihilator_spaces():
+    for kind, d, m, r, chi_square in (
+            ("ssch1", F(1, 3), 1, None, None),
+            ("ssch1", F(3, 2), F(3, 2), None, F(-2, 3)),
+            ("ssch1", 2, 0, None, None),
+            ("ssch2", F(3, 2), 1, F(1, 3), None),
+            ("ssch2", F(4, 3), 0, F(-2, 5), None)):
+        yield VermaModule(LowestWeight(kind, d, m, r), chi_square=chi_square)
+    # chi-doubled factor modules: the massive N=1 quotients V^d/I^d
+    for d in (F(1, 2), F(3, 2)):
+        terminal = classify(LowestWeight("ssch1", d, 1)).terminal
+        assert terminal.uses_chi and terminal.rules
+        yield terminal
+    yield classify(LowestWeight("ssch2", 2, 0, -2)).terminal
+
+
+def test_annihilator_matrix_matches_the_act_loop():
+    # blocks filled from space.row (chi labels by the Koszul twist) against
+    # acting on each basis vector, chi-dressed ones included
+    for space in _annihilator_spaces():
+        module = space if isinstance(space, VermaModule) else space.base
+        anns = ANNIHILATORS[module.kind]
+        for weight in space.enumerate_weights(5):
+            coords = WeightCoords(space, weight)
+            assert _annihilator_matrix(space, coords, anns) == \
+                annihilator_matrix_oracle(space, coords, anns), weight

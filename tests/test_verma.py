@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import closure_failures_oracle
+from oracles import closure_failures_oracle, normal_order
 from superschrod.quotient import FactorModule
 from superschrod.scalars import QI
 from superschrod.verma import LowestWeight, VermaModule
@@ -67,15 +67,15 @@ def test_engine_matches_table():
 
 def test_normal_order_examples():
     mod = VermaModule(LowestWeight("ssch1", F(2, 3), 1))
-    assert mod.normal_order(["K"]) == mod.basis_vector((0, 1, 0))
+    assert normal_order(mod, ["K"]) == mod.basis_vector((0, 1, 0))
     # [Q,G] = X acting as chi on the vacuum
-    assert mod.normal_order(["Q", "G"]) == \
+    assert normal_order(mod, ["Q", "G"]) == \
         mod.vacuum_vector().scale(mod.chi)
     # H G G v0 = (1/2) m k (k-1) v0 = 1 v0 at m=1
-    assert mod.normal_order(["H", "G", "G"]) == mod.vacuum_vector()
+    assert normal_order(mod, ["H", "G", "G"]) == mod.vacuum_vector()
     # massless: chi acts as zero
     mod0 = VermaModule(LowestWeight("ssch1", F(2, 3), 0))
-    assert not mod0.normal_order(["Q", "G"])
+    assert not normal_order(mod0, ["Q", "G"])
     assert not mod0.chi
 
 
