@@ -10,8 +10,10 @@ monomials directly with the Koszul sign of the variables passed over.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 
 from .scalars import as_fraction, mul_odd_words
 from .superalgebra import StructureTable
@@ -24,6 +26,8 @@ class SuperSpace:
         self.names = tuple(name for name, _ in odd_generators)
         self.order = {name: i for i, (name, _) in enumerate(odd_generators)}
         self.squares = {name: as_fraction(sq) for name, sq in odd_generators}
+        # clears any product of two canonical words (see verify_relations)
+        self.square_den = prod(sq.denominator for sq in self.squares.values())
 
     @staticmethod
     def for_kind(kind: str, m) -> "SuperSpace":
@@ -86,11 +90,7 @@ class SuperPoly:
         return out
 
     def __sub__(self, other):
-        self._check(other)
-        out = self.copy()
-        for mono, c in other.terms.items():
-            out.add_term(mono, -c)
-        return out
+        return self + -other
 
     def __neg__(self):
         out = SuperPoly(self.space)
@@ -147,6 +147,13 @@ class SuperPoly:
     __repr__ = __str__
 
 
+def _exact_int(value) -> int:
+    """An int or Fraction that must be an integer, as an int."""
+    if value.denominator != 1:
+        raise ValueError("scaled value %s is not an integer" % (value,))
+    return value.numerator
+
+
 def poly_mono(space, t=0, x=0, word=(), coeff=1) -> SuperPoly:
     return SuperPoly(space, {(t, x, tuple(word)): as_fraction(coeff)})
 
@@ -159,16 +166,32 @@ class SuperDiffOp:
     space: SuperSpace
     terms: list = field(default_factory=list)  # (SuperPoly, dt, dx, odd tuple)
 
-    def image(self, mono) -> dict:
-        """Image of one monomial as ``{monomial: Fraction}``, zeros dropped.
+    def denominator(self) -> int:
+        """lcm of the denominators of every coefficient of every term."""
+        return lcm(*(c.denominator for coeff, _, _, _ in self.terms
+                     for c in coeff.terms.values()))
+
+    def int_terms(self, scale) -> list:
+        """The terms as (dt, dx, odds, ((t, x, word, n), ...)), each
+        coefficient c scaled to the int n = scale * c (ValueError if it is
+        not one)."""
+        return [(dt, dx, odds, tuple((t, x, w, _exact_int(c * scale))
+                                     for (t, x, w), c in coeff.terms.items()))
+                for coeff, dt, dx, odds in self.terms]
+
+    def int_image(self, mono, int_terms, products) -> dict:
+        """Image of one monomial as ``{monomial: int}`` over the scale of
+        ``int_terms`` times ``space.square_den``, zeros dropped.
 
         Each term's derivative word takes the monomial to a single monomial
         times an integer (or to zero), which its coefficient then multiplies.
-        """
+        ``products`` memoises each odd-word product (w1, w) as
+        (square_den * sign, word); a sign that is not cleared to an int
+        raises ValueError."""
         t, x, word = mono
-        order, squares = self.space.order, self.space.squares
-        out = {}
-        for coeff, dt, dx, odds in self.terms:
+        space = self.space
+        out = defaultdict(int)
+        for dt, dx, odds, coeffs in int_terms:
             if dt > t or dx > x:
                 continue
             w, k = word, 1
@@ -187,14 +210,25 @@ class SuperDiffOp:
             for i in range(dt):
                 k *= t - i
             t0, x0 = t - dt, x - dx
-            for (t1, x1, w1), c1 in coeff.terms.items():
-                sign, prod = mul_odd_words(w1, w, order, squares)
-                if sign:
-                    key = (t1 + t0, x1 + x0, prod)
-                    val = c1 * (k * sign)
-                    cur = out.get(key)
-                    out[key] = val if cur is None else cur + val
-        return {mn: c for mn, c in out.items() if c}
+            for t1, x1, w1, n in coeffs:
+                hit = products.get((w1, w))
+                if hit is None:
+                    sign, prod_word = mul_odd_words(w1, w, space.order,
+                                                    space.squares)
+                    hit = products[(w1, w)] = (
+                        _exact_int(sign * space.square_den), prod_word)
+                s, prod_word = hit
+                if s:
+                    out[(t1 + t0, x1 + x0, prod_word)] += n * k * s
+        return {mn: v for mn, v in out.items() if v}
+
+    def image(self, mono) -> dict:
+        """Image of one monomial as ``{monomial: Fraction}``, zeros
+        dropped: ``int_image`` over the operator's own denominator."""
+        scale = self.denominator()
+        den = scale * self.space.square_den
+        return {mn: Fraction(v, den) for mn, v in
+                self.int_image(mono, self.int_terms(scale), {}).items()}
 
     def apply(self, poly: SuperPoly) -> SuperPoly:
         """Sum of c * image(mono) over the terms c * mono of ``poly``."""
@@ -249,7 +283,7 @@ def build_realization(kind: str, d, m):
         eta = poly_mono(space, word=("eta",))
         tt = poly_mono(space, t=2)
         tx = poly_mono(space, t=1, x=1)
-        ops = {
+        return {
             "H": _op(space, (one, 1, 0, ())),
             "P": _op(space, (one, 0, 1, ())),
             "M": _op(space, (one.scale(m), 0, 0, ())),
@@ -268,7 +302,6 @@ def build_realization(kind: str, d, m):
                      (theta.scale(d), 0, 0, ())),
             "X": _op(space, (-theta, 0, 1, ()), (eta, 0, 0, ())),
         }
-        return ops
 
     if kind == "ssch2":
         theta = poly_mono(space, word=("theta",))
@@ -276,7 +309,7 @@ def build_realization(kind: str, d, m):
         rho = poly_mono(space, word=("rho",))
         tt = poly_mono(space, t=2)
         tx = poly_mono(space, t=1, x=1)
-        ops = {
+        return {
             "H": _op(space, (one, 1, 0, ())),
             "P": _op(space, (one, 0, 1, ())),
             "M": _op(space, (one.scale(m), 0, 0, ())),
@@ -311,9 +344,6 @@ def build_realization(kind: str, d, m):
             "X+": _op(space, (-phi, 0, 1, ()), (-rho.scale(m), 0, 0, ())),
             "X-": _op(space, (-theta, 0, 1, ()), (one, 0, 0, ("rho",))),
         }
-        return ops
-
-    raise ValueError("unknown realization kind %r" % kind)
 
 
 def enumerate_polyspace(space: SuperSpace, max_degree: int):
@@ -353,72 +383,68 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
 
     Operator application here is exact (no truncation), so agreement on the
     degree <= N monomial basis certifies each identity on every polynomial
-    of degree <= N.  Each operator's image of a monomial is computed once
-    per call and shared by every bracket; for each pair (X, Y) and basis
-    monomial f the residual X(Y f) - (-1)^{|X||Y|} Y(X f) - sum_h c_h H_h f
-    is accumulated into one dict.  Failures are (X, Y, monomial, residual
-    string) in bracket-table order, at most ``max_failures`` of them.
-    Raises ValueError for a negative ``max_degree``, which would check no
-    monomial at all.
+    of degree <= N.  For each pair (X, Y) and basis monomial f the residual
+    X(Y f) - (-1)^{|X||Y|} Y(X f) - sum_h c_h H_h f must vanish.
+
+    The check runs in Python ints over one D = L prod(den(sq)), L the lcm
+    of all coefficient denominators and prod(den(sq)) the product of the
+    denominators of the Clifford squares: a monomial's odd word and a
+    coefficient's are both canonical, so neither repeats a letter and their
+    product contracts each square at most once.  Each operator's image of
+    a monomial is computed once per call, as ``{monomial: int}`` over D,
+    and shared by every bracket; with B the lcm of a bracket's
+    denominators, ``StructureTable.residuals`` sums B D^2 times its
+    residual in ints.  Only a failing residual is turned into Fractions.
+
+    Failures are (X, Y, monomial, residual string) in bracket-table order,
+    after one (gen, gen, None, "parity mismatch") per operator of the wrong
+    parity, at most ``max_failures`` in all.  Raises ValueError for a
+    negative ``max_degree``, which would check no monomial at all, for
+    ``max_failures < 1`` and for a scaled value that is not an integer.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
+    if max_failures < 1:
+        raise ValueError("max_failures must be >= 1, got %r"
+                         % (max_failures,))
     space = next(iter(realization.values())).space
     monos = enumerate_polyspace(space, max_degree)
-    polys = [poly_mono(space, t=a, x=b, word=w) for (a, b, w) in monos]
     report = RealizationReport(table.kind,
                                Fraction(0) if d is None else Fraction(d),
                                Fraction(0) if m is None else Fraction(m),
                                max_degree, max_degree)
-    raise_by = 0
+    failures = report.failures
     for gen, op in realization.items():
-        expected = table.parity(gen)
-        if op.parity() != expected:
+        if op.parity() != table.parity(gen):
             report.parity_ok = False
-            report.failures.append((gen, gen, None, "parity mismatch"))
-        raise_by = max(raise_by, op.max_degree_raise())
-    report.degree_raise = raise_by
-    names = list(table.names)
-    # (generator, monomial) -> image dict, local to this call so that an
-    # edit to an operator's terms between calls is always seen
-    images = {}
-    for gen in names:
-        op = realization[gen]
-        for mono, f in zip(monos, polys):
-            images[(gen, mono)] = op.apply(f).terms
-    for i, xg in enumerate(names):
-        px = table.parity(xg)
-        for yg in names[i:]:
-            py = table.parity(yg)
-            sign = -1 if (px and py) else 1
-            minus_bracket = [(h, -c) for h, c in
-                             table.bracket_gens(xg, yg).items()]
-            # X(Y f) with factor +1, then Y(X f) with factor -sign
-            sides = ((realization[xg], xg, yg, False),
-                     (realization[yg], yg, xg, sign == 1))
-            for mono in monos:
-                acc = {}
-                for op, gen, first, negate in sides:
-                    for mn, c in images[(first, mono)].items():
-                        img = images.get((gen, mn))
-                        if img is None:
-                            img = images[(gen, mn)] = op.image(mn)
-                        if negate:
-                            c = -c
-                        for mn2, v in img.items():
-                            val = c * v
-                            cur = acc.get(mn2)
-                            acc[mn2] = val if cur is None else cur + val
-                for h, c in minus_bracket:
-                    for mn, v in images[(h, mono)].items():
-                        val = c * v
-                        cur = acc.get(mn)
-                        acc[mn] = val if cur is None else cur + val
-                if any(acc.values()):
-                    residual = SuperPoly(space, acc)
-                    report.failures.append((xg, yg, mono, str(residual)))
-                    if len(report.failures) >= max_failures:
-                        return report
+            if len(failures) < max_failures:
+                failures.append((gen, gen, None, "parity mismatch"))
+        report.degree_raise = max(report.degree_raise, op.max_degree_raise())
+    if len(failures) >= max_failures:
+        return report
+    scale = lcm(*(realization[g].denominator() for g in table.names))
+    # gen -> monomial -> image items, local to this call so that an edit
+    # to an operator's terms between calls is always seen
+    images = {g: {} for g in table.names}
+    terms = {g: realization[g].int_terms(scale) for g in table.names}
+    products = {}
+
+    def read(batch):
+        for g, by_mono in images.items():
+            op = realization[g]
+            for mono in batch:
+                by_mono[mono] = op.int_image(mono, terms[g], products).items()
+
+    read(monos)
+    read({mn for by_mono in images.values() for img in by_mono.values()
+          for mn, _ in img}.difference(monos))
+    for x, y, mono, acc, den in table.residuals(
+            images, monos, scale * space.square_den):
+        residual = SuperPoly(space, {mn: Fraction(v, den)
+                                     for mn, v in acc.items() if v})
+        failures.append((x, y, mono, str(residual)))
+        if len(failures) >= max_failures:
+            break
     return report
 
 

@@ -10,7 +10,10 @@ consistency verifiers, the triangular decomposition and the four adjoint
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
+from math import lcm
+
 from .scalars import QI, QI_ONE, QI_ZERO, as_fraction, parse_rational
 
 KINDS = ("sch1", "ssch1", "ssch2")
@@ -93,6 +96,43 @@ class StructureTable:
                     elif g in out:
                         del out[g]
         return out
+
+    def residuals(self, rows, basis, scale):
+        """Nonzero bracket residuals of a representation on integer rows.
+
+        ``rows[g][f]`` holds g f as (key, int) pairs over one denominator
+        D = ``scale``, for f in ``basis`` and every key those reach.  For
+        x <= y in table order and f in ``basis``, with B the lcm of the
+        denominators of [x,y}, yields (x, y, f, residual, B D^2) for each
+        nonzero residual B D^2 (x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f),
+        summed in ints as a {key: int} dict.
+        """
+        names = self.names
+        for i, x in enumerate(names):
+            rx = rows[x]
+            px = self.parity(x)
+            for y in names[i:]:
+                ry = rows[y]
+                bracket = self.bracket_gens(x, y)
+                B = lcm(*(c.denominator for c in bracket.values()))
+                swap = B if (px and self.parity(y)) else -B
+                minus_bracket = [(rows[h], -(c * B).numerator * scale)
+                                 for h, c in bracket.items()]
+                for f in basis:
+                    acc = defaultdict(int)
+                    for key, c in ry[f]:
+                        c *= B
+                        for k2, c2 in rx[key]:
+                            acc[k2] += c * c2
+                    for key, c in rx[f]:
+                        c *= swap
+                        for k2, c2 in ry[key]:
+                            acc[k2] += c * c2
+                    for rh, c in minus_bracket:
+                        for k2, c2 in rh[f]:
+                            acc[k2] += c * c2
+                    if any(acc.values()):
+                        yield x, y, f, acc, B * scale * scale
 
     def to_json_dict(self) -> dict:
         gens = [
@@ -252,7 +292,11 @@ def _elem_sub(a: dict, b: dict) -> dict:
 
 
 def verify_structure(table: StructureTable, max_failures=20) -> StructureReport:
-    """Exhaustive super-antisymmetry, degree additivity and Jacobi check."""
+    """Exhaustive super-antisymmetry, degree additivity and Jacobi check;
+    at most ``max_failures`` Jacobi failures, ValueError if that is < 1."""
+    if max_failures < 1:
+        raise ValueError("max_failures must be >= 1, got %r"
+                         % (max_failures,))
     report = StructureReport(table.kind)
     names = table.names
     for x in names:

@@ -19,7 +19,6 @@ its residuals in Python ints.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -645,8 +644,8 @@ class VermaModule:
         images.  The rows are scaled by one common denominator D to Python
         ints on the doubled basis in which a coefficient e + c chi of a
         monomial is e at the monomial and c at its chi multiple (the
-        monomial with a trailing 1).  With B clearing a pair's bracket
-        constants, B D^2 times each residual is then summed in ints.
+        monomial with a trailing 1), and ``StructureTable.residuals`` sums
+        each residual in ints.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
@@ -699,31 +698,8 @@ class VermaModule:
                     out[mono + (1,)] = scaled(
                         chi_row(row, table.parity(g), chi_square))
         failures = []
-        for i, x in enumerate(names):
-            rx = rows[x]
-            px = table.parity(x)
-            for y in names[i:]:
-                ry = rows[y]
-                bracket = table.bracket_gens(x, y)
-                B = lcm(*(c.denominator for c in bracket.values()))
-                swap = B if (px and table.parity(y)) else -B
-                minus_bracket = [(rows[h], -(c * B).numerator * D)
-                                 for h, c in bracket.items()]
-                for mono in monos:
-                    acc = defaultdict(int)
-                    for key, c in ry[mono]:
-                        c *= B
-                        for k2, c2 in rx[key]:
-                            acc[k2] += c * c2
-                    for key, c in rx[mono]:
-                        c *= swap
-                        for k2, c2 in ry[key]:
-                            acc[k2] += c * c2
-                    for rh, f in minus_bracket:
-                        for k2, c2 in rh[mono]:
-                            acc[k2] += f * c2
-                    if any(acc.values()):
-                        failures.append((x, y, mono))
-                        if len(failures) >= max_report:
-                            return failures
+        for x, y, mono, _, _ in table.residuals(rows, monos, D):
+            failures.append((x, y, mono))
+            if len(failures) >= max_report:
+                break
         return failures

@@ -16,13 +16,18 @@ agree with the library exactly:
 * ``normal_order`` -- a generator word applied to v0, rewritten into the
   canonical basis through the engine.
 * ``derive_even`` / ``derive_odd`` -- one derivative on a whole superspace
-  polynomial, the term-by-term reference for ``SuperDiffOp.apply``.
+  polynomial; ``reference_apply`` builds the term-by-term reference for
+  ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
+* ``verify_relations_oracle`` -- the Fraction residual loop that
+  ``realization.verify_relations`` replaced, on ``reference_apply``
+  images; same report, failure strings included.
 """
 
 from fractions import Fraction
 
 from superschrod.quotient import _omega1_word
-from superschrod.realization import SuperPoly
+from superschrod.realization import (RealizationReport, SuperPoly,
+                                     enumerate_polyspace)
 from superschrod.singular import WeightCoords, _space_module
 from superschrod.verma import ModuleVector
 
@@ -120,3 +125,70 @@ def derive_odd(name: str, poly: SuperPoly) -> SuperPoly:
         pos = w.index(name)
         out.add_term((t, x, w[:pos] + w[pos + 1:]), -c if pos % 2 else c)
     return out
+
+
+def reference_apply(op, poly: SuperPoly) -> SuperPoly:
+    """Term by term: derivative word on the whole polynomial, then the
+    coefficient product."""
+    out = SuperPoly(op.space)
+    for coeff, dt, dx, odds in op.terms:
+        g = poly
+        for od in reversed(odds):
+            g = derive_odd(od, g)
+        for _ in range(dx):
+            g = derive_even("x", g)
+        for _ in range(dt):
+            g = derive_even("t", g)
+        out = out + coeff * g
+    return out
+
+
+def verify_relations_oracle(realization, table, max_degree, max_failures=10,
+                            d=None, m=None):
+    """``verify_relations`` in Fractions: each image through
+    ``reference_apply``, each residual accumulated into one dict."""
+    if max_degree < 0 or max_failures < 1:
+        raise ValueError("max_degree >= 0 and max_failures >= 1 expected")
+    space = next(iter(realization.values())).space
+    report = RealizationReport(table.kind,
+                               Fraction(0) if d is None else Fraction(d),
+                               Fraction(0) if m is None else Fraction(m),
+                               max_degree, max_degree)
+    for gen, op in realization.items():
+        if op.parity() != table.parity(gen):
+            report.parity_ok = False
+            if len(report.failures) < max_failures:
+                report.failures.append((gen, gen, None, "parity mismatch"))
+        report.degree_raise = max(report.degree_raise, op.max_degree_raise())
+    if len(report.failures) >= max_failures:
+        return report
+    images = {}
+
+    def image(gen, mono):
+        if (gen, mono) not in images:
+            f = SuperPoly(space, {mono: Fraction(1)})
+            images[(gen, mono)] = reference_apply(realization[gen], f).terms
+        return images[(gen, mono)]
+
+    names = table.names
+    for i, xg in enumerate(names):
+        for yg in names[i:]:
+            sign = -1 if (table.parity(xg) and table.parity(yg)) else 1
+            minus_bracket = [(h, -c) for h, c in
+                             table.bracket_gens(xg, yg).items()]
+            for mono in enumerate_polyspace(space, max_degree):
+                acc = {}
+                # X(Y f), then -(-1)^{|X||Y|} Y(X f)
+                for gen, first, factor in ((xg, yg, 1), (yg, xg, -sign)):
+                    for mn, c in image(first, mono).items():
+                        for mn2, v in image(gen, mn).items():
+                            acc[mn2] = acc.get(mn2, 0) + factor * c * v
+                for h, c in minus_bracket:
+                    for mn, v in image(h, mono).items():
+                        acc[mn] = acc.get(mn, 0) + c * v
+                if any(acc.values()):
+                    residual = SuperPoly(space, acc)
+                    report.failures.append((xg, yg, mono, str(residual)))
+                    if len(report.failures) >= max_failures:
+                        return report
+    return report

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import derive_even, derive_odd
+from oracles import derive_odd, reference_apply, verify_relations_oracle
 from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
                                      build_realization, chi_eta_ops,
                                      enumerate_polyspace, poly_mono,
@@ -84,6 +85,23 @@ def test_relations_hold(kind, d, m, deg):
     assert report.certified_degree == deg
 
 
+def test_failure_cap_counts_parity_mismatches():
+    table = build_algebra("ssch1")
+    ops = build_realization("ssch1", F(3, 4), 1)
+    ops["X"] = ops["H"]
+    ops["Q"] = ops["P"]
+    report = verify_relations(ops, table, 2, max_failures=1)
+    assert report.failures == [("Q", "Q", None, "parity mismatch")]
+    assert not report.parity_ok and report.degree_raise == 3
+    assert verify_relations(ops, table, 2, max_failures=3).failures == [
+        ("Q", "Q", None, "parity mismatch"),
+        ("X", "X", None, "parity mismatch"),
+        ("H", "S", (0, 0, ("theta",)), "(1)1")]
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            verify_relations(ops, table, 2, max_failures=cap)
+
+
 def test_negative_degree_is_rejected():
     table = build_algebra("ssch1")
     ops = build_realization("ssch1", F(3, 4), 1)
@@ -92,45 +110,58 @@ def test_negative_degree_is_rejected():
     assert verify_relations(ops, table, 0).certified_degree == 0
 
 
-def _reference_apply(op, poly):
-    """Term by term: derivative word on the whole polynomial, then the
-    coefficient product."""
-    out = SuperPoly(op.space)
-    for coeff, dt, dx, odds in op.terms:
-        g = poly
-        for od in reversed(odds):
-            g = derive_odd(od, g)
-        for _ in range(dx):
-            g = derive_even("x", g)
-        for _ in range(dt):
-            g = derive_even("t", g)
-        out = out + coeff * g
-    return out
-
-
 @pytest.mark.parametrize("kind,d,m", [
     ("ssch1", F(3, 4), F(5, 2)), ("ssch1", F(-1, 3), 0),
     ("ssch2", F(2, 5), 2), ("ssch2", 1, 0),
+    # two Clifford squares with coprime, then equal, denominators: a
+    # product that contracts both needs their product, not their lcm
+    ((F(1, 3), F(-2, 5)), None, None), ((F(1, 3), F(2, 3)), None, None),
 ])
 def test_apply_matches_term_by_term_reference(kind, d, m):
-    ops = build_realization(kind, d, m)
-    space = ops["H"].space
+    if isinstance(kind, tuple):
+        space = SuperSpace(list(zip(("a", "b"), kind)))
+        ops = {}
+    else:
+        ops = build_realization(kind, d, m)
+        space = ops["H"].space
     monos = enumerate_polyspace(space, 4)
     poly = SuperPoly(space, {mono: F(i + 1, 3) for i, mono in
                              enumerate(monos[::7])})
     # derivative orders above 1 and two-letter odd words, which the
-    # realizations themselves do not use
+    # realizations themselves do not use; a b times a b contracts both
+    # squares
     a, b = space.names[:2]
     ops["extra"] = SuperDiffOp(space, [
         (poly_mono(space, t=1, word=(a,), coeff=F(2, 3)), 0, 3, ()),
         (poly_mono(space, x=2, coeff=-1), 2, 0, (b,)),
         (poly_mono(space, word=(b,)), 1, 1, (b, a)),
+        (poly_mono(space, word=(a, b), coeff=F(5, 7)), 0, 1, ()),
     ])
     for gen, op in ops.items():
         for t, x, word in monos:
             f = poly_mono(space, t=t, x=x, word=word)
-            assert op.apply(f) == _reference_apply(op, f), (gen, t, x, word)
-        assert op.apply(poly) == _reference_apply(op, poly), gen
+            assert op.apply(f) == reference_apply(op, f), (gen, t, x, word)
+        assert op.apply(poly) == reference_apply(op, poly), gen
+
+
+def test_non_integer_scaled_value_raises():
+    # eta^2 = -1/3 clears with the factor 3, but a coefficient word set
+    # directly on the terms, bypassing canonicalisation, contracts eta
+    # twice: eta^4 = 1/9 is not an integer after scaling by 3
+    table = build_algebra("ssch1")
+    ops = build_realization("ssch1", 1, F(2, 3))
+    space = ops["M"].space
+    coeff = SuperPoly(space)
+    coeff.terms = {(0, 0, ("eta",) * 4): F(1)}
+    ops["M"] = SuperDiffOp(space, [(coeff, 0, 0, ())])
+    assert reference_apply(ops["M"], poly_mono(space)) == \
+        poly_mono(space, coeff=F(1, 9))
+    with pytest.raises(ValueError):
+        ops["M"].image((0, 0, ()))
+    with pytest.raises(ValueError):
+        ops["M"].apply(poly_mono(space))
+    with pytest.raises(ValueError):
+        verify_relations(ops, table, 1)
 
 
 @pytest.mark.parametrize("kind,d,m", [
@@ -155,6 +186,38 @@ def test_every_term_mutant_is_detected(kind, d, m):
                 ops[gen] = SuperDiffOp(op.space, terms)
                 report = verify_relations(ops, table, 3, max_failures=1)
                 assert not report.ok, (gen, j, term is None)
+                assert report == verify_relations_oracle(
+                    ops, table, 3, max_failures=1), (gen, j, term is None)
+
+
+_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 9))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["ssch1", "ssch2"]), d=_rationals, m=_rationals,
+       degree=st.integers(0, 2), max_failures=st.integers(1, 12),
+       mutation=st.sampled_from([None, "drop", "scale"]), data=st.data())
+def test_verify_relations_matches_fraction_oracle(kind, d, m, degree,
+                                                  max_failures, mutation,
+                                                  data):
+    table = build_algebra(kind)
+    ops = build_realization(kind, d, m)
+    if mutation:
+        gen = data.draw(st.sampled_from(sorted(ops)))
+        op = ops[gen]
+        j = data.draw(st.integers(0, len(op.terms) - 1))
+        terms = list(op.terms)
+        if mutation == "drop":
+            del terms[j]
+        else:
+            coeff, dt, dx, odds = terms[j]
+            factor = data.draw(st.builds(F, st.integers(-9, 9),
+                                         st.integers(2, 9)).filter(
+                lambda q: q.denominator > 1))
+            terms[j] = (coeff.scale(factor), dt, dx, odds)
+        ops[gen] = SuperDiffOp(op.space, terms)
+    args = (ops, table, degree, max_failures, d, m)
+    assert verify_relations(*args) == verify_relations_oracle(*args)
 
 
 def test_operator_parity_additivity():

@@ -61,6 +61,13 @@ def test_corrupted_bracket_is_caught():
     report = verify_structure(table)
     assert not report.ok
     assert ("H", "K", "G") in report.jacobi_failures
+    # the cap holds: one failure for max_failures=1, none below 1
+    assert len(report.jacobi_failures) > 1
+    capped = verify_structure(table, max_failures=1)
+    assert capped.jacobi_failures == report.jacobi_failures[:1]
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            verify_structure(table, max_failures=cap)
 
 
 def test_degree_additivity(tables):
