@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 
 from .scalars import as_fraction, mul_odd_words
@@ -392,9 +393,9 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     coefficient's are both canonical, so neither repeats a letter and their
     product contracts each square at most once.  Each operator's image of
     a monomial is computed once per call, as ``{monomial: int}`` over D,
-    and shared by every bracket; with B the lcm of a bracket's
-    denominators, ``StructureTable.residuals`` sums B D^2 times its
-    residual in ints.  Only a failing residual is turned into Fractions.
+    and shared by every bracket; with B the table's ``denominator``,
+    ``StructureTable.residuals`` sums B D^2 times each residual in ints.
+    Only a failing residual is turned into Fractions.
 
     Failures are (X, Y, monomial, residual string) in bracket-table order,
     after one (gen, gen, None, "parity mismatch") per operator of the wrong
@@ -438,13 +439,12 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     read(monos)
     read({mn for by_mono in images.values() for img in by_mono.values()
           for mn, _ in img}.difference(monos))
-    for x, y, mono, acc, den in table.residuals(
-            images, monos, scale * space.square_den):
+    for x, y, mono, acc, den in islice(table.residuals(
+            images, monos, scale * space.square_den),
+            max_failures - len(failures)):
         residual = SuperPoly(space, {mn: Fraction(v, den)
                                      for mn, v in acc.items() if v})
         failures.append((x, y, mono, str(residual)))
-        if len(failures) >= max_failures:
-            break
     return report
 
 

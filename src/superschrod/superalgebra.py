@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 
 from .scalars import QI, QI_ONE, QI_ZERO, as_fraction, parse_rational
@@ -35,6 +36,10 @@ class StructureTable:
     Odd-odd pairs are anticommutators, every other pair a commutator; the
     lookup direction is fixed by super-(anti)symmetry
     [x,y} = -(-1)^{|x||y|} [y,x}.  Structure constants are Fractions.
+
+    Every ordered pair is compiled once: ``constants[x][y]`` is [x,y} as
+    (h, c) pairs, c an int where integral; ``ad[x][y]`` (the same dict if
+    B = 1) as (h, int) pairs over one ``denominator`` B: ad_x y = [x,y}.
     """
 
     def __init__(self, kind, generators, brackets):
@@ -45,7 +50,21 @@ class StructureTable:
         self._pairs = {}
         for (x, y), value in brackets.items():
             self._store(x, y, {g: as_fraction(c) for g, c in value.items()})
-        self.names = tuple(g.name for g in self.generators)
+        self.names = names = tuple(g.name for g in self.generators)
+        self.constants = {x: dict.fromkeys(names, ()) for x in names}
+        for (x, y), v in self._pairs.items():
+            row = self.constants[x][y] = tuple(
+                (h, int(c) if c.denominator == 1 else c) for h, c in v.items())
+            if x != y:  # [y,x} = -(-1)^{|x||y|} [x,y}
+                odd = self.parity(x) and self.parity(y)
+                self.constants[y][x] = row if odd else tuple(
+                    (h, -c) for h, c in row)
+        self.denominator = B = lcm(*(c.denominator for v in self._pairs.values()
+                                     for c in v.values()))
+        self.ad = self.constants if B == 1 else {
+            x: {y: tuple((h, int(c * B)) for h, c in row)
+                for y, row in by_y.items()}
+            for x, by_y in self.constants.items()}
 
     def _store(self, x, y, value):
         if x not in self._by_name or y not in self._by_name:
@@ -73,51 +92,26 @@ class StructureTable:
     def bracket_gens(self, x, y) -> dict:
         """[x,y} for generator names, as a dict name -> Fraction."""
         self.generator(x), self.generator(y)
-        if self._index[x] <= self._index[y]:
-            return dict(self._pairs.get((x, y), {}))
-        value = self._pairs.get((y, x))
-        if not value:
-            return {}
-        sign = 1 if self.parity(x) and self.parity(y) else -1
-        return {g: c * sign for g, c in value.items()}
-
-    def bracket(self, x, y) -> dict:
-        """Bilinear bracket of elements given as dicts name -> coefficient
-        (or names)."""
-        ex = {x: 1} if isinstance(x, str) else x
-        ey = {y: 1} if isinstance(y, str) else y
-        out = {}
-        for gx, cx in ex.items():
-            for gy, cy in ey.items():
-                for g, c in self.bracket_gens(gx, gy).items():
-                    val = out.get(g, 0) + cx * cy * c
-                    if val:
-                        out[g] = val
-                    elif g in out:
-                        del out[g]
-        return out
+        return {h: as_fraction(c) for h, c in self.constants[x][y]}
 
     def residuals(self, rows, basis, scale):
         """Nonzero bracket residuals of a representation on integer rows.
 
         ``rows[g][f]`` holds g f as (key, int) pairs over one denominator
         D = ``scale``, for f in ``basis`` and every key those reach.  For
-        x <= y in table order and f in ``basis``, with B the lcm of the
-        denominators of [x,y}, yields (x, y, f, residual, B D^2) for each
-        nonzero residual B D^2 (x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f),
-        summed in ints as a {key: int} dict.
+        x <= y in table order and f in ``basis``, with B the table's
+        ``denominator``, yields (x, y, f, residual, B D^2) for each nonzero
+        residual B D^2 (x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f), summed
+        in ints as a {key: int} dict.
         """
-        names = self.names
+        names, B = self.names, self.denominator
         for i, x in enumerate(names):
-            rx = rows[x]
+            rx, ad_x = rows[x], self.ad[x]
             px = self.parity(x)
             for y in names[i:]:
                 ry = rows[y]
-                bracket = self.bracket_gens(x, y)
-                B = lcm(*(c.denominator for c in bracket.values()))
                 swap = B if (px and self.parity(y)) else -B
-                minus_bracket = [(rows[h], -(c * B).numerator * scale)
-                                 for h, c in bracket.items()]
+                minus_bracket = [(rows[h], -n * scale) for h, n in ad_x[y]]
                 for f in basis:
                     acc = defaultdict(int)
                     for key, c in ry[f]:
@@ -280,57 +274,35 @@ class StructureReport:
                     or self.degree_failures)
 
 
-def _elem_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for g, c in b.items():
-        val = out.get(g, 0) - c
-        if val:
-            out[g] = val
-        elif g in out:
-            del out[g]
-    return out
-
-
 def verify_structure(table: StructureTable, max_failures=20) -> StructureReport:
     """Exhaustive super-antisymmetry, degree additivity and Jacobi check;
-    at most ``max_failures`` Jacobi failures, ValueError if that is < 1."""
+    at most ``max_failures`` Jacobi failures, ValueError if that is < 1.
+
+    The compiled brackets are super-antisymmetric off the diagonal by
+    construction, so only an even generator's self-bracket can fail that
+    law.  Jacobi, J(x,y,z) = [x,[y,z}} - (-1)^{|x||y|} [y,[x,z}} -
+    [[x,y},z} = 0, is the closure of the adjoint rows ``table.ad``, which
+    ``residuals`` checks in ints for x <= y; J(y,x,z) = -(-1)^{|x||y|}
+    J(x,y,z) adds the swapped triples.  Failures are in table order.
+    """
     if max_failures < 1:
         raise ValueError("max_failures must be >= 1, got %r"
                          % (max_failures,))
     report = StructureReport(table.kind)
-    names = table.names
+    names, ad, B = table.names, table.ad, table.denominator
     for x in names:
+        if not table.parity(x) and any(n for _, n in ad[x][x]):
+            report.antisymmetry_failures.append((x, x))
         for y in names:
-            sign = -1 if (table.parity(x) and table.parity(y)) else 1
-            lhs = table.bracket_gens(x, y)
-            rhs = {g: c * sign for g, c in table.bracket_gens(y, x).items()}
-            if _elem_sub(lhs, {g: -c for g, c in rhs.items()}) != {}:
-                # [x,y} + (-1)^{|x||y|}[y,x} must vanish
-                report.antisymmetry_failures.append((x, y))
             expected = tuple(
                 dx + dy for dx, dy in zip(table.degree(x), table.degree(y))
             )
-            for g in lhs:
-                if table.degree(g) != expected:
-                    report.degree_failures.append((x, y, g))
-    for x in names:
-        px = table.parity(x)
-        for y in names:
-            py = table.parity(y)
-            sign = -1 if (px and py) else 1
-            for z in names:
-                lhs = table.bracket(x, table.bracket_gens(y, z))
-                rhs = table.bracket(table.bracket_gens(x, y), z)
-                for g, c in table.bracket(y, table.bracket_gens(x, z)).items():
-                    val = rhs.get(g, 0) + c * sign
-                    if val:
-                        rhs[g] = val
-                    elif g in rhs:
-                        del rhs[g]
-                if _elem_sub(lhs, rhs):
-                    report.jacobi_failures.append((x, y, z))
-                    if len(report.jacobi_failures) >= max_failures:
-                        return report
+            report.degree_failures += [(x, y, g) for g, _ in ad[x][y]
+                                       if table.degree(g) != expected]
+    failing = {t for x, y, z, _, _ in table.residuals(ad, names, B)
+               for t in ((x, y, z), (y, x, z))}
+    report.jacobi_failures = sorted(
+        failing, key=lambda t: [table._index[g] for g in t])[:max_failures]
     return report
 
 
@@ -516,6 +488,13 @@ class AdjointReport:
             self.convention in ("plain", "graded")
 
 
+def _gauss_add(acc, a, b, row):
+    """acc[k, 0], acc[k, 1] += (a + b i)(c + d i) for (k, c, d) in row."""
+    for k, c, d in row:
+        acc[k, 0] += a * c - b * d
+        acc[k, 1] += a * d + b * c
+
+
 def verify_adjoint(table: StructureTable, amap: AdjointMap) -> AdjointReport:
     """Check the involution law and the anti-automorphism law.
 
@@ -523,29 +502,55 @@ def verify_adjoint(table: StructureTable, amap: AdjointMap) -> AdjointReport:
     plain  sigma([x,y}) = [sigma(y), sigma(x)}
     graded sigma([x,y}) = (-1)^{|x||y|} [sigma(y), sigma(x)}
     and the report states which one holds uniformly.
+
+    Both laws run on Gaussian integers: each image coefficient is a pair
+    (re, im) of ints over A, the lcm of every image denominator, and sums
+    are {(generator, 0 or 1): int} over A^2 B.  A ValueError names the first
+    generator without an image, in the order ``AdjointMap.apply`` meets it,
+    or an image generator outside the table.
     """
     report = AdjointReport(amap.name, amap.epsilon, amap.lam, amap.antilinear,
                            completed=amap.completed)
+    names, ad, images = table.names, table.ad, amap.images
+    for g in names:
+        for h in (g, *images.get(g, ())):
+            if h not in images:
+                raise ValueError("adjoint %s undefined on %r" % (amap.name, h))
+            table.generator(h)
+    A = lcm(*(v.denominator for value in images.values()
+              for c in value.values() for v in (c.re, c.im)))
+    img = {g: [(h, int(c.re * A), int(c.im * A)) for h, c in value.items()]
+           for g, value in images.items()}
+    conj = -1 if amap.antilinear else 1
     id_ok, par_ok = True, True
-    for g in table.names:
-        twice = amap.apply(amap.apply(g))
-        sign = -1 if table.parity(g) else 1
-        if twice != {g: QI_ONE}:
-            id_ok = False
-        if twice != {g: QI(sign)}:
-            par_ok = False
-        if twice not in ({g: QI_ONE}, {g: QI(sign)}):
-            report.involution_failures.append((g, twice))
+    for g in names:
+        twice = defaultdict(int)
+        for h, a, b in img[g]:
+            _gauss_add(twice, a, conj * b, img[h])
+        twice = {k: v for k, v in twice.items() if v}
+        one, par = {(g, 0): A * A}, {(g, 0): (-1) ** table.parity(g) * A * A}
+        id_ok, par_ok = id_ok and twice == one, par_ok and twice == par
+        if twice not in (one, par):
+            report.involution_failures.append((g, {
+                k: QI(Fraction(twice.get((k, 0), 0), A * A),
+                      Fraction(twice.get((k, 1), 0), A * A))
+                for k, _ in twice}))
     report.involution = "identity" if id_ok else ("parity" if par_ok else "none")
 
-    for x in table.names:
-        for y in table.names:
-            lhs = amap.apply(table.bracket_gens(x, y))
-            rhs = table.bracket(amap.apply(y), amap.apply(x))
+    for x in names:
+        for y in names:
+            lhs, rhs = defaultdict(int), defaultdict(int)
+            for h, n in ad[x][y]:
+                _gauss_add(lhs, A * n, 0, img[h])
+            for h, a, b in img[y]:
+                for k, c, d in img[x]:
+                    _gauss_add(rhs, a * c - b * d, a * d + b * c,
+                               ((g, n, 0) for g, n in ad[h][k]))
             sign = -1 if (table.parity(x) and table.parity(y)) else 1
-            if _elem_sub(lhs, rhs):
+            keys = lhs.keys() | rhs.keys()
+            if any(lhs[k] != rhs[k] for k in keys):
                 report.plain_failures.append((x, y))
-            if _elem_sub(lhs, {g: c * sign for g, c in rhs.items()}):
+            if any(lhs[k] != sign * rhs[k] for k in keys):
                 report.graded_failures.append((x, y))
     if not report.plain_failures:
         report.convention = "plain"

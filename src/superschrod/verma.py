@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Optional
 
@@ -201,11 +202,7 @@ class VermaModule:
             self.chi = self.ring.zero
         self._parity = {g: self.table.parity(g) for g in self.table.names}
         self._raising = frozenset(plus)
-        # bracket constants as ints where integral (cheap to test for +-1)
-        self._brackets = {
-            (x, y): tuple((h, int(c) if c.denominator == 1 else c)
-                          for h, c in self.table.bracket_gens(x, y).items())
-            for x in self.table.names for y in self.table.names}
+        self._brackets = self.table.constants  # ints where integral
         self._cache_table = {}
         self._cache_engine = {}
         self._cache_int = {}
@@ -580,7 +577,7 @@ class VermaModule:
             for g in todo:
                 if g not in self._raising:
                     below.add(g)
-                    below.update(h for h, _ in self._brackets[(g, w)])
+                    below.update(h for h, _ in self._brackets[g][w])
             need, cur = below, rest
         for cur, todo in reversed(levels):
             for g in todo:
@@ -620,7 +617,7 @@ class VermaModule:
                 c = -c
             for k, mn2 in self._raise(w, mn):
                 add(k, mn2, e, c)
-        for h, ch in self._brackets[(gen, w)]:
+        for h, ch in self._brackets[gen][w]:
             for mn, e, c in cache[(h, rest)]:
                 add(ch, mn, e, c)
         row = [(mn, e or _F0, chi.get(mn) or _F0) for mn, e in even.items()]
@@ -637,7 +634,8 @@ class VermaModule:
         (x, y, monomial) triples (empty means the identity holds), at most
         ``max_report`` of them.  Factor modules run the same check over
         their surviving monomials.  Raises ValueError for a negative
-        ``max_degree``, which would check no monomial at all.
+        ``max_degree``, which would check no monomial at all, and for
+        ``max_report < 1``.
 
         Every row the check touches is read once through ``act_fn``
         (default ``self.act``): the monomials up to the degree, then their
@@ -647,8 +645,9 @@ class VermaModule:
         monomial with a trailing 1), and ``StructureTable.residuals`` sums
         each residual in ints.
         """
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
+        if max_degree < 0 or max_report < 1:
+            raise ValueError("max_degree >= 0 and max_report >= 1 expected, "
+                             "got %r and %r" % (max_degree, max_report))
         act = act_fn or self.act
         table = self.table
         names = table.names
@@ -697,9 +696,5 @@ class VermaModule:
                 if mono in chi_monos:
                     out[mono + (1,)] = scaled(
                         chi_row(row, table.parity(g), chi_square))
-        failures = []
-        for x, y, mono, _, _ in table.residuals(rows, monos, D):
-            failures.append((x, y, mono))
-            if len(failures) >= max_report:
-                break
-        return failures
+        return [(x, y, mono) for x, y, mono, _, _ in
+                islice(table.residuals(rows, monos, D), max_report)]

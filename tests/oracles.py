@@ -20,7 +20,12 @@ agree with the library exactly:
   ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
 * ``verify_relations_oracle`` -- the Fraction residual loop that
   ``realization.verify_relations`` replaced, on ``reference_apply``
-  images; same report, failure strings included.
+  images; same report, failure strings included.  Images are kept per
+  operator object across calls, so a mutant recomputes only its own.
+* ``verify_structure_oracle`` / ``verify_adjoint_oracle`` -- the Fraction
+  and ``QI`` dict loops that ``superalgebra.verify_structure`` and
+  ``verify_adjoint`` replaced: Jacobi over every ordered triple, and both
+  adjoint laws through ``AdjointMap.apply``; same reports.
 """
 
 from fractions import Fraction
@@ -28,7 +33,9 @@ from fractions import Fraction
 from superschrod.quotient import _omega1_word
 from superschrod.realization import (RealizationReport, SuperPoly,
                                      enumerate_polyspace)
+from superschrod.scalars import QI, QI_ONE
 from superschrod.singular import WeightCoords, _space_module
+from superschrod.superalgebra import AdjointReport, StructureReport
 from superschrod.verma import ModuleVector
 
 
@@ -143,6 +150,25 @@ def reference_apply(op, poly: SuperPoly) -> SuperPoly:
     return out
 
 
+# id(op) -> (op, snapshot of its terms, {monomial: reference image}), least
+# recently used first; holding op keeps its id from being reused
+_IMAGES = {}
+
+
+def _op_images(op):
+    """The reference images of one operator object, kept across calls so
+    that a mutant realization recomputes only the operator it replaced."""
+    snapshot = [(tuple(c.terms.items()), dt, dx, odds)
+                for c, dt, dx, odds in op.terms]
+    hit = _IMAGES.pop(id(op), None)
+    if hit is None or hit[1] != snapshot:
+        hit = (op, snapshot, {})
+    _IMAGES[id(op)] = hit
+    if len(_IMAGES) > 64:
+        del _IMAGES[next(iter(_IMAGES))]
+    return hit[2]
+
+
 def verify_relations_oracle(realization, table, max_degree, max_failures=10,
                             d=None, m=None):
     """``verify_relations`` in Fractions: each image through
@@ -162,13 +188,13 @@ def verify_relations_oracle(realization, table, max_degree, max_failures=10,
         report.degree_raise = max(report.degree_raise, op.max_degree_raise())
     if len(report.failures) >= max_failures:
         return report
-    images = {}
+    images = {gen: _op_images(op) for gen, op in realization.items()}
 
     def image(gen, mono):
-        if (gen, mono) not in images:
+        if mono not in images[gen]:
             f = SuperPoly(space, {mono: Fraction(1)})
-            images[(gen, mono)] = reference_apply(realization[gen], f).terms
-        return images[(gen, mono)]
+            images[gen][mono] = reference_apply(realization[gen], f).terms
+        return images[gen][mono]
 
     names = table.names
     for i, xg in enumerate(names):
@@ -191,4 +217,110 @@ def verify_relations_oracle(realization, table, max_degree, max_failures=10,
                     report.failures.append((xg, yg, mono, str(residual)))
                     if len(report.failures) >= max_failures:
                         return report
+    return report
+
+
+def _elem_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for g, c in b.items():
+        val = out.get(g, 0) - c
+        if val:
+            out[g] = val
+        elif g in out:
+            del out[g]
+    return out
+
+
+def bracket(table, x, y) -> dict:
+    """Bilinear bracket of elements given as dicts name -> coefficient
+    (or names)."""
+    ex = {x: 1} if isinstance(x, str) else x
+    ey = {y: 1} if isinstance(y, str) else y
+    out = {}
+    for gx, cx in ex.items():
+        for gy, cy in ey.items():
+            for g, c in table.bracket_gens(gx, gy).items():
+                val = out.get(g, 0) + cx * cy * c
+                if val:
+                    out[g] = val
+                elif g in out:
+                    del out[g]
+    return out
+
+
+def verify_structure_oracle(table, max_failures=20):
+    """Antisymmetry and degrees on every ordered pair, Jacobi on every
+    ordered triple, in Fraction dicts."""
+    if max_failures < 1:
+        raise ValueError("max_failures must be >= 1, got %r"
+                         % (max_failures,))
+    report = StructureReport(table.kind)
+    names = table.names
+    for x in names:
+        for y in names:
+            sign = -1 if (table.parity(x) and table.parity(y)) else 1
+            lhs = table.bracket_gens(x, y)
+            rhs = {g: c * sign for g, c in table.bracket_gens(y, x).items()}
+            if _elem_sub(lhs, {g: -c for g, c in rhs.items()}) != {}:
+                # [x,y} + (-1)^{|x||y|}[y,x} must vanish
+                report.antisymmetry_failures.append((x, y))
+            expected = tuple(
+                dx + dy for dx, dy in zip(table.degree(x), table.degree(y))
+            )
+            for g in lhs:
+                if table.degree(g) != expected:
+                    report.degree_failures.append((x, y, g))
+    for x in names:
+        px = table.parity(x)
+        for y in names:
+            py = table.parity(y)
+            sign = -1 if (px and py) else 1
+            for z in names:
+                lhs = bracket(table, x, table.bracket_gens(y, z))
+                rhs = bracket(table, table.bracket_gens(x, y), z)
+                for g, c in bracket(table, y,
+                                    table.bracket_gens(x, z)).items():
+                    val = rhs.get(g, 0) + c * sign
+                    if val:
+                        rhs[g] = val
+                    elif g in rhs:
+                        del rhs[g]
+                if _elem_sub(lhs, rhs):
+                    report.jacobi_failures.append((x, y, z))
+                    if len(report.jacobi_failures) >= max_failures:
+                        return report
+    return report
+
+
+def verify_adjoint_oracle(table, amap):
+    """Both adjoint laws on whole ``QI`` dicts through ``amap.apply``."""
+    report = AdjointReport(amap.name, amap.epsilon, amap.lam, amap.antilinear,
+                           completed=amap.completed)
+    id_ok, par_ok = True, True
+    for g in table.names:
+        twice = amap.apply(amap.apply(g))
+        sign = -1 if table.parity(g) else 1
+        if twice != {g: QI_ONE}:
+            id_ok = False
+        if twice != {g: QI(sign)}:
+            par_ok = False
+        if twice not in ({g: QI_ONE}, {g: QI(sign)}):
+            report.involution_failures.append((g, twice))
+    report.involution = "identity" if id_ok else ("parity" if par_ok else "none")
+
+    for x in table.names:
+        for y in table.names:
+            lhs = amap.apply(table.bracket_gens(x, y))
+            rhs = bracket(table, amap.apply(y), amap.apply(x))
+            sign = -1 if (table.parity(x) and table.parity(y)) else 1
+            if _elem_sub(lhs, rhs):
+                report.plain_failures.append((x, y))
+            if _elem_sub(lhs, {g: c * sign for g, c in rhs.items()}):
+                report.graded_failures.append((x, y))
+    if not report.plain_failures:
+        report.convention = "plain"
+    elif not report.graded_failures:
+        report.convention = "graded"
+    else:
+        report.convention = "none"
     return report

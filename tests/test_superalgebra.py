@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import verify_adjoint_oracle, verify_structure_oracle
 from superschrod.scalars import QI
 from superschrod.superalgebra import (AdjointMap, Generator, StructureTable,
                                       build_adjoint, build_algebra,
@@ -220,3 +223,100 @@ def test_table_json_roundtrip(tables):
         again = StructureTable.from_json_dict(json.loads(text))
         assert again.to_json() == text
         assert verify_structure(again).ok
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["sch1", "ssch1", "ssch2"]),
+       via_json=st.booleans(),
+       mutation=st.sampled_from(["double", "shift", "drop", "degree",
+                                 "self"]),
+       max_failures=st.integers(1, 20) | st.just(10 ** 6), data=st.data())
+def test_verify_structure_matches_fraction_oracle(kind, via_json, mutation,
+                                                  max_failures, data):
+    # one constant doubled, shifted off the integers (denominator > 1) or
+    # dropped, a bracket given a term on a generator of the wrong degree,
+    # or a self-bracket added (which breaks antisymmetry for an even one)
+    table = build_algebra(kind)
+    pairs = {key: dict(value) for key, value in table._pairs.items()}
+    if mutation == "self":
+        x = data.draw(st.sampled_from([g for g in table.names
+                                       if (g, g) not in pairs]))
+        key = (x, x)
+        pairs[key] = {data.draw(st.sampled_from(table.names)): F(1)}
+    else:
+        key = data.draw(st.sampled_from(sorted(pairs)))
+    value = pairs[key]
+    if mutation == "degree":
+        degree = tuple(a + b for a, b in zip(table.degree(key[0]),
+                                               table.degree(key[1])))
+        wrong = [g for g in table.names if table.degree(g) != degree]
+        value[data.draw(st.sampled_from(wrong))] = data.draw(
+            st.sampled_from([F(1), F(-2), F(3, 4)]))
+    elif mutation != "self":
+        g = data.draw(st.sampled_from(sorted(value)))
+        if mutation == "double":
+            value[g] *= 2
+        elif mutation == "shift":
+            value[g] += data.draw(st.builds(F, st.integers(-9, 9),
+                                            st.integers(2, 9)).filter(
+                lambda q: q.denominator > 1))
+        else:
+            del value[g]
+    mutant = StructureTable(kind, table.generators, pairs)
+    if via_json:
+        mutant = StructureTable.from_json_dict(mutant.to_json_dict())
+    report = verify_structure(mutant, max_failures)
+    assert report == verify_structure_oracle(mutant, max_failures)
+    assert report.ok == verify_structure_oracle(mutant).ok
+
+
+def _all_maps():
+    maps = []
+    for kind in ("sch1", "ssch1", "ssch2"):
+        names = ["omega1", "omega2"] + (["sigma1", "sigma2"]
+                                        if kind == "ssch2" else [])
+        maps += [(kind, name, e, l) for name in names
+                 for e in (0, 1) for l in (0, 1)]
+        maps.append((kind, "identity", 0, 0))
+    return maps
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=st.sampled_from(_all_maps()),
+       mutation=st.sampled_from([None, "scale", "antilinear", "missing",
+                                 "unknown"]),
+       factor=st.sampled_from([QI(2), QI(0, 1), QI(F(1, 3), 1)]),
+       data=st.data())
+def test_verify_adjoint_matches_qi_oracle(case, mutation, factor, data):
+    # one image coefficient scaled by 2, i or 1/3 + i, the antilinear flag
+    # flipped, one generator's image removed, or one image sent to a
+    # generator Z outside the table (whose own image is g)
+    kind, name, e, l = case
+    table = build_algebra(kind)
+    amap = identity_adjoint(table) if name == "identity" else \
+        build_adjoint(table, name, e, l)
+    images = {g: dict(img) for g, img in amap.images.items()}
+    antilinear = amap.antilinear
+    g = data.draw(st.sampled_from(table.names))
+    if mutation == "scale":
+        h = data.draw(st.sampled_from(sorted(images[g])))
+        images[g][h] = images[g][h] * factor
+    elif mutation == "antilinear":
+        antilinear = not antilinear
+    elif mutation == "missing":
+        del images[g]
+    elif mutation == "unknown":
+        images[g], images["Z"] = {"Z": QI(1)}, {g: QI(1)}
+    mutant = AdjointMap(amap.name, amap.epsilon, amap.lam, antilinear, images,
+                        amap.completed)
+    if mutation in ("missing", "unknown"):
+        with pytest.raises(ValueError) as got:
+            verify_adjoint(table, mutant)
+        with pytest.raises(ValueError) as want:
+            verify_adjoint_oracle(table, mutant)
+        assert str(got.value) == str(want.value)
+        return
+    report = verify_adjoint(table, mutant)
+    assert report == verify_adjoint_oracle(table, mutant)
+    if mutation is None:
+        assert report.ok == (name != "identity")

@@ -164,6 +164,28 @@ def test_closure_rejects_a_negative_degree():
                                       ("G", "Q", (0, 0, 0))]
 
 
+def test_closure_failure_cap():
+    # doubling the action of H breaks the brackets that involve H; the
+    # report cap must be at least one, as for verify_relations and
+    # verify_structure
+    mod = VermaModule(LowestWeight("ssch1", F(3, 4), 1))
+
+    def act_fn(gen, target):
+        image = mod.act(gen, target)
+        return image + image if gen == "H" else image
+
+    full = mod.closure_failures(2, act_fn=act_fn, max_report=10 ** 6)
+    assert len(full) > 1
+    assert mod.closure_failures(2, act_fn=act_fn, max_report=1) == full[:1]
+    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))],
+                      verify_singular=False)
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            mod.closure_failures(2, act_fn=act_fn, max_report=cap)
+        with pytest.raises(ValueError):
+            fm.closure_failures(2, max_report=cap)
+
+
 class _MutatedTable(VermaModule):
     """The N=1 table with Q on G^k K^l S v0 giving d - l - k + 1 on
     G^k K^l v0 instead of d - l - k."""
