@@ -435,11 +435,7 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
+    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))

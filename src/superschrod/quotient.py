@@ -131,8 +131,8 @@ class FactorModule:
         """Whether a base monomial is a basis vector of the quotient."""
         return not any(_divides(lead, mono) for lead, _ in self.rules)
 
-    def subspace_basis(self, weight, cutoff=None):
-        return [mono for mono in self.base.subspace_basis(weight, cutoff)
+    def subspace_basis(self, weight):
+        return [mono for mono in self.base.subspace_basis(weight)
                 if self._survives(mono)]
 
     def enumerate_monomials(self, max_degree: int):
@@ -259,10 +259,10 @@ def _integer_ge(value, bound) -> Optional[int]:
     return None
 
 
-def classify(lw: LowestWeight, cutoff: int = 8, certify: bool = False,
-             module: VermaModule = None) -> ClassificationRecord:
+def classify(lw: LowestWeight, cutoff: int = 8,
+             certify: bool = False) -> ClassificationRecord:
     """Follow the quotient chain to the terminal irreducible module."""
-    module = module or VermaModule(lw)
+    module = VermaModule(lw)
     record = ClassificationRecord(lw.kind, lw.d, lw.m, lw.r, "", None,
                                   cutoff=cutoff)
     terminal = module
@@ -354,7 +354,7 @@ def classify(lw: LowestWeight, cutoff: int = 8, certify: bool = False,
         if record.dimension is not None:
             k_cap, l_cap = terminal._caps()
             depth = max(cutoff, k_cap + 2 * l_cap + 4)
-        reports = find_singular(terminal, depth, match_closed_forms=False)
+        reports = find_singular(terminal, depth)
         record.no_singular_up_to = depth if not reports else -1
     record.terminal = terminal
     return record

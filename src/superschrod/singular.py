@@ -203,15 +203,15 @@ class WeightCoords:
             vec.add_term(mono, coeff)
         return vec
 
-    def chi_multiply_coords(self, coords):
-        """Coordinates of chi * vector (only meaningful when doubled)."""
+    def with_chi_multiples(self, rows):
+        """The coordinate rows followed, on a doubled subspace, by their chi
+        multiples: a rational spanning set of their span over Q[chi]."""
+        rows = list(rows)
+        if not self.doubled:
+            return rows
         chi_sq = self.module.ring.chi_square
-        out = [_ZERO] * self.dim
-        for i in range(0, self.dim, 2):
-            even, odd = coords[i], coords[i + 1]
-            out[i] = odd * chi_sq
-            out[i + 1] = even
-        return out
+        return rows + [[v for even, odd in zip(row[0::2], row[1::2])
+                        for v in (odd * chi_sq, even)] for row in rows]
 
 
 @dataclass
@@ -249,12 +249,11 @@ class SingularVectorReport:
         }
 
     @staticmethod
-    def from_json_dict(data, module=None) -> "SingularVectorReport":
+    def from_json_dict(data) -> "SingularVectorReport":
         r = data.get("r")
         lw = LowestWeight(data["algebra"], Fraction(data["d"]), Fraction(data["m"]),
                           None if r is None else Fraction(r))
-        if module is None:
-            module = VermaModule(lw)
+        module = VermaModule(lw)
         vectors = []
         for vec in data["vectors"]:
             mv = ModuleVector(module)
@@ -288,15 +287,15 @@ def _space_module(space) -> VermaModule:
     return space if isinstance(space, VermaModule) else space.base
 
 
-def find_singular(space, max_degree: int, annihilators=None,
-                  match_closed_forms=True):
+def find_singular(space, max_degree: int):
     """Joint annihilator kernels on every weight subspace up to max_degree.
 
     ``space`` is a VermaModule or a FactorModule (anything exposing the
-    subspace/act protocol).  Returns the nonempty-kernel reports.
+    subspace/row/act protocol).  Returns the nonempty-kernel reports; on a
+    VermaModule each is matched against the closed-form families.
     """
     module = _space_module(space)
-    annihilators = annihilators or ANNIHILATORS[module.kind]
+    annihilators = ANNIHILATORS[module.kind]
     reports = []
     for weight in space.enumerate_weights(max_degree):
         coords = WeightCoords(space, weight)
@@ -326,8 +325,8 @@ def find_singular(space, max_degree: int, annihilators=None,
             weight=weight, kernel_dim=len(generators), qi_dim=len(kernel),
             vectors=vectors, cutoff=max_degree, annihilators_checked=True,
         )
-        if match_closed_forms and isinstance(space, VermaModule):
-            _match_closed_forms(space, report)
+        if isinstance(space, VermaModule):
+            _compare_closed_forms(space, report)
         reports.append(report)
     return reports
 
@@ -372,7 +371,7 @@ def _ring_generators(coords, kernel):
     for vec in kernel:
         if span_rank == len(kernel):
             break
-        pair = [vec, coords.chi_multiply_coords(vec)]
+        pair = coords.with_chi_multiples([vec])
         new_rank = rank(span_rows + pair)
         if new_rank == span_rank:
             continue
@@ -390,9 +389,7 @@ def in_span(space, weight, vectors, candidate) -> bool:
     ``find_singular`` reports one per line over Q[chi].
     """
     coords = WeightCoords(space, weight)
-    rows = [coords.to_coords(v) for v in vectors]
-    if coords.doubled:
-        rows += [coords.chi_multiply_coords(row) for row in rows]
+    rows = coords.with_chi_multiples(coords.to_coords(v) for v in vectors)
     echelon, pivots = bareiss_echelon(rows)
     return rank(echelon + [coords.to_coords(candidate)]) == len(pivots)
 
@@ -413,7 +410,7 @@ def closed_form_n1(module: VermaModule, p: int) -> ModuleVector:
             raise ValueError("massive N=1 closed form needs d = p - 1/2")
         vec = module.act("G", module.vacuum_vector())
         svec = module.act("S", module.vacuum_vector())
-        vec = vec - svec.scale(module.chi).scale(2)
+        vec = vec - svec.scale(module.ring.chi).scale(2)
         return _apply_quadratic(module, vec, p)
     if p < 1:
         raise ValueError("massless N=1 closed form needs p >= 1")
@@ -494,26 +491,19 @@ def expected_closed_forms(module: VermaModule, weight):
     return out
 
 
-def _match_closed_forms(module: VermaModule, report: SingularVectorReport):
+def _compare_closed_forms(module: VermaModule, report: SingularVectorReport):
     expected = expected_closed_forms(module, report.weight)
     if not expected:
         return
-    contains = []
     coords = WeightCoords(module, report.weight)
-    kernel_rows = [coords.to_coords(v) for v in report.vectors]
-    if coords.doubled:
-        kernel_rows = kernel_rows + [coords.chi_multiply_coords(r)
-                                     for r in list(kernel_rows)]
     # the generators and their chi multiples span the doubled kernel
+    kernel_rows = coords.with_chi_multiples(
+        coords.to_coords(v) for v in report.vectors)
     kernel_rank = report.qi_dim
-    expected_rows = []
-    for label, vec in expected:
-        row = coords.to_coords(vec)
-        if rank(kernel_rows + [row]) == kernel_rank:
-            contains.append(label)
-        expected_rows.append(row)
-        if coords.doubled:
-            expected_rows.append(coords.chi_multiply_coords(row))
+    expected_rows = [coords.to_coords(vec) for _, vec in expected]
+    contains = [label for (label, _), row in zip(expected, expected_rows)
+                if rank(kernel_rows + [row]) == kernel_rank]
+    expected_rows = coords.with_chi_multiples(expected_rows)
     report.contains = tuple(contains)
     exact = (
         len(contains) == len(expected)

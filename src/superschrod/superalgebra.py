@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .scalars import QI, QI_ONE, QI_ZERO, as_fraction, parse_rational
+from .scalars import QI, QI_ONE, as_fraction, parse_rational
 
 KINDS = ("sch1", "ssch1", "ssch2")
 
@@ -344,25 +344,6 @@ class AdjointMap:
     images: dict           # generator name -> dict name -> QI
     completed: tuple = ()  # generator names whose image was derived, not quoted
 
-    def apply(self, elem) -> dict:
-        """Apply to an element dict (or generator name), conjugating scalars
-        when the map is antilinear.  Coefficients may be Fractions or QIs;
-        both provide ``conjugate``."""
-        if isinstance(elem, str):
-            elem = {elem: QI_ONE}
-        out = {}
-        for g, c in elem.items():
-            if g not in self.images:
-                raise ValueError("adjoint %s undefined on %r" % (self.name, g))
-            cc = c.conjugate() if self.antilinear else c
-            for h, w in self.images[g].items():
-                val = out.get(h, QI_ZERO) + cc * w
-                if val:
-                    out[h] = val
-                elif h in out:
-                    del out[h]
-        return out
-
 
 def _sgn(k) -> int:
     return -1 if k % 2 else 1
@@ -506,8 +487,8 @@ def verify_adjoint(table: StructureTable, amap: AdjointMap) -> AdjointReport:
     Both laws run on Gaussian integers: each image coefficient is a pair
     (re, im) of ints over A, the lcm of every image denominator, and sums
     are {(generator, 0 or 1): int} over A^2 B.  A ValueError names the first
-    generator without an image, in the order ``AdjointMap.apply`` meets it,
-    or an image generator outside the table.
+    generator without an image, met in the order of applying the map twice
+    to each generator in turn, or an image generator outside the table.
     """
     report = AdjointReport(amap.name, amap.epsilon, amap.lam, amap.antilinear,
                            completed=amap.completed)

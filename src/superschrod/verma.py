@@ -11,10 +11,10 @@ Both produce rows: the image of one generator on one monomial as
 (monomial, even, chi) entries with Fraction parts.  The engine builds its
 rows bottom-up along the canonical word, without recursion; a coefficient's
 chi part anticommutes with odd generators, so moving an odd generator
-across it flips the sign of the chi part.  ``act`` turns rows into vectors
-with GradedScalar coefficients over Q[chi].  The bracket-closure check
-reads rows through ``act`` once, clears one common denominator and sums
-its residuals in Python ints.
+across it flips the sign of the chi part.  ``row`` is the one read path:
+``act`` sums e row + c ``chi_row(row)`` over the coefficients e + c chi of
+a vector, and the bracket-closure check reads ``row`` directly, clears one
+common denominator and sums its residuals in Python ints.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import lcm
 from typing import Optional
 
 from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
-from .superalgebra import StructureTable, build_algebra, triangular_decompose
+from .superalgebra import build_algebra, triangular_decompose
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -183,23 +183,16 @@ class ModuleVector:
 class VermaModule:
     """Lowest-weight module with PBW monomial basis and exact action."""
 
-    def __init__(self, lw: LowestWeight, chi_square=None, table: StructureTable = None):
+    def __init__(self, lw: LowestWeight, chi_square=None):
         self.lw = lw
         self.kind = lw.kind
-        self.table = table if table is not None else build_algebra(lw.kind)
+        self.table = build_algebra(lw.kind)
         self.ring = ScalarRing(lw.m, chi_square)
         plus, zero, minus = triangular_decompose(self.table)
         self.plus_set = tuple(plus)
         self.minus_set = frozenset(minus)
         self.n_exponents = 3 if self.kind == "ssch1" else 5
         self.vacuum = (0, 0, 0) if self.kind == "ssch1" else (0, 0, 0, 0, 0)
-        # X v0 = chi v0; the massless module represents chi by zero, which is
-        # what makes G^p v0 singular and P,G,M,X trivial in the terminal
-        # massless quotients.
-        if self.kind == "ssch1":
-            self.chi = self.ring.chi if lw.m else self.ring.zero
-        else:
-            self.chi = self.ring.zero
         self._parity = {g: self.table.parity(g) for g in self.table.names}
         self._raising = frozenset(plus)
         self._brackets = self.table.constants  # ints where integral
@@ -221,7 +214,10 @@ class VermaModule:
 
     @property
     def uses_chi(self) -> bool:
-        """True when coefficients can carry a nonzero chi part."""
+        """True when coefficients can carry a nonzero chi part: X v0 = chi v0
+        on massive N=1 modules.  The massless module represents chi by zero,
+        which is what makes G^p v0 singular and P,G,M,X trivial in the
+        terminal massless quotients; N=2 coefficients carry no chi."""
         return self.kind == "ssch1" and bool(self._m)
 
     # -- monomials ----------------------------------------------------------
@@ -272,31 +268,19 @@ class VermaModule:
         return self.basis_vector(self.vacuum)
 
     def enumerate_monomials(self, max_degree: int):
-        """All monomials of first-weight component <= max_degree."""
-        out = []
-        if self.kind == "ssch1":
-            for a in (0, 1):
-                for l in range((max_degree - a) // 2 + 1):
-                    for k in range(max_degree - 2 * l - a + 1):
-                        out.append((k, l, a))
-        else:
-            for a in (0, 1):
-                for b in (0, 1):
-                    for c in (0, 1):
-                        top = max_degree - a - b
-                        for l in range(top // 2 + 1):
-                            for k in range(top - 2 * l + 1):
-                                out.append((k, l, a, b, c))
-        out.sort(key=self.order_key)
-        return out
+        """All monomials of first-weight component <= max_degree, in
+        order_key order."""
+        weights = [self.weight(self.vacuum)] if max_degree >= 0 else []
+        weights += self.enumerate_weights(max_degree)
+        return sorted((mono for weight in weights
+                       for mono in self.subspace_basis(weight)),
+                      key=self.order_key)
 
-    def subspace_basis(self, weight, cutoff=None):
+    def subspace_basis(self, weight):
         """Monomials of the given relative weight, leading order first."""
         out = []
         if self.kind == "ssch1":
             n = weight
-            if cutoff is not None and n > cutoff:
-                raise ValueError("weight %s beyond cutoff %s" % (n, cutoff))
             if n >= 0:
                 for a in (0, 1):
                     rem = n - a
@@ -306,8 +290,6 @@ class VermaModule:
                         out.append((rem - 2 * l, l, a))
         else:
             n1, n2 = weight
-            if cutoff is not None and n1 > cutoff:
-                raise ValueError("weight %s beyond cutoff %s" % ((n1, n2), cutoff))
             for a in (0, 1):
                 for b in (0, 1):
                     c = n2 - a + b
@@ -347,7 +329,8 @@ class VermaModule:
     # ``act`` wraps them in GradedScalar vectors; ``row``/``int_row`` do not.
 
     def row(self, gen: str, mono):
-        """Row of a generator at a monomial, the one ``act`` reads."""
+        """Row of a generator at a monomial: what ``act``, ``int_row`` and
+        ``closure_failures`` read."""
         if self.kind == "ssch1":
             return self._act_mono_table(gen, mono)
         return self._act_mono_engine(gen, mono)
@@ -384,24 +367,18 @@ class VermaModule:
                          for mn, e, c in row_fn(gen, target)}
             return out
         odd = self._parity[gen]
-        chi_square = ring.chi_square
         even, chi = {}, {}  # every image monomial is a key of ``even``
         for mono, coeff in target.terms.items():
-            ce, co = coeff.even, coeff.odd
-            if odd and co:
-                # the chi part anticommutes with an odd generator
-                co = -co
-            for mn, e, c in row_fn(gen, mono):
-                # (ce + co chi)(e + c chi) = ce e + co c chi^2 + (ce c + co e) chi
-                ve = ce * e
-                vc = ce * c if c else 0
-                if co:
-                    vc += co * e
+            # g (e + c chi) w = e (g w) + c g (chi w)
+            row = row_fn(gen, mono)
+            parts = [(coeff.even, row)] if coeff.even else []
+            if coeff.odd:
+                parts.append((coeff.odd, chi_row(row, odd, ring.chi_square)))
+            for scale, entries in parts:
+                for mn, e, c in entries:
+                    even[mn] = even.get(mn, 0) + scale * e
                     if c:
-                        ve += co * c * chi_square
-                even[mn] = even.get(mn, 0) + ve
-                if vc:
-                    chi[mn] = chi.get(mn, 0) + vc
+                        chi[mn] = chi.get(mn, 0) + scale * c
         out.terms = {mn: _mk_gs(ring, ve or _F0, chi.get(mn) or _F0)
                      for mn, ve in even.items() if ve or chi.get(mn)}
         return out
@@ -413,7 +390,7 @@ class VermaModule:
             return cached
         k, l, a = mono
         d, m = self._d, self._m
-        chi = _F1 if self.chi else _F0  # X v0 = chi v0, or 0 when massless
+        chi = _F1 if self.uses_chi else _F0  # X v0 = chi v0, or 0
         out = []
         if gen == "K":
             out = [((k, l + 1, a), _F1, _F0)]
@@ -593,7 +570,7 @@ class VermaModule:
             value = {"D": -self._d, "M": self._m, "R": self._r}.get(gen)
             if value:
                 return ((mono, value, _F0),)
-            if gen == "X" and self.chi:
+            if gen == "X" and self.uses_chi:
                 return ((mono, _F0, _F1),)
             return ()
         cache = self._cache_engine
@@ -626,20 +603,19 @@ class VermaModule:
 
     # -- bracket compatibility ------------------------------------------------
 
-    def closure_failures(self, max_degree: int, act_fn=None, max_report=5):
+    def closure_failures(self, max_degree: int, max_report=5):
         """Bracket-compatibility check on all monomials up to max_degree.
 
-        act(x, act(y, w)) - (-1)^{|x||y|} act(y, act(x, w)) must equal
-        act([x,y}, w) for every generator pair.  Returns a list of failing
-        (x, y, monomial) triples (empty means the identity holds), at most
-        ``max_report`` of them.  Factor modules run the same check over
-        their surviving monomials.  Raises ValueError for a negative
+        x (y w) - (-1)^{|x||y|} y (x w) must equal [x,y} w for every
+        generator pair.  Returns a list of failing (x, y, monomial) triples
+        (empty means the identity holds), at most ``max_report`` of them.
+        Factor modules run the same check over their surviving monomials,
+        on their reduced rows.  Raises ValueError for a negative
         ``max_degree``, which would check no monomial at all, and for
         ``max_report < 1``.
 
-        Every row the check touches is read once through ``act_fn``
-        (default ``self.act``): the monomials up to the degree, then their
-        images.  The rows are scaled by one common denominator D to Python
+        Every row the check touches is read once through ``self.row``: the
+        monomials up to the degree, then their images.  The rows are scaled by one common denominator D to Python
         ints on the doubled basis in which a coefficient e + c chi of a
         monomial is e at the monomial and c at its chi multiple (the
         monomial with a trailing 1), and ``StructureTable.residuals`` sums
@@ -648,7 +624,6 @@ class VermaModule:
         if max_degree < 0 or max_report < 1:
             raise ValueError("max_degree >= 0 and max_report >= 1 expected, "
                              "got %r and %r" % (max_degree, max_report))
-        act = act_fn or self.act
         table = self.table
         names = table.names
         monos = self.enumerate_monomials(max_degree)
@@ -656,8 +631,7 @@ class VermaModule:
 
         def read(mono):
             for g in names:
-                frac[g][mono] = [(mn, c.even, c.odd)
-                                 for mn, c in act(g, mono).terms.items()]
+                frac[g][mono] = self.row(g, mono)
 
         for mono in monos:
             read(mono)

@@ -4,9 +4,10 @@ Each applies generators to whole GradedScalar-weighted vectors through
 ``act``, the way the library did before it read integer rows, and must
 agree with the library exactly:
 
-* ``closure_failures_oracle`` -- the bracket-compatibility loop that
-  ``VermaModule.closure_failures`` replaced; same failure triples, in the
-  same order.
+* ``closure_failures_oracle`` -- the bracket-compatibility loop on
+  ``space.act`` vectors that ``VermaModule.closure_failures`` replaced with
+  integer sums over ``row``; same failure triples, in the same order.  A
+  module subclass that overrides ``row`` changes both sides alike.
 * ``gram_pair`` -- one pairing value of the bilinear form, applying the
   whole omega1 word of the left label; ``quotient.gram`` must agree with
   its even part entry by entry, and its chi part decides the parity
@@ -25,7 +26,8 @@ agree with the library exactly:
 * ``verify_structure_oracle`` / ``verify_adjoint_oracle`` -- the Fraction
   and ``QI`` dict loops that ``superalgebra.verify_structure`` and
   ``verify_adjoint`` replaced: Jacobi over every ordered triple, and both
-  adjoint laws through ``AdjointMap.apply``; same reports.
+  adjoint laws through ``adjoint_apply``; same reports.
+* ``adjoint_apply`` -- an adjoint map on a whole ``QI`` element dict.
 """
 
 from fractions import Fraction
@@ -33,7 +35,7 @@ from fractions import Fraction
 from superschrod.quotient import _omega1_word
 from superschrod.realization import (RealizationReport, SuperPoly,
                                      enumerate_polyspace)
-from superschrod.scalars import QI, QI_ONE
+from superschrod.scalars import QI, QI_ONE, QI_ZERO
 from superschrod.singular import WeightCoords, _space_module
 from superschrod.superalgebra import AdjointReport, StructureReport
 from superschrod.verma import ModuleVector
@@ -83,11 +85,11 @@ def normal_order(module, word):
     return vec
 
 
-def closure_failures_oracle(space, max_degree, act_fn=None, max_report=5):
+def closure_failures_oracle(space, max_degree, max_report=5):
     """Failing (x, y, monomial) triples of act(x, act(y, w)) -
     (-1)^{|x||y|} act(y, act(x, w)) - act([x,y}, w), in the library's
     order, at most ``max_report`` of them."""
-    act = act_fn or space.act
+    act = space.act
     table = space.table
     names = table.names
     monos = space.enumerate_monomials(max_degree)
@@ -292,13 +294,33 @@ def verify_structure_oracle(table, max_failures=20):
     return report
 
 
+def adjoint_apply(amap, elem) -> dict:
+    """Apply an adjoint map to an element dict (or generator name),
+    conjugating scalars when the map is antilinear.  Coefficients may be
+    Fractions or QIs; both provide ``conjugate``."""
+    if isinstance(elem, str):
+        elem = {elem: QI_ONE}
+    out = {}
+    for g, c in elem.items():
+        if g not in amap.images:
+            raise ValueError("adjoint %s undefined on %r" % (amap.name, g))
+        cc = c.conjugate() if amap.antilinear else c
+        for h, w in amap.images[g].items():
+            val = out.get(h, QI_ZERO) + cc * w
+            if val:
+                out[h] = val
+            elif h in out:
+                del out[h]
+    return out
+
+
 def verify_adjoint_oracle(table, amap):
-    """Both adjoint laws on whole ``QI`` dicts through ``amap.apply``."""
+    """Both adjoint laws on whole ``QI`` dicts through ``adjoint_apply``."""
     report = AdjointReport(amap.name, amap.epsilon, amap.lam, amap.antilinear,
                            completed=amap.completed)
     id_ok, par_ok = True, True
     for g in table.names:
-        twice = amap.apply(amap.apply(g))
+        twice = adjoint_apply(amap, adjoint_apply(amap, g))
         sign = -1 if table.parity(g) else 1
         if twice != {g: QI_ONE}:
             id_ok = False
@@ -310,8 +332,9 @@ def verify_adjoint_oracle(table, amap):
 
     for x in table.names:
         for y in table.names:
-            lhs = amap.apply(table.bracket_gens(x, y))
-            rhs = bracket(table, amap.apply(y), amap.apply(x))
+            lhs = adjoint_apply(amap, table.bracket_gens(x, y))
+            rhs = bracket(table, adjoint_apply(amap, y),
+                          adjoint_apply(amap, x))
             sign = -1 if (table.parity(x) and table.parity(y)) else 1
             if _elem_sub(lhs, rhs):
                 report.plain_failures.append((x, y))

@@ -46,7 +46,7 @@ def test_g_cubed_rewrites_to_the_stated_combination(massive_factor):
     # G^3 w0 = 2 chi G^2 S w0 - sum_{j<p} C(p,j)(-2m)^{p-j} G^{2j} K^{p-j}
     #          (G - 2 chi S) w0   at p = 1, m = 1
     mod = massive_factor.base
-    chi = mod.chi
+    chi = mod.ring.chi
     reduced = massive_factor.reduce(mod.basis_vector((3, 0, 0)))
     expected = mod.basis_vector((2, 0, 1)).scale(chi).scale(2) \
         + (mod.basis_vector((1, 1, 0))
@@ -131,7 +131,7 @@ def test_quotient_dims_match_linear_algebra_oracle():
                 continue
             vec = fm._prefix_apply(mono, vs)
             rows.append(coords.to_coords(vec))
-            rows.append(coords.to_coords(vec.scale(mod.chi)))
+            rows.append(coords.to_coords(vec.scale(mod.ring.chi)))
         submodule_dim = rank(rows)
         full_dim = coords.dim
         survivor_dim = 2 * len(fm.subspace_basis(weight))

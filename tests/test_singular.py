@@ -385,7 +385,7 @@ def test_chi_doubling_roundtrip():
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
     coords = WeightCoords(mod, 2)
     vec = mod.basis_vector((2, 0, 0), mod.ring.scalar(QI(2), QI(F(1, 3)))) \
-        + mod.basis_vector((0, 1, 0), mod.chi)
+        + mod.basis_vector((0, 1, 0), mod.ring.chi)
     assert coords.from_coords(coords.to_coords(vec)) == vec
     assert coords.dim == 2 * len(mod.subspace_basis(2))
 

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import verify_adjoint_oracle, verify_structure_oracle
+from oracles import (adjoint_apply, verify_adjoint_oracle,
+                     verify_structure_oracle)
 from superschrod.scalars import QI
 from superschrod.superalgebra import (AdjointMap, Generator, StructureTable,
                                       build_adjoint, build_algebra,
@@ -159,7 +160,7 @@ def test_omega2_needs_conjugation(tables):
 
 def test_sigma2_squares_to_minus_one_on_odd(tables):
     amap = build_adjoint(tables["ssch2"], "sigma2")
-    twice = amap.apply(amap.apply("Q+"))
+    twice = adjoint_apply(amap, adjoint_apply(amap, "Q+"))
     assert twice == {"Q+": QI(-1)}
     assert amap.antilinear
 
@@ -185,7 +186,7 @@ def test_omega1_exchanges_triangular_parts(tables):
         plus, zero, minus = map(set, triangular_decompose(table))
         w1 = build_adjoint(table, "omega1")
         for g in table.names:
-            img1 = set(w1.apply(g))
+            img1 = set(adjoint_apply(w1, g))
             for part in (plus, zero, minus):
                 if g in part:
                     swapped = minus if part is plus else \
@@ -195,7 +196,7 @@ def test_omega1_exchanges_triangular_parts(tables):
     plus, zero, minus = map(set, triangular_decompose(table))
     w2 = build_adjoint(table, "omega2")
     for g in table.names:
-        img2 = set(w2.apply(g))
+        img2 = set(adjoint_apply(w2, g))
         for part in (plus, zero, minus):
             if g in part:
                 assert img2 <= part
@@ -203,7 +204,7 @@ def test_omega1_exchanges_triangular_parts(tables):
     table2 = tables["ssch2"]
     w2 = build_adjoint(table2, "omega2")
     for g in table2.names:
-        for h in w2.apply(g):
+        for h in adjoint_apply(w2, g):
             d_g, r_g = table2.degree(g)
             d_h, r_h = table2.degree(h)
             assert (d_h, r_h) == (d_g, -r_g)
