@@ -22,10 +22,15 @@ from typing import List, Optional
 from .singular import (ANNIHILATORS, WeightCoords, determinant,
                        find_singular, closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
-from .verma import LowestWeight, ModuleVector, VermaModule
+from .verma import LowestWeight, ModuleVector, VermaModule, chi_row
 
 _COMPLETION_CAP = 60
 _ZERO = Fraction(0)
+
+
+class RewritingError(RuntimeError):
+    """The quotient's rule rewriting broke down: a shifted rule lost its
+    expected lead, or completion did not stabilise."""
 
 
 def _divides(lead, mono) -> bool:
@@ -46,6 +51,7 @@ class FactorModule:
         self.chain = list(chain or [])
         self.rules = []  # list of (lead monomial, monic ModuleVector)
         self._rows = {}
+        self._ints = {}
         for vec in rule_vectors:
             self._install(vec, verify=verify_singular)
 
@@ -63,13 +69,14 @@ class FactorModule:
         while queue:
             steps += 1
             if steps > _COMPLETION_CAP:
-                raise RuntimeError("rule completion did not stabilise")
+                raise RewritingError("rule completion did not stabilise")
             f = self.reduce(queue.pop(0))
             if not f:
                 continue
             f = self._monic(f)
             self.rules.append((f.leading_monomial(), f))
             self._rows.clear()
+            self._ints.clear()
             for gen in self.base.plus_set:
                 queue.append(self.base.act(gen, f))
 
@@ -115,7 +122,7 @@ class FactorModule:
             shifted = self._prefix_apply(delta, rule_vec)
             s_lead = shifted.leading_monomial()
             if s_lead != mono:
-                raise RuntimeError(
+                raise RewritingError(
                     "reduction order violated: expected lead %s, got %s"
                     % (mono, s_lead))
             factor = vec.terms[mono] * shifted.terms[mono].inverse()
@@ -157,6 +164,22 @@ class FactorModule:
             row = self._rows[(gen, mono)] = tuple(
                 (mn, c.even, c.odd) for mn, c in terms)
         return row
+
+    def int_row(self, gen, key):
+        """Row at a doubled-basis key (monomial, flag), as in
+        ``VermaModule.int_row``, over L, the lcm of the denominators of
+        the reduced row.  Cached."""
+        cached = self._ints.get((gen, key))
+        if cached is None:
+            mono, flag = key
+            row = self.row(gen, mono)
+            if flag:
+                row = chi_row(row, self.table.parity(gen), self.ring.chi_square)
+            L = lcm(*(v.denominator for _, e, c in row for v in (e, c)))
+            cached = self._ints[(gen, key)] = (L, tuple(
+                ((mn, f), v.numerator * (L // v.denominator))
+                for mn, e, c in row for f, v in ((0, e), (1, c)) if v))
+        return cached
 
     def closure_failures(self, max_degree: int, max_report=5):
         return VermaModule.closure_failures(self, max_degree,
@@ -482,7 +505,10 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     basis vector after the first i letters of the current word, so each
     distinct prefix is applied once.  A level holds int vectors on the
     doubled basis {(monomial, flag): int} over one denominator, which each
-    letter multiplies by the lcm of the ``int_row`` scales it reads.
+    letter multiplies by the lcm of the ``int_row`` scales it reads (on a
+    Verma module, its ``scale`` D).  Row i of the even parts is thus an int
+    row over D^len(word_i) times the word's sign, and the determinant is
+    taken from those int rows; the Fraction matrix is only rendered.
     """
     if check_adjoint:
         amap = build_adjoint(module.table, "omega1", epsilon, lam)
@@ -504,6 +530,8 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     stack = [([{right: 1} for right in labels], 1)]
     applied = []
     matrix = [None] * len(labels)
+    int_matrix = [None] * len(labels)
+    scale = 1
     found = []
     even_v0, chi_v0 = (module.vacuum, 0), (module.vacuum, 1)
     for i in sorted(range(len(labels)), key=lambda i: words[i][0]):
@@ -525,10 +553,12 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
                     found.append((i, j, "chi part on diagonal block"))
             elif even_v0 in vec:
                 found.append((i, j, "even part across parities"))
-        matrix[i] = [Fraction(vec[even_v0], den * wsign) if even_v0 in vec
-                     else _ZERO for vec in vecs]
+        row = int_matrix[i] = [vec.get(even_v0, 0) for vec in vecs]
+        matrix[i] = [Fraction(v, den * wsign) if v else _ZERO for v in row]
+        scale *= den * wsign
     violations = [(labels[i], labels[j], why) for i, j, why in sorted(found)]
-    return GramMatrix(weight, labels, parities, matrix, determinant(matrix),
+    return GramMatrix(weight, labels, parities, matrix,
+                      determinant(int_matrix, scale=scale),
                       parity_violations=violations)
 
 

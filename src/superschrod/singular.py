@@ -4,12 +4,14 @@ Each homogeneous weight subspace is searched for the joint kernel of the
 lowering generators that annihilate the lowest weight vector (Q, P for the
 N=1 module; Q+, Q-, P, X- for N=2).  Coefficients carrying the odd scalar
 chi are handled by doubling the linear system: the even and chi components
-of every coefficient become separate rational (Fraction) coordinates, and
-the kernel is computed by fraction-free Gaussian elimination.  Kernel bases
-are then regrouped into generators over the chi-extended ring Q[chi] so that
-one reported vector corresponds to one singular line.  The JSON key
-``qi_dim`` keeps its name and reports the dimension of the doubled rational
-kernel.
+of every coefficient become separate rational coordinates.  The annihilator
+blocks are filled with Python ints from the module's ``int_row`` (the
+matrix times one scale, which leaves its row space alone), and the kernel
+is computed by fraction-free (Bareiss) elimination in ints, with a
+``Fraction`` basis at the end.  Kernel bases are then regrouped into
+generators over the chi-extended ring Q[chi] so that one reported vector
+corresponds to one singular line.  The JSON key ``qi_dim`` keeps its name
+and reports the dimension of the doubled rational kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .scalars import parse_gs
-from .verma import LowestWeight, ModuleVector, VermaModule, chi_row
+from .verma import LowestWeight, ModuleVector, VermaModule
 
 ANNIHILATORS = {"ssch1": ("Q", "P"), "ssch2": ("Q+", "Q-", "P", "X-")}
 
@@ -96,23 +98,28 @@ def _eliminate(m, ncols, stop_at_zero_column=False):
     return pivots, swaps
 
 
-def bareiss_echelon(rows):
+def bareiss_echelon(rows, ints=False):
     """Fraction-free (Bareiss) forward elimination of int/Fraction rows.
 
     Returns (echelon rows, pivot column list).  Each input row is cleared of
-    denominators once, so the echelon entries are Python ints.
+    denominators once, so the echelon entries are Python ints; with
+    ``ints`` the rows are Python ints already and are used as they are
+    (the input lists are not modified).
     """
-    m, _ = _integer_rows(rows)
+    m = list(rows) if ints else _integer_rows(rows)[0]
     pivots, _ = _eliminate(m, len(m[0]) if m else 0)
     return m[:len(pivots)], pivots
 
 
 def nullspace(rows, ncols):
-    """Deterministic kernel basis of the matrix (list of Fraction rows)."""
+    """Deterministic kernel basis of a matrix given as Python int rows, as
+    Fraction vectors: each free column is 1 in one vector and 0 in the
+    others.  The basis depends only on the row space, so a rational matrix
+    with its rows scaled to ints by any nonzero factors has the same one."""
     if not rows:
         return [[_ONE if j == i else _ZERO for j in range(ncols)]
                 for i in range(ncols)]
-    ech, pivots = bareiss_echelon(rows)
+    ech, pivots = bareiss_echelon(rows, ints=True)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -139,17 +146,23 @@ def rank(rows):
     return len(pivots)
 
 
-def determinant(rows):
+def determinant(rows, scale=None):
     """Exact determinant of a square matrix of int/Fraction entries.
 
     Integer Bareiss on the denominator-cleared rows: the determinant is
-    sign * last pivot / (product of the row lcms).  The empty matrix has
-    determinant 1; entries other than int or Fraction raise TypeError.
+    sign * last pivot / (product of the row lcms).  With ``scale`` the rows
+    are Python ints already, the matrix's rows each multiplied by a nonzero
+    factor whose product is ``scale``, and the determinant is sign * last
+    pivot / scale.  The empty matrix has determinant 1; entries other than
+    int or Fraction raise TypeError.
     """
     n = len(rows)
     if n == 0:
         return _ONE
-    m, scale = _integer_rows(rows)
+    if scale is None:
+        m, scale = _integer_rows(rows)
+    else:
+        m = list(rows)
     result = _eliminate(m, n, stop_at_zero_column=True)
     if result is None:
         return _ZERO
@@ -301,7 +314,7 @@ def find_singular(space, max_degree: int):
         coords = WeightCoords(space, weight)
         if coords.dim == 0:
             continue
-        rows = _annihilator_matrix(space, coords, annihilators)
+        rows, _ = _annihilator_matrix(space, coords, annihilators)
         kernel = nullspace(rows, coords.dim)
         if not kernel:
             continue
@@ -332,29 +345,31 @@ def find_singular(space, max_degree: int):
 
 
 def _annihilator_matrix(space, coords, annihilators):
-    """The stacked annihilator blocks, filled from the rows ``space.row``."""
+    """The stacked annihilator blocks as int rows, and their scale: the
+    blocks are the matrix times it.  Column j is filled from the
+    ``space.int_row`` of label j; a column whose row has another scale than
+    the lcm of them all (never on a VermaModule, whose rows share its
+    ``scale``) is multiplied up to it."""
     module = _space_module(space)
-    chi_square = module.ring.chi_square
-    rows = []
+    blocks = []
     for ann in annihilators:
         target = WeightCoords(space, module.shift_weight(coords.weight, ann))
-        if not target.dim:
-            continue
-        block = [[_ZERO] * coords.dim for _ in range(target.dim)]
-        for col, (mono, e) in enumerate(coords.labels):
-            row = space.row(ann, mono)
-            if e:
-                row = chi_row(row, module.table.parity(ann), chi_square)
-            for mn, even, chi in row:
-                idx = target.index.get((mn, 0))
-                if idx is None or (chi and not target.doubled):
+        if target.dim:
+            blocks.append((target, [space.int_row(ann, label)
+                                    for label in coords.labels]))
+    scale = math.lcm(*(s for _, columns in blocks for s, _ in columns))
+    rows = []
+    for target, columns in blocks:
+        block = [[0] * coords.dim for _ in range(target.dim)]
+        for col, (s, entries) in enumerate(columns):
+            factor = scale // s
+            for key, value in entries:
+                idx = target.index.get(key)
+                if idx is None:
                     raise ValueError("image outside the target coordinates")
-                if even:
-                    block[idx][col] = even
-                if chi:
-                    block[idx + 1][col] = chi
+                block[idx][col] = value * factor
         rows.extend(block)
-    return rows
+    return rows, scale
 
 
 def _ring_generators(coords, kernel):

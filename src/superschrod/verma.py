@@ -7,14 +7,16 @@ Basis monomials are exponent tuples applied to the lowest weight vector v0:
 
 The N=1 action is available both as the closed-form table and through the
 generic normal-ordering engine; the N=2 action comes from the engine alone.
-Both produce rows: the image of one generator on one monomial as
-(monomial, even, chi) entries with Fraction parts.  The engine builds its
-rows bottom-up along the canonical word, without recursion; a coefficient's
-chi part anticommutes with odd generators, so moving an odd generator
-across it flips the sign of the chi part.  ``row`` is the one read path:
-``act`` sums e row + c ``chi_row(row)`` over the coefficients e + c chi of
-a vector, and the bracket-closure check reads ``row`` directly, clears one
-common denominator and sums its residuals in Python ints.
+A row is the image of one generator on one basis monomial.  The engine is
+compiled once per algebra kind into parametric rows, whose entries are
+integer combinations of 1, d, m, r and the chi seed; a module evaluates
+them once, as Python ints over its ``scale`` D, on the chi-doubled basis
+whose keys are (monomial, 0) for the even part of a coefficient and
+(monomial, 1) for its chi part.  ``int_row`` is the read path of every
+consumer that sums (the kernel search, the Gram form, closure); ``row`` is
+the ``Fraction`` view of (monomial, even, chi) entries that ``act`` wraps:
+it sums e row + c ``chi_row(row)`` over the coefficients e + c chi of a
+vector.
 """
 
 from __future__ import annotations
@@ -30,6 +32,21 @@ from .superalgebra import build_algebra, triangular_decompose
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# kind -> {(gen, monomial): parametric row}, filled on first use
+_PARAMETRIC = {}
+# the vacuum rows: D v0 = -d v0, M v0 = m v0, R v0 = r v0, X v0 = chi v0
+_VACUUM_PARAMS = {"D": (0, -1, 0, 0, 0), "M": (0, 0, 1, 0, 0),
+                  "R": (0, 0, 0, 1, 0), "X": (0, 0, 0, 0, 1)}
+
+
+def _times(value, factor) -> int:
+    """value * factor for an int or Fraction value, as an int; ValueError
+    when the product is not an integer (it is never truncated)."""
+    num, rem = divmod(value.numerator * factor, value.denominator)
+    if rem:
+        raise ValueError("%s times %s is not an integer" % (value, factor))
+    return num
 
 
 @dataclass(frozen=True)
@@ -181,12 +198,25 @@ class ModuleVector:
 
 
 class VermaModule:
-    """Lowest-weight module with PBW monomial basis and exact action."""
+    """Lowest-weight module with PBW monomial basis and exact action.
+
+    ``scale`` is D = lcm(den d, den m, den r, den chi^2), and every row is
+    integral over it.  Both bracket tables are integral, so the engine only
+    ever adds integer multiples of rows; its vacuum rows are -d, m and r
+    (even) and chi (X v0 = chi v0).  An even part is therefore an integer
+    combination of 1, d, m and r, and a chi part is an integer, because chi
+    parts start only at X v0 and only change sign after that.  The N=1
+    table's entries have the same form, and ``chi_row`` multiplies a chi
+    part by chi^2.  Every conversion to D is checked: an entry whose
+    denominator does not divide D raises ValueError.
+    """
 
     def __init__(self, lw: LowestWeight, chi_square=None):
         self.lw = lw
         self.kind = lw.kind
         self.table = build_algebra(lw.kind)
+        if self.table.denominator != 1:
+            raise ValueError("the engine needs integral structure constants")
         self.ring = ScalarRing(lw.m, chi_square)
         plus, zero, minus = triangular_decompose(self.table)
         self.plus_set = tuple(plus)
@@ -195,13 +225,20 @@ class VermaModule:
         self.vacuum = (0, 0, 0) if self.kind == "ssch1" else (0, 0, 0, 0, 0)
         self._parity = {g: self.table.parity(g) for g in self.table.names}
         self._raising = frozenset(plus)
-        self._brackets = self.table.constants  # ints where integral
+        self._brackets = self.table.constants
         self._cache_table = {}
         self._cache_engine = {}
+        self._cache_frac = {}
         self._cache_int = {}
         self._d = lw.d
         self._m = lw.m
         self._r = lw.r
+        r = lw.r or _F0
+        self.scale = D = lcm(lw.d.denominator, lw.m.denominator, r.denominator,
+                             self.ring.chi_square.denominator)
+        # the parametric coordinates (1, d, m, r, chi seed) times D
+        self._point = (D, _times(lw.d, D), _times(lw.m, D), _times(r, D),
+                       D if self.uses_chi else 0)
 
     # -- scalars ------------------------------------------------------------
 
@@ -324,31 +361,37 @@ class VermaModule:
 
     # -- action -------------------------------------------------------------
     #
-    # A row is the image of one generator on one basis monomial: a tuple of
-    # (monomial, even, chi) with Fraction parts, nonzero, in order_key order.
-    # ``act`` wraps them in GradedScalar vectors; ``row``/``int_row`` do not.
+    # A row is the image of one generator on one basis monomial, in order_key
+    # order with no zero entries.  ``int_row`` gives it as ((monomial, flag),
+    # int) pairs over one scale; ``row`` as (monomial, even, chi) Fractions,
+    # which ``act`` wraps in GradedScalar vectors.
 
     def row(self, gen: str, mono):
-        """Row of a generator at a monomial: what ``act``, ``int_row`` and
-        ``closure_failures`` read."""
+        """Row of a generator at a monomial as Fractions: what ``act``
+        reads (the N=1 table, the engine's view for N=2)."""
         if self.kind == "ssch1":
             return self._act_mono_table(gen, mono)
-        return self._act_mono_engine(gen, mono)
+        return self.engine_row(gen, mono)
 
     def int_row(self, gen: str, key):
         """Row at a doubled-basis key (monomial, flag), flag 1 for chi times
-        the monomial, as (L, ((key, int), ...)): L times the rational row,
-        L the lcm of its denominators.  Cached per module."""
+        the monomial, as (D, ((key, int), ...)): D = ``scale`` times the
+        rational row.  N=2 rows at flag 0 are the engine's ints; the others
+        are ``row`` (through ``chi_row`` at flag 1) scaled once by D.
+        Cached per module."""
         cached = self._cache_int.get((gen, key))
         if cached is None:
             mono, flag = key
-            row = self.row(gen, mono)
-            if flag:
-                row = chi_row(row, self._parity[gen], self.ring.chi_square)
-            L = lcm(*(v.denominator for _, e, c in row for v in (e, c)))
-            cached = self._cache_int[(gen, key)] = (L, tuple(
-                ((mn, f), v.numerator * (L // v.denominator))
-                for mn, e, c in row for f, v in ((0, e), (1, c)) if v))
+            D = self.scale
+            if flag or self.kind == "ssch1":
+                row = self.row(gen, mono)
+                if flag:
+                    row = chi_row(row, self._parity[gen], self.ring.chi_square)
+                entries = tuple(((mn, f), _times(v, D)) for mn, e, c in row
+                                for f, v in ((0, e), (1, c)) if v)
+            else:
+                entries = self._act_mono_engine(gen, mono)
+            cached = self._cache_int[(gen, key)] = (D, entries)
         return cached
 
     def act(self, gen: str, target) -> ModuleVector:
@@ -357,7 +400,7 @@ class VermaModule:
 
     def act_engine(self, gen: str, target) -> ModuleVector:
         """Action through the normal-ordering engine (both kinds)."""
-        return self._act_with(self._act_mono_engine, gen, target)
+        return self._act_with(self.engine_row, gen, target)
 
     def _act_with(self, row_fn, gen: str, target) -> ModuleVector:
         ring = self.ring
@@ -526,16 +569,49 @@ class VermaModule:
         return None, None
 
     def _act_mono_engine(self, gen, mono):
-        """Row of ``gen`` at ``mono`` through the normal-ordering engine.
+        """Row of ``gen`` at ``mono`` through the engine, as ((monomial,
+        flag), int) pairs over D: the kind's parametric row evaluated at
+        (D, dD, mD, rD, chi), chi = D on massive N=1 modules and 0
+        otherwise.  Cached per module."""
+        row = self._cache_engine.get((gen, mono))
+        if row is None:
+            D, dD, mD, rD, xD = self._point
+            out = []
+            for mn, a0, ad, am, ar, x in self._parametric_row(gen, mono):
+                e = a0 * D + ad * dD + am * mD + ar * rD
+                if e:
+                    out.append(((mn, 0), e))
+                if x and xD:
+                    out.append(((mn, 1), x * xD))
+            row = self._cache_engine[(gen, mono)] = tuple(out)
+        return row
 
-        With mono = w rest (w the first letter of the canonical word),
-        gen w rest = (-1)^{|gen||w|} w (gen rest) + [gen, w} rest.  The walk
-        down the word collects, suffix by suffix, the generators whose rows
-        the level above still needs; the rows are then built bottom-up, so
-        the depth of the word costs no recursion.
+    def engine_row(self, gen, mono):
+        """The engine's row as (monomial, even, chi) Fractions.  Cached."""
+        row = self._cache_frac.get((gen, mono))
+        if row is None:
+            D = self.scale
+            parts = {}
+            for (mn, flag), v in self._act_mono_engine(gen, mono):
+                parts.setdefault(mn, [_F0, _F0])[flag] = Fraction(v, D)
+            row = self._cache_frac[(gen, mono)] = tuple(
+                (mn, e, c) for mn, (e, c) in parts.items())
+        return row
+
+    def _parametric_row(self, gen, mono):
+        """Row of ``gen`` at ``mono`` for every lowest weight at once, from
+        the table shared by the modules of one kind.
+
+        Entries are (monomial, a0, a_d, a_m, a_r, chi) ints, standing for
+        a0 + a_d d + a_m m + a_r r plus chi times the chi seed.  With mono =
+        w rest (w the first letter of the canonical word), gen w rest =
+        (-1)^{|gen||w|} w (gen rest) + [gen, w} rest.  The walk down the word
+        collects, suffix by suffix, the generators whose rows the level
+        above still needs; the rows are then built bottom-up, so the depth
+        of the word costs no recursion.
         """
-        cache = self._cache_engine
-        row = cache.get((gen, mono))
+        table = _PARAMETRIC.setdefault(self.kind, {})
+        row = table.get((gen, mono))
         if row is not None:
             return row
         if gen not in self._parity:
@@ -543,7 +619,7 @@ class VermaModule:
         levels = []
         need, cur = (gen,), mono
         while need:
-            todo = [g for g in need if (g, cur) not in cache]
+            todo = [g for g in need if (g, cur) not in table]
             if not todo:
                 break
             levels.append((cur, todo))
@@ -558,48 +634,38 @@ class VermaModule:
             need, cur = below, rest
         for cur, todo in reversed(levels):
             for g in todo:
-                cache[(g, cur)] = self._engine_row(g, cur)
-        return cache[(gen, mono)]
+                table[(g, cur)] = self._compile_row(table, g, cur)
+        return table[(gen, mono)]
 
-    def _engine_row(self, gen, mono):
-        """One row, from the rows at the remaining monomial (already cached)."""
+    def _compile_row(self, table, gen, mono):
+        """One parametric row, from the rows at the remaining monomial
+        (already in ``table``)."""
         if gen in self._raising:
-            return tuple((mn, Fraction(c), _F0)
-                         for c, mn in self._raise(gen, mono))
+            return tuple((mn, c, 0, 0, 0, 0) for c, mn in self._raise(gen, mono))
         if mono == self.vacuum:
-            value = {"D": -self._d, "M": self._m, "R": self._r}.get(gen)
-            if value:
-                return ((mono, value, _F0),)
-            if gen == "X" and self.uses_chi:
-                return ((mono, _F0, _F1),)
-            return ()
-        cache = self._cache_engine
+            params = _VACUUM_PARAMS.get(gen)
+            return ((mono,) + params,) if params else ()
         w, rest = self._leading_factor(mono)
         sign = -1 if (self._parity[gen] and self._parity[w]) else 1
         # moving past an odd w twists the coefficient: its chi part flips
         chi_sign = -sign if self._parity[w] else sign
-        even, chi = {}, {}  # every row monomial is a key of ``even``
+        acc = {}  # monomial -> [a0, a_d, a_m, a_r, chi]
 
-        def add(k, mn, e, c):
-            e = e if k == 1 else -e if k == -1 else e * k
-            even[mn] = even.get(mn, 0) + e
-            if c:
-                c = c if k == 1 else -c if k == -1 else c * k
-                chi[mn] = chi.get(mn, 0) + c
+        def add(mn, k, kx, params):
+            cur = acc.setdefault(mn, [0] * 5)
+            for i in range(4):
+                cur[i] += k * params[i]
+            cur[4] += kx * params[4]
 
-        for mn, e, c in cache[(gen, rest)]:
-            if sign < 0:
-                e = -e
-            if c and chi_sign < 0:
-                c = -c
+        for mn, *params in table[(gen, rest)]:
             for k, mn2 in self._raise(w, mn):
-                add(k, mn2, e, c)
+                add(mn2, sign * k, chi_sign * k, params)
         for h, ch in self._brackets[gen][w]:
-            for mn, e, c in cache[(h, rest)]:
-                add(ch, mn, e, c)
-        row = [(mn, e or _F0, chi.get(mn) or _F0) for mn, e in even.items()]
-        row.sort(key=lambda entry: self.order_key(entry[0]))
-        return tuple(entry for entry in row if entry[1] or entry[2])
+            for mn, *params in table[(h, rest)]:
+                add(mn, ch, ch, params)
+        return tuple((mn, *params) for mn, params in
+                     sorted(acc.items(), key=lambda item: self.order_key(item[0]))
+                     if any(params))
 
     # -- bracket compatibility ------------------------------------------------
 
@@ -614,61 +680,37 @@ class VermaModule:
         ``max_degree``, which would check no monomial at all, and for
         ``max_report < 1``.
 
-        Every row the check touches is read once through ``self.row``: the
-        monomials up to the degree, then their images.  The rows are scaled by one common denominator D to Python
-        ints on the doubled basis in which a coefficient e + c chi of a
-        monomial is e at the monomial and c at its chi multiple (the
-        monomial with a trailing 1), and ``StructureTable.residuals`` sums
-        each residual in ints.
+        Every row the check touches is read once through ``self.int_row``
+        on the chi-doubled basis: the monomials up to the degree, then the
+        keys their images reach.  Rows whose scale differs from the common
+        one D (only on a factor module) are rescaled to it, and
+        ``StructureTable.residuals`` sums each residual in ints.
         """
         if max_degree < 0 or max_report < 1:
             raise ValueError("max_degree >= 0 and max_report >= 1 expected, "
                              "got %r and %r" % (max_degree, max_report))
-        table = self.table
-        names = table.names
-        monos = self.enumerate_monomials(max_degree)
-        frac = {g: {} for g in names}
+        names = self.table.names
+        basis = [(mono, 0) for mono in self.enumerate_monomials(max_degree)]
+        rows = {g: {} for g in names}
 
-        def read(mono):
+        def read(key):
             for g in names:
-                frac[g][mono] = self.row(g, mono)
+                rows[g][key] = self.int_row(g, key)
 
-        for mono in monos:
-            read(mono)
-        chi_monos = set()
-        seen = set(monos)
+        for key in basis:
+            read(key)
+        seen = set(basis)
         for g in names:
-            for mono in monos:
-                for mn, _, c in frac[g][mono]:
-                    if c:
-                        chi_monos.add(mn)
-                    if mn not in seen:
-                        seen.add(mn)
-                        read(mn)
-        chi_square = self.ring.chi_square
-        denoms = set()
-        for by_mono in frac.values():
-            for row in by_mono.values():
-                for _, e, c in row:
-                    denoms.add(e.denominator)
-                    if c:
-                        denoms.add(c.denominator)
-                        denoms.add((c * chi_square).denominator)
-        D = lcm(*denoms)
-
-        def scaled(row):
-            return [(mn + (1,) if flag else mn,
-                     v.numerator * (D // v.denominator))
-                    for mn, e, c in row for flag, v in ((0, e), (1, c)) if v]
-
-        rows = {}
-        for g in names:
-            by_mono = frac.pop(g)
-            rows[g] = out = {}
-            for mono, row in by_mono.items():
-                out[mono] = scaled(row)
-                if mono in chi_monos:
-                    out[mono + (1,)] = scaled(
-                        chi_row(row, table.parity(g), chi_square))
-        return [(x, y, mono) for x, y, mono, _, _ in
-                islice(table.residuals(rows, monos, D), max_report)]
+            for key in basis:
+                for key2, _ in rows[g][key][1]:
+                    if key2 not in seen:
+                        seen.add(key2)
+                        read(key2)
+        D = lcm(*(scale for by_key in rows.values()
+                  for scale, _ in by_key.values()))
+        for by_key in rows.values():
+            for key, (scale, entries) in by_key.items():
+                by_key[key] = entries if scale == D else tuple(
+                    (k, v * (D // scale)) for k, v in entries)
+        return [(x, y, f[0]) for x, y, f, _, _ in
+                islice(self.table.residuals(rows, basis, D), max_report)]

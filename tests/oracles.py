@@ -16,6 +16,10 @@ agree with the library exactly:
   ``singular._annihilator_matrix`` replaced.
 * ``normal_order`` -- a generator word applied to v0, rewritten into the
   canonical basis through the engine.
+* ``engine_rows_oracle`` -- the normal-ordering engine as it was before it
+  was compiled once per algebra kind: the same bottom-up walk, in Fraction
+  arithmetic at one module's d, m, r and chi; the module's evaluated
+  parametric rows must equal its rows exactly.
 * ``derive_even`` / ``derive_odd`` -- one derivative on a whole superspace
   polynomial; ``reference_apply`` builds the term-by-term reference for
   ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
@@ -83,6 +87,67 @@ def normal_order(module, word):
     for gen in reversed(list(word)):
         vec = module.act_engine(gen, vec)
     return vec
+
+
+def engine_rows_oracle(module):
+    """(gen, monomial) -> row of (monomial, even, chi) Fractions, computed
+    by the Fraction walk of the engine, cached per returned function."""
+    F0, F1 = Fraction(0), Fraction(1)
+    cache = {}
+    vacuum_values = {"D": -module.lw.d, "M": module.lw.m, "R": module.lw.r}
+
+    def one_row(gen, mono):
+        if gen in module._raising:
+            return tuple((mn, Fraction(c), F0)
+                         for c, mn in module._raise(gen, mono))
+        if mono == module.vacuum:
+            value = vacuum_values.get(gen)
+            if value:
+                return ((mono, value, F0),)
+            if gen == "X" and module.uses_chi:
+                return ((mono, F0, F1),)
+            return ()
+        w, rest = module._leading_factor(mono)
+        parity = module.table.parity
+        sign = -1 if (parity(gen) and parity(w)) else 1
+        chi_sign = -sign if parity(w) else sign
+        even, chi = {}, {}
+        for mn, e, c in cache[(gen, rest)]:
+            for k, mn2 in module._raise(w, mn):
+                even[mn2] = even.get(mn2, 0) + sign * k * e
+                chi[mn2] = chi.get(mn2, 0) + chi_sign * k * c
+        for h, ch in module._brackets[gen][w]:
+            for mn, e, c in cache[(h, rest)]:
+                even[mn] = even.get(mn, 0) + ch * e
+                chi[mn] = chi.get(mn, 0) + ch * c
+        row = sorted(((mn, Fraction(e), Fraction(chi[mn]))
+                      for mn, e in even.items()),
+                     key=lambda entry: module.order_key(entry[0]))
+        return tuple(entry for entry in row if entry[1] or entry[2])
+
+    def row(gen, mono):
+        levels = []
+        need, cur = (gen,), mono
+        while need:
+            todo = [g for g in need if (g, cur) not in cache]
+            if not todo:
+                break
+            levels.append((cur, todo))
+            if cur == module.vacuum:
+                break
+            w, rest = module._leading_factor(cur)
+            below = set()
+            for g in todo:
+                if g not in module._raising:
+                    below.add(g)
+                    below.update(h for h, _ in module._brackets[g][w])
+            need, cur = below, rest
+        for cur, todo in reversed(levels):
+            for g in todo:
+                cache[(g, cur)] = one_row(g, cur)
+        return cache[(gen, mono)]
+
+    return row
 
 
 def closure_failures_oracle(space, max_degree, max_report=5):

@@ -141,6 +141,17 @@ def test_usage_errors(capsys):
         assert "weight %s" % weight in err, argv
 
 
+def test_a_broken_rewriting_is_one_error_line(capsys):
+    # the massive N=2 quotient by u0 at d = r = 1/2 cannot be rewritten
+    # (ROADMAP item 4); the command reports it instead of a traceback
+    code, out, err = run(capsys, "classify", "--algebra", "ssch2", "--d",
+                         "1/2", "--m", "1", "--r", "1/2", "--certify")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: reduction order violated: expected lead "
+                   "(2, 0, 0, 0, 1), got (1, 0, 1, 0, 0)\n")
+
+
 def test_byte_determinism(capsys):
     args = ["singular", "find", "--algebra", "ssch2", "--d", "3/2",
             "--m", "1", "--r", "0", "--max-degree", "4", "--json"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import annihilator_matrix_oracle
-from superschrod.quotient import classify
+from superschrod.quotient import classify, gram
 from superschrod.scalars import QI, QI_ZERO
 from superschrod.singular import (ANNIHILATORS, SingularVectorReport,
                                   WeightCoords, _annihilator_matrix,
@@ -24,9 +25,19 @@ def _qi_matrix(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+def _cleared(rows):
+    """Each rational row times the lcm of its denominators: int rows with
+    the same row space, which is what ``nullspace`` takes."""
+    out = []
+    for row in rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (lcm // v.denominator) for v in row])
+    return out
+
+
 def test_nullspace_known_kernel():
     m = _qi_matrix([[1, 2, 3], [2, 4, 6]])
-    basis = nullspace(m, 3)
+    basis = nullspace(_cleared(m), 3)
     assert len(basis) == 2
     for vec in basis:
         for row in m:
@@ -38,23 +49,26 @@ def test_nullspace_known_kernel():
 
 def test_nullspace_trivial():
     m = _qi_matrix([[1, 0], [0, 1]])
-    assert nullspace(m, 2) == []
+    assert nullspace(_cleared(m), 2) == []
     assert rank(m) == 2
+
+
+def cofactor_det(m):
+    n = len(m)
+    if n == 0:
+        return F(1)
+    if n == 1:
+        return m[0][0]
+    total = F(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * cofactor_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 def test_determinant_matches_cofactor_expansion():
     rng = random.Random(99)
-
-    def cofactor_det(m):
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = F(0)
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = m[0][j] * cofactor_det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
 
     def rand_entry():
         return F(rng.randint(-4, 4), rng.randint(1, 3))
@@ -82,6 +96,35 @@ def test_determinant_matches_cofactor_expansion():
         determinant([[QI(1, 1)]])
     with pytest.raises(TypeError):
         determinant([[F(1), F(0)], [F(2), QI(F(1, 2), -1)]])
+
+
+def test_int_row_determinant_matches_cofactor_expansion():
+    # int rows, each the matrix row times a nonzero factor (negative ones
+    # included), with the product of the factors as ``scale``
+    rng = random.Random(7)
+    for n in range(0, 6):
+        for trial in range(8):
+            factors = [rng.choice((-6, -1, 1, 2, 9, 36)) for _ in range(n)]
+            ints = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if trial == 1 and n > 1:
+                ints[-1] = [2 * a for a in ints[0]]
+            matrix = [[F(v, f) for v in row] for row, f in zip(ints, factors)]
+            scale = 1
+            for f in factors:
+                scale *= f
+            det = determinant(ints, scale=scale)
+            assert det == cofactor_det(matrix) == determinant(matrix)
+            assert isinstance(det, F)
+    # the Gram form takes its determinant from its int rows
+    for kind, d, m, r, weights in (("ssch1", F(1, 2), 1, None, (1, 2)),
+                                   ("ssch1", F(-4, 3), F(2, 3), None, (2, 3)),
+                                   ("ssch2", F(5, 2), 1, F(-19, 7),
+                                    ((1, 0), (1, 1), (2, 0)))):
+        mod = VermaModule(LowestWeight(kind, d, m, r))
+        for weight in weights:
+            for epsilon, lam in ((0, 0), (1, 1)):
+                gm = gram(mod, weight, epsilon, lam)
+                assert gm.det == cofactor_det(gm.matrix), (kind, weight)
 
 
 def test_bareiss_stays_integral():
@@ -156,7 +199,7 @@ def test_elimination_matches_gauss_jordan(rows):
     assert all(type(entry) is int for row in echelon for entry in row)
     for row, col in zip(echelon, pivots):
         assert row[col] and not any(row[:col])
-    kernel = nullspace(rows, ncols)
+    kernel = nullspace(_cleared(rows), ncols)
     assert len(kernel) == ncols - ref_rank
     for vec in kernel:
         for row in rows:
@@ -443,12 +486,19 @@ def _annihilator_spaces():
 
 
 def test_annihilator_matrix_matches_the_act_loop():
-    # blocks filled from space.row (chi labels by the Koszul twist) against
-    # acting on each basis vector, chi-dressed ones included
+    # int blocks filled from space.int_row (chi labels by the Koszul twist)
+    # against acting on each basis vector, chi-dressed ones included: the
+    # blocks are the oracle's Fraction matrix times their scale, exactly,
+    # and that scale is the module's D on a Verma module
     for space in _annihilator_spaces():
         module = space if isinstance(space, VermaModule) else space.base
         anns = ANNIHILATORS[module.kind]
         for weight in space.enumerate_weights(5):
             coords = WeightCoords(space, weight)
-            assert _annihilator_matrix(space, coords, anns) == \
-                annihilator_matrix_oracle(space, coords, anns), weight
+            rows, scale = _annihilator_matrix(space, coords, anns)
+            if space is module:
+                assert scale == module.scale
+            assert all(type(v) is int for row in rows for v in row)
+            oracle = annihilator_matrix_oracle(space, coords, anns)
+            assert rows == [[v * scale for v in row] for row in oracle], \
+                weight

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import closure_failures_oracle, normal_order
+from oracles import closure_failures_oracle, engine_rows_oracle, normal_order
 from superschrod.quotient import FactorModule, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
@@ -123,10 +123,11 @@ def test_closure_fixes_chi_sign():
 
 
 class _EngineRows(VermaModule):
-    """Every row from the normal-ordering engine, the N=1 table unused."""
+    """Every row from the normal-ordering engine's Fraction view, the N=1
+    table unused."""
 
     def row(self, gen, mono):
-        return self._act_mono_engine(gen, mono)
+        return self.engine_row(gen, mono)
 
 
 class _DoubledH(VermaModule):
@@ -285,3 +286,59 @@ def test_vector_action_is_the_twisted_sum_of_monomial_actions(case):
     for mono, coeff in vec.terms.items():
         expected += space.act(gen, mono).scale(coeff.twist() if odd else coeff)
     assert space.act(gen, vec) == expected
+
+
+@st.composite
+def _engine_cases(draw):
+    kind = draw(st.sampled_from(["ssch1", "ssch2"]))
+    m = draw(st.sampled_from([F(0), F(1)]) | _RATIONAL)
+    r = draw(_RATIONAL) if kind == "ssch2" else None
+    chi_square = draw(st.sampled_from([None, F(1, 3)]) | _RATIONAL)
+    return LowestWeight(kind, draw(_RATIONAL), m, r), chi_square
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(_engine_cases())
+@example((LowestWeight("ssch1", F(1, 2), 0), F(2, 3)))
+@example((LowestWeight("ssch2", F(-7, 3), F(2, 3), F(12, 5)), None))
+def test_evaluated_engine_table_equals_the_fraction_walk(case):
+    # the kind's parametric table evaluated at one module's parameters
+    # against the engine's Fraction walk at those parameters: massless
+    # ssch1 (chi zeroed) and ssch2 included, up to degree 8 and 5
+    lw, chi_square = case
+    mod = VermaModule(lw, chi_square=chi_square)
+    oracle = engine_rows_oracle(mod)
+    D = mod.scale
+    for mono in mod.enumerate_monomials(8 if lw.kind == "ssch1" else 5):
+        for gen in mod.table.names:
+            expected = oracle(gen, mono)
+            assert mod.engine_row(gen, mono) == expected, (gen, mono)
+            assert mod._act_mono_engine(gen, mono) == tuple(
+                ((mn, f), v * D) for mn, e, c in expected
+                for f, v in ((0, e), (1, c)) if v), (gen, mono)
+
+
+class _OffDenominator(VermaModule):
+    """The N=1 table with every H entry divided by 7."""
+
+    def _act_mono_table(self, gen, mono):
+        row = super()._act_mono_table(gen, mono)
+        if gen != "H":
+            return row
+        return tuple((mn, e / 7, c / 7) for mn, e, c in row)
+
+
+def test_an_entry_off_the_module_denominator_raises():
+    # d = 1/2, m = 1: D = 2, and H on K^1 v0 gives (1 - 1/2 - 1)/7 = -1/14
+    mod = _OffDenominator(LowestWeight("ssch1", F(1, 2), 1))
+    assert mod.scale == 2
+    assert mod.int_row("G", ((0, 1, 0), 0)) == (2, ((((1, 1, 0), 0), 2),))
+    with pytest.raises(ValueError, match="not an integer"):
+        mod.int_row("H", ((0, 1, 0), 0))
+    with pytest.raises(ValueError, match="not an integer"):
+        mod.closure_failures(2)
+    # a denominator that divides D converts exactly
+    # (m = 1/7: D = lcm(2, 7, den chi^2 = 14) = 14)
+    mod = _OffDenominator(LowestWeight("ssch1", F(1, 2), F(1, 7)))
+    assert mod.scale == 14
+    assert mod.int_row("H", ((0, 1, 0), 0)) == (14, ((((0, 0, 0), 0), -1),))
