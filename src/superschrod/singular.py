@@ -357,12 +357,13 @@ def _annihilator_matrix(space, coords, annihilators):
         if target.dim:
             blocks.append((target, [space.int_row(ann, label)
                                     for label in coords.labels]))
-    scale = math.lcm(*(s for _, columns in blocks for s, _ in columns))
+    scale = math.lcm(*(col_scale for _, columns in blocks
+                       for col_scale, _ in columns))
     rows = []
     for target, columns in blocks:
         block = [[0] * coords.dim for _ in range(target.dim)]
-        for col, (s, entries) in enumerate(columns):
-            factor = scale // s
+        for col, (col_scale, entries) in enumerate(columns):
+            factor = scale // col_scale
             for key, value in entries:
                 idx = target.index.get(key)
                 if idx is None:

@@ -232,7 +232,6 @@ class VermaModule:
         self._cache_int = {}
         self._d = lw.d
         self._m = lw.m
-        self._r = lw.r
         r = lw.r or _F0
         self.scale = D = lcm(lw.d.denominator, lw.m.denominator, r.denominator,
                              self.ring.chi_square.denominator)

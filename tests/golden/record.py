@@ -128,6 +128,9 @@ def _closure(space, degree):
             space.closure_failures(degree, max_report=10 ** 6)]
 
 
+# the closure mutants, shared with tests/test_verma.py
+
+
 class DoubledH(VermaModule):
     """H acting twice over, which breaks the brackets that involve H."""
 
@@ -221,6 +224,7 @@ QUICK = ("d=1/2 m=1 r=1/2", "d=0 m=1 r=0", "chi2=", "closure mutant",
 
 
 def is_quick(case_id):
+    # a tag that ends in a space matches a whole parameter value
     return any(tag in case_id + " " for tag in QUICK)
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from golden.record import DoubledH as _DoubledH
+from golden.record import MutatedTable as _MutatedTable
 from oracles import closure_failures_oracle, engine_rows_oracle, normal_order
 from superschrod.quotient import FactorModule, quotient_by_singular
 from superschrod.scalars import QI
@@ -130,16 +132,6 @@ class _EngineRows(VermaModule):
         return self.engine_row(gen, mono)
 
 
-class _DoubledH(VermaModule):
-    """H acting twice over, which breaks the brackets that involve H."""
-
-    def row(self, gen, mono):
-        row = super().row(gen, mono)
-        if gen != "H":
-            return row
-        return tuple((mn, 2 * e, 2 * c) for mn, e, c in row)
-
-
 def test_closure_engine_n1():
     mod = _EngineRows(LowestWeight("ssch1", F(3, 4), F(1, 2)))
     assert not mod.closure_failures(4)
@@ -195,20 +187,6 @@ def test_closure_failure_cap():
             mod.closure_failures(2, max_report=cap)
         with pytest.raises(ValueError):
             fm.closure_failures(2, max_report=cap)
-
-
-class _MutatedTable(VermaModule):
-    """The N=1 table with Q on G^k K^l S v0 giving d - l - k + 1 on
-    G^k K^l v0 instead of d - l - k."""
-
-    def _act_mono_table(self, gen, mono):
-        row = super()._act_mono_table(gen, mono)
-        if gen != "Q" or mono[2] != 1:
-            return row
-        target = (mono[0], mono[1], 0)
-        parts = {mn: [e, c] for mn, e, c in row}
-        parts.setdefault(target, [F(0), F(0)])[0] += 1
-        return tuple((mn, e, c) for mn, (e, c) in parts.items() if e or c)
 
 
 _RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
