@@ -9,6 +9,7 @@ failed or the quotient rewriting broke down, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,7 +348,9 @@ def cmd_realization_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="superschrod",
         description="Exact computer algebra for the N=1/N=2 super "

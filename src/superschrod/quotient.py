@@ -12,12 +12,12 @@ a lead into a new shape (S S -> -K and friends).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import List, Optional
+from weakref import WeakKeyDictionary
 
 from .singular import (ANNIHILATORS, WeightCoords, determinant,
                        find_singular, closed_form_n1, closed_form_n2)
@@ -469,6 +469,15 @@ class GramMatrix:
         }
 
 
+# The omega1 image of each raising exponent, in monomial order: G -> P,
+# K -> H, S -> Q (N=2: S+ -> Q-, S- -> Q+, X+ -> X-); chi maps to X.
+_OMEGA1_LETTERS = {"ssch1": ("P", "H", "Q"),
+                   "ssch2": ("P", "H", "Q-", "Q+", "X-")}
+
+# module -> ({label: vacuum functional}, {weight: keys}), see ``_functional``
+_FUNCTIONALS = WeakKeyDictionary()
+
+
 def _omega1_word(module, label, epsilon, lam):
     """Reversed omega1-image word for a (monomial, chi) label, with sign.
 
@@ -490,6 +499,51 @@ def _omega1_word(module, label, epsilon, lam):
     return word, sign
 
 
+def _first_letter(kind, label):
+    """The letter a label's omega1 word applies first, and the label whose
+    word is the rest: the first nonzero exponent lowered by one."""
+    mono, e = label
+    for i, n in enumerate(mono):
+        if n:
+            return (_OMEGA1_LETTERS[kind][i],
+                    (mono[:i] + (n - 1,) + mono[i + 1:], e))
+    return "X", (mono, e - 1)
+
+
+def _functional(module: VermaModule, label):
+    """The vacuum functional of a label: each key at the label's weight ->
+    (even, chi) ints over D^len(word), the coefficients of v0 and chi v0 in
+    the label's omega1 word (without its sign) applied to the key; zeros
+    are not stored.  With g the word's first letter and label' the rest,
+    f(key) = sum of c f'(key') over ``int_row(g, key)``.  The labels missing
+    from the module's memo are built bottom-up, without recursion.
+    """
+    vac = module.vacuum
+    memo, domains = _FUNCTIONALS.setdefault(module, (
+        {(vac, 0): {(vac, 0): (1, 0), (vac, 1): (0, 1)}}, {}))
+    todo, cur = [], label
+    while cur not in memo:
+        gen, below = _first_letter(module.kind, cur)
+        todo.append((cur, gen, below))
+        cur = below
+    for cur, gen, below in reversed(todo):
+        lower = memo[below]
+        out = memo[cur] = {}
+        weight = module.weight(cur[0])
+        if weight not in domains:
+            domains[weight] = WeightCoords(module, weight).labels
+        for key in domains[weight]:
+            even = chi = 0
+            for key2, c in module.int_row(gen, key)[1]:
+                value = lower.get(key2)
+                if value:
+                    even += c * value[0]
+                    chi += c * value[1]
+            if even or chi:
+                out[key] = (even, chi)
+    return memo[label]
+
+
 def gram(module: VermaModule, weight, epsilon=0, lam=0,
          check_adjoint=True) -> GramMatrix:
     """Gram matrix of the weight subspace for the omega1-induced pairing.
@@ -500,15 +554,12 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     scalar part; the matrix of even parts is therefore parity-block-diagonal
     and its determinant detects the radical exactly.
 
-    The omega1 words are walked in application order (each reversed word,
-    sorted lexicographically) with a stack whose level i holds every right
-    basis vector after the first i letters of the current word, so each
-    distinct prefix is applied once.  A level holds int vectors on the
-    doubled basis {(monomial, flag): int} over one denominator, which each
-    letter multiplies by the lcm of the ``int_row`` scales it reads (on a
-    Verma module, its ``scale`` D).  Row i of the even parts is thus an int
-    row over D^len(word_i) times the word's sign, and the determinant is
-    taken from those int rows; the Fraction matrix is only rendered.
+    Row i is the left label's vacuum functional (``_functional``) at the
+    right labels: ints over D^len(word_i), D the module's ``scale``, times
+    the word's sign.  The module keeps every functional it builds, each from
+    the one a letter shorter; only the sign depends on (epsilon, lambda), so
+    the four forms share them.  The determinant is taken from the int rows;
+    the Fraction matrix is only rendered.
     """
     if check_adjoint:
         amap = build_adjoint(module.table, "omega1", epsilon, lam)
@@ -523,60 +574,28 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     labels.sort(key=lambda lab: (parity_of(lab),
                                  [-x for x in module.order_key(lab[0])], lab[1]))
     parities = [parity_of(lab) for lab in labels]
-    words = []
-    for left in labels:
-        word, wsign = _omega1_word(module, left, epsilon, lam)
-        words.append((word[::-1], wsign))
-    stack = [([{right: 1} for right in labels], 1)]
-    applied = []
-    matrix = [None] * len(labels)
-    int_matrix = [None] * len(labels)
+    matrix, int_matrix, violations = [], [], []
     scale = 1
-    found = []
-    even_v0, chi_v0 = (module.vacuum, 0), (module.vacuum, 1)
-    for i in sorted(range(len(labels)), key=lambda i: words[i][0]):
-        letters, wsign = words[i]
-        shared = 0
-        for done, gen in zip(applied, letters):
-            if done != gen:
-                break
-            shared += 1
-        del stack[shared + 1:]
-        del applied[shared:]
-        for gen in letters[shared:]:
-            stack.append(_apply_letter(module, gen, *stack[-1]))
-            applied.append(gen)
-        vecs, den = stack[-1]
-        for j, vec in enumerate(vecs):  # zero entries are never stored
-            if parities[i] == parities[j]:
-                if chi_v0 in vec:
-                    found.append((i, j, "chi part on diagonal block"))
-            elif even_v0 in vec:
-                found.append((i, j, "even part across parities"))
-        row = int_matrix[i] = [vec.get(even_v0, 0) for vec in vecs]
-        matrix[i] = [Fraction(v, den * wsign) if v else _ZERO for v in row]
-        scale *= den * wsign
-    violations = [(labels[i], labels[j], why) for i, j, why in sorted(found)]
+    for left, p_left in zip(labels, parities):
+        word, wsign = _omega1_word(module, left, epsilon, lam)
+        den = module.scale ** len(word) * wsign
+        values = _functional(module, left)
+        row = []
+        for right, p_right in zip(labels, parities):
+            even, chi = values.get(right, (0, 0))
+            if p_left == p_right:
+                if chi:
+                    violations.append((left, right,
+                                       "chi part on diagonal block"))
+            elif even:
+                violations.append((left, right, "even part across parities"))
+            row.append(even)
+        int_matrix.append(row)
+        matrix.append([Fraction(v, den) if v else _ZERO for v in row])
+        scale *= den
     return GramMatrix(weight, labels, parities, matrix,
                       determinant(int_matrix, scale=scale),
                       parity_violations=violations)
-
-
-def _apply_letter(module, gen, vecs, den):
-    """The next stack level: ``gen`` on int vectors over ``den``."""
-    rows = {key: module.int_row(gen, key) for key in set().union(*vecs)}
-    L = lcm(*(scale for scale, _ in rows.values()))
-    out = []
-    for vec in vecs:
-        acc = defaultdict(int)
-        for key, value in vec.items():
-            scale, entries = rows[key]
-            if scale != L:
-                value *= L // scale
-            for key2, c in entries:
-                acc[key2] += value * c
-        out.append({key: c for key, c in acc.items() if c})
-    return out, den * L
 
 
 def reachable_weight(module: VermaModule, source, target) -> bool:

@@ -21,6 +21,7 @@ vector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -35,6 +36,8 @@ _F1 = Fraction(1)
 
 # kind -> {(gen, monomial): parametric row}, filled on first use
 _PARAMETRIC = {}
+# kind -> the StructureTable its modules share, built on first use
+_shared_table = functools.cache(build_algebra)
 # the vacuum rows: D v0 = -d v0, M v0 = m v0, R v0 = r v0, X v0 = chi v0
 _VACUUM_PARAMS = {"D": (0, -1, 0, 0, 0), "M": (0, 0, 1, 0, 0),
                   "R": (0, 0, 0, 1, 0), "X": (0, 0, 0, 0, 1)}
@@ -214,7 +217,7 @@ class VermaModule:
     def __init__(self, lw: LowestWeight, chi_square=None):
         self.lw = lw
         self.kind = lw.kind
-        self.table = build_algebra(lw.kind)
+        self.table = _shared_table(lw.kind)
         if self.table.denominator != 1:
             raise ValueError("the engine needs integral structure constants")
         self.ring = ScalarRing(lw.m, chi_square)

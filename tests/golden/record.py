@@ -10,7 +10,8 @@ case and exits 1 when a digest differs or a case is missing; the tier-1
 suite recomputes the ``QUICK`` subset.
 
 The cases cover ``find_singular`` reports, ``classify(certify=True)``
-records, ``gram`` at every weight for every (epsilon, lambda), and
+records, ``gram`` at every weight for every (epsilon, lambda) (on the
+seed 3-5 benchmark strata too), and
 ``closure_failures`` lists (``max_report=10**6``) on passing and on mutated
 modules.  A call that raises records its exception class and message.
 Known-bad points are recorded as they behave today and listed under
@@ -49,6 +50,23 @@ SHAPOVALOV = [
     ("ssch1", "-4/5", "0", None, 13), ("ssch1", "4", "0", None, 13),
     ("ssch2", "-7/3", "2/3", "12/5", 6), ("ssch2", "3/2", "1", "-11/7", 6),
     ("ssch2", "-1/3", "0", "-8/7", 7), ("ssch2", "1/3", "0", "-14/3", 7),
+]
+
+# The shapovalov strata of seeds 3, 4 and 5, drawn the same way; the
+# corpus records only their ``gram`` outputs.
+SHAPOVALOV_GRAM = [
+    ("ssch1", "-20/7", "2/3", None, 6), ("ssch1", "1/2", "1", None, 6),
+    ("ssch1", "9/7", "0", None, 13), ("ssch1", "0", "0", None, 13),
+    ("ssch2", "-4/5", "5", "-16/7", 6), ("ssch2", "5/2", "3", "2/7", 6),
+    ("ssch2", "8/3", "0", "-6/5", 7), ("ssch2", "4/3", "0", "-8/3", 7),
+    ("ssch1", "11/3", "1", None, 6), ("ssch1", "-1/2", "2", None, 6),
+    ("ssch1", "-10/3", "0", None, 13), ("ssch1", "0", "0", None, 13),
+    ("ssch2", "-17/5", "4/3", "4/3", 6), ("ssch2", "3/2", "5/2", "-4/3", 6),
+    ("ssch2", "8/3", "0", "23/7", 7), ("ssch2", "-7/3", "0", "-16/3", 7),
+    ("ssch1", "-6/7", "5/2", None, 6), ("ssch1", "3/2", "2", None, 6),
+    ("ssch1", "-27/7", "0", None, 13), ("ssch1", "6", "0", None, 13),
+    ("ssch2", "-25/7", "4", "-1/3", 6), ("ssch2", "3/2", "4", "-22/7", 6),
+    ("ssch2", "11/3", "0", "6/5", 7), ("ssch2", "-7/3", "0", "-19/3", 7),
 ]
 
 # Massive N=2 points on the lines r = d and r = -d-1, where S- v0 and
@@ -208,6 +226,13 @@ def cases():
                          _module(point, c), 4))]
         out.append(("classify %s" % _point_id(*point[:4]),
                     lambda point=point: _classify(point)))
+    # points drawn again (or already among the chi^2 points) once each
+    seen = {case_id for case_id, _ in out}
+    for point in SHAPOVALOV_GRAM:
+        case_id = "gram %s" % _point_id(*point[:4])
+        if case_id not in seen:
+            seen.add(case_id)
+            out.append((case_id, lambda point=point: _grams(point)))
     out += list(_closure_cases())
     ids = [case_id for case_id, _ in out]
     assert len(set(ids)) == len(ids), "duplicate case ids"

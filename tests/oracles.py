@@ -9,9 +9,10 @@ agree with the library exactly:
   integer sums over ``row``; same failure triples, in the same order.  A
   module subclass that overrides ``row`` changes both sides alike.
 * ``gram_pair`` -- one pairing value of the bilinear form, applying the
-  whole omega1 word of the left label; ``quotient.gram`` must agree with
-  its even part entry by entry, and its chi part decides the parity
-  violations.
+  whole omega1 word of the left label to the right one; ``quotient.gram``,
+  which builds each row from memoised one-letter-shorter functionals, must
+  agree with its even part entry by entry, and its chi part decides the
+  parity violations.
 * ``annihilator_matrix_oracle`` -- the per-label act/to_coords loop that
   ``singular._annihilator_matrix`` replaced.
 * ``normal_order`` -- a generator word applied to v0, rewritten into the

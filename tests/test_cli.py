@@ -1,6 +1,6 @@
 import json
 
-from superschrod.cli import MAX_DEGREE, main
+from superschrod.cli import MAX_DEGREE, build_parser, main
 from superschrod.singular import SingularVectorReport
 
 
@@ -189,3 +189,21 @@ def test_env_cutoff(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert "SUPERSCHROD_CUTOFF" in err and "--" not in err, argv
+
+
+def test_the_cached_parser_answers_like_a_fresh_one(capsys):
+    # one parser serves every request of a process: a usage error, a valid
+    # request and the error again answer as a freshly built parser does
+    bad = ["gram", "--algebra", "ssch1", "--d", "1/2", "--m", "1"]
+    good = ["gram", "--algebra", "ssch1", "--d", "1/2", "--m", "1",
+            "--weight", "2", "--json"]
+    parser = build_parser()
+    cached = [run(capsys, *argv) for argv in (bad, good, bad)]
+    assert build_parser() is parser
+    fresh = []
+    for argv in (bad, good, bad):
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 2]
+    assert "--weight" in cached[0][2]

@@ -312,9 +312,28 @@ def test_gram_entries_real_and_blocked():
                 assert not value
 
 
+def _assert_gram_pair_agrees(mod, gm, epsilon, lam):
+    """Every entry of ``gm`` is the even part of ``gram_pair``, and its
+    parity violations are read from the full chi-carrying values."""
+    violations = []
+    for i, left in enumerate(gm.labels):
+        for j, right in enumerate(gm.labels):
+            value = gram_pair(mod, left, right, epsilon, lam)
+            assert gm.matrix[i][j] == value.even
+            if gm.parities[i] == gm.parities[j]:
+                if value.odd:
+                    violations.append(
+                        (left, right, "chi part on diagonal block"))
+            elif value.even:
+                violations.append((left, right, "even part across parities"))
+    assert gm.parity_violations == violations
+    return violations
+
+
 def test_gram_matches_gram_pair():
-    # gram applies each shared word prefix once; gram_pair applies the whole
-    # omega1 word for every pair, so it is the entry-by-entry oracle
+    # gram builds each row from memoised one-letter-shorter functionals;
+    # gram_pair applies the whole omega1 word for every pair, so it is the
+    # entry-by-entry oracle
     cases = [("ssch1", F(2, 3), 1, None, 5), ("ssch1", F(3, 2), 0, None, 5),
              ("ssch2", F(3, 2), 1, F(1, 3), 4),
              ("ssch2", F(4, 3), 0, F(-2, 5), 4)]
@@ -325,20 +344,7 @@ def test_gram_matches_gram_pair():
                 for w in mod.enumerate_weights(deg):
                     gm = gram(mod, w, eps, lam, check_adjoint=False)
                     assert any(e for _, e in gm.labels) == mod.uses_chi
-                    violations = []
-                    for i, left in enumerate(gm.labels):
-                        for j, right in enumerate(gm.labels):
-                            value = gram_pair(mod, left, right, eps, lam)
-                            assert gm.matrix[i][j] == value.even
-                            if gm.parities[i] == gm.parities[j]:
-                                if value.odd:
-                                    violations.append(
-                                        (left, right,
-                                         "chi part on diagonal block"))
-                            elif value.even:
-                                violations.append(
-                                    (left, right, "even part across parities"))
-                    assert gm.parity_violations == violations
+                    _assert_gram_pair_agrees(mod, gm, eps, lam)
 
 
 class _ParityBreaking(VermaModule):
@@ -379,26 +385,45 @@ def _gram_cases(draw):
 @example(("ssch1", F(1, 3), F(1), None, F(1, 3), True, 2, 1, 0))
 @example(("ssch1", F(1, 2), F(3, 2), None, F(3, 4), False, 5, 0, 1))
 def test_gram_matches_gram_pair_on_random_modules(case):
-    # int-row stack against the whole-word GradedScalar oracle: every entry
-    # and the parity violations read from the full chi-carrying values
+    # int functionals against the whole-word GradedScalar oracle
     kind, d, m, r, chi_square, mutated, weight, epsilon, lam = case
     cls = _ParityBreaking if mutated else VermaModule
     mod = cls(LowestWeight(kind, d, m, r), chi_square=chi_square)
     gm = gram(mod, weight, epsilon, lam, check_adjoint=False)
-    violations = []
-    for i, left in enumerate(gm.labels):
-        for j, right in enumerate(gm.labels):
-            value = gram_pair(mod, left, right, epsilon, lam)
-            assert gm.matrix[i][j] == value.even
-            if gm.parities[i] == gm.parities[j]:
-                if value.odd:
-                    violations.append(
-                        (left, right, "chi part on diagonal block"))
-            elif value.even:
-                violations.append((left, right, "even part across parities"))
-    assert gm.parity_violations == violations
+    violations = _assert_gram_pair_agrees(mod, gm, epsilon, lam)
     if mutated and (weight % 2 or (m and weight)):
         assert violations
+
+
+@st.composite
+def _gram_sequences(draw):
+    kind, d, m, r, chi_square, mutated, *_ = draw(_gram_cases())
+    cls = _ParityBreaking if mutated else VermaModule
+    lw = LowestWeight(kind, d, m, r)
+    mod = cls(lw, chi_square=chi_square)
+    weights = [mod.weight(mod.vacuum)] + mod.enumerate_weights(5)
+    order = draw(st.permutations(weights))
+    signs = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                          min_size=len(order), max_size=len(order)))
+    return cls, lw, chi_square, [(w, e, l) for w, (e, l) in zip(order, signs)]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_gram_sequences())
+@example((_ParityBreaking, LowestWeight("ssch1", F(1, 3), 1), F(-2, 3),
+          [(w, w % 2, w // 3) for w in (5, 0, 3, 1, 4, 2)]))
+def test_gram_memo_does_not_depend_on_request_order(case):
+    # one module answers a drawn sequence of requests, twice over, from
+    # the functionals it keeps; each answer is that of a fresh module
+    cls, lw, chi_square, requests = case
+    mod = cls(lw, chi_square=chi_square)
+    for _ in range(2):
+        for weight, epsilon, lam in requests:
+            gm = gram(mod, weight, epsilon, lam, check_adjoint=False)
+            fresh = gram(cls(lw, chi_square=chi_square), weight, epsilon,
+                         lam, check_adjoint=False)
+            assert gm == fresh, (weight, epsilon, lam)
+            _assert_gram_pair_agrees(mod, gm, epsilon, lam)
 
 
 def test_gram_epsilon_lambda_sign_pattern():

@@ -11,6 +11,7 @@ from oracles import closure_failures_oracle, engine_rows_oracle, normal_order
 from superschrod.quotient import FactorModule, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
+from superschrod.superalgebra import build_algebra
 from superschrod.verma import LowestWeight, ModuleVector, VermaModule
 
 
@@ -45,6 +46,19 @@ def test_diagonal_actions(mod_m1, mod_n2):
     n1 = mod_n2.act("D", (1, 2, 1, 0, 1))
     assert n1 == mod_n2.basis_vector((1, 2, 1, 0, 1),
                                      QI(1 + 4 + 1 + 0 - mod_n2.lw.d))
+
+
+def test_modules_of_one_kind_share_their_structure_table():
+    # the table is built once per kind; build_algebra still returns a
+    # fresh table, which mutants may alter
+    a = VermaModule(LowestWeight("ssch2", 1, 1, 0))
+    b = VermaModule(LowestWeight("ssch2", F(1, 2), 0, 3))
+    assert a.table is b.table
+    c = VermaModule(LowestWeight("ssch1", 1, 1))
+    d = VermaModule(LowestWeight("ssch1", 2, 0), chi_square=F(1, 3))
+    assert c.table is d.table and c.table is not a.table
+    for kind in ("sch1", "ssch1", "ssch2"):
+        assert build_algebra(kind) is not build_algebra(kind)
 
 
 def test_lowering_action_rows(mod_m1):
