@@ -11,9 +11,10 @@ suite recomputes the ``QUICK`` subset.
 
 The cases cover ``find_singular`` reports, ``classify(certify=True)``
 records, ``gram`` at every weight for every (epsilon, lambda) (on the
-seed 3-5 benchmark strata too), and
+seed 3-5 benchmark strata too),
 ``closure_failures`` lists (``max_report=10**6``) on passing and on mutated
-modules.  A call that raises records its exception class and message.
+modules, and ``verify_relations`` reports: passing realizations, every
+drop and double mutant (``max_failures=10**6``) and an order-3 operator.  A call that raises records its exception class and message.
 Known-bad points are recorded as they behave today and listed under
 ``known_bad`` with the ROADMAP item that changes them; that item then shows
 its intended change as a digest diff.  Re-record only when a change alters
@@ -29,7 +30,11 @@ import sys
 from fractions import Fraction as F
 
 from superschrod.quotient import FactorModule, classify, gram
+from superschrod.realization import (SuperDiffOp, build_realization,
+                                     poly_mono, verify_relations)
 from superschrod.singular import find_singular
+from superschrod.superalgebra import (EVEN, Generator, StructureTable,
+                                      build_algebra)
 from superschrod.verma import LowestWeight, VermaModule
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -83,6 +88,26 @@ LINES = [
 CHI_POINTS = [("ssch1", "1/2", "1", None, 6), ("ssch1", "3/2", "1", None, 6),
               ("ssch1", "2/3", "3/2", None, 6)]
 CHI_SQUARES = (None, "1/3", "-3/4")
+
+# The realization benchmark strata, one cycle each for seeds 0, 1 and 2,
+# as drawn by perfbench/workloads.py: (kind, d, m, degree).
+REALIZATION = [
+    ("ssch1", "-4/3", "2", 4), ("ssch1", "1/2", "5/2", 4),
+    ("ssch1", "2/5", "0", 5), ("ssch1", "2", "0", 5),
+    ("ssch2", "-8/3", "2/3", 2), ("ssch2", "1/2", "1", 2),
+    ("ssch2", "-2/3", "0", 3), ("ssch2", "1/3", "0", 3),
+    ("ssch1", "-4/3", "2/3", 4), ("ssch1", "1/2", "1/2", 4),
+    ("ssch1", "4/5", "0", 5), ("ssch1", "0", "0", 5),
+    ("ssch2", "1/3", "1/2", 2), ("ssch2", "1/2", "1/3", 2),
+    ("ssch2", "-2/3", "0", 3), ("ssch2", "8/3", "0", 3),
+    ("ssch1", "-1/3", "1", 4), ("ssch1", "1/2", "2/3", 4),
+    ("ssch1", "18/5", "0", 5), ("ssch1", "0", "0", 5),
+    ("ssch2", "15/7", "5", 2), ("ssch2", "1/2", "3", 2),
+    ("ssch2", "-11/3", "0", 3), ("ssch2", "-2/3", "0", 3),
+]
+
+# One point per kind for the drop and double realization mutants.
+MUTANT_POINTS = [("ssch1", "3/4", "1"), ("ssch2", "1", "2")]
 
 # Known-bad points: case id -> the ROADMAP item that changes its output.
 _ITEM2 = ("ROADMAP item 2: verdict misses the r = d / r = -d-1 branch, "
@@ -173,6 +198,78 @@ class MutatedTable(VermaModule):
         return tuple((mn, e, c) for mn, (e, c) in parts.items() if e or c)
 
 
+# realization reports
+
+
+def _report(report):
+    return {"kind": report.kind, "d": str(report.d), "m": str(report.m),
+            "max_degree": report.max_degree,
+            "certified_degree": report.certified_degree,
+            "failures": [[x, y, None if mono is None else list(mono), res]
+                         for x, y, mono, res in report.failures],
+            "parity_ok": report.parity_ok,
+            "degree_raise": report.degree_raise}
+
+
+def _verify(kind, d, m, degree):
+    ops = build_realization(kind, F(d), F(m))
+    return _report(verify_relations(ops, build_algebra(kind), degree,
+                                    d=F(d), m=F(m)))
+
+
+def term_mutants(ops):
+    """(gen, term index, "drop" or "double", mutated operator map) for
+    every term of every operator, in operator and term order."""
+    for gen, op in ops.items():
+        for j, (coeff, dt, dx, odds) in enumerate(op.terms):
+            for how in ("drop", "double"):
+                terms = list(op.terms)
+                if how == "drop":
+                    del terms[j]
+                else:
+                    terms[j] = (coeff.scale(2), dt, dx, odds)
+                yield gen, j, how, dict(ops, **{gen: SuperDiffOp(op.space,
+                                                                 terms)})
+
+
+def _verify_mutants(kind, d, m, degree):
+    table = build_algebra(kind)
+    base = build_realization(kind, F(d), F(m))
+    return [[gen, j, how, _report(verify_relations(
+                 ops, table, degree, max_failures=10 ** 6))]
+            for gen, j, how, ops in term_mutants(base)]
+
+
+def order_three_case(d=F(3, 4), m=F(1)):
+    """ssch1's H and D on a two-generator table with [H, D] = 2H, H given
+    an extra d_t^3 term: the residual of [H, D] is 4 d_t^3, which vanishes
+    on every monomial of degree <= 2 and is 24 on t^3."""
+    ops = build_realization("ssch1", d, m)
+    h = ops["H"]
+    ops = {"H": SuperDiffOp(h.space, h.terms + [(poly_mono(h.space), 3, 0,
+                                                  ())]),
+           "D": ops["D"]}
+    table = StructureTable("ssch1", [Generator("H", EVEN, (-2,)),
+                                     Generator("D", EVEN, (0,))],
+                           {("H", "D"): {"H": 2}})
+    return ops, table
+
+
+def _realization_cases():
+    for kind, d, m, degree in dict.fromkeys(REALIZATION):
+        for deg in dict.fromkeys((degree, 8)):
+            yield ("verify_relations %s d=%s m=%s deg%d" % (kind, d, m, deg),
+                   lambda kind=kind, d=d, m=m, deg=deg: _verify(kind, d, m,
+                                                                deg))
+    for kind, d, m in MUTANT_POINTS:
+        yield ("verify_relations mutants %s d=%s m=%s deg3" % (kind, d, m),
+               lambda kind=kind, d=d, m=m: _verify_mutants(kind, d, m, 3))
+    for deg in (2, 3, 4):
+        yield ("verify_relations order3 ssch1 d=3/4 m=1 deg%d" % deg,
+               lambda deg=deg: _report(verify_relations(
+                   *order_three_case(), deg)))
+
+
 def _not_singular_quotient(kind, d, m, r):
     """The quotient by G v0, which is not singular when m != 0."""
     module = VermaModule(_lw(kind, d, m, r))
@@ -234,6 +331,7 @@ def cases():
             seen.add(case_id)
             out.append((case_id, lambda point=point: _grams(point)))
     out += list(_closure_cases())
+    out += list(_realization_cases())
     ids = [case_id for case_id, _ in out]
     assert len(set(ids)) == len(ids), "duplicate case ids"
     return out
@@ -241,9 +339,11 @@ def cases():
 
 # A subset cheap enough for the tier-1 suite (about a third of the
 # corpus time): the line points (the RuntimeError among them), the chi^2
-# variants, the closure mutants and one point of each kind of module.
+# variants, the closure mutants, the ssch1 realization mutants, the
+# order-3 realization and one point of each kind of module.
 QUICK = ("d=1/2 m=1 r=1/2", "d=0 m=1 r=0", "chi2=", "closure mutant",
-         "closure terminal", "ssch1 d=-4/3 m=2 ", "ssch1 d=6 m=0",
+         "closure terminal", "verify_relations mutants ssch1",
+         "verify_relations order3", "ssch1 d=-4/3 m=2 ", "ssch1 d=6 m=0",
          "ssch1 d=1/2 m=1 ", "ssch2 d=5/2 m=1 r=-19/7",
          "ssch2 d=3/2 m=1 r=-11/7", "ssch2 d=5/3 m=0 r=2/3")
 
