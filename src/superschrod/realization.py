@@ -252,6 +252,12 @@ class SuperDiffOp:
             return 0
         return parities.pop() if len(parities) == 1 else None
 
+    def order(self) -> int:
+        """Largest derivative order dt + dx + (odd derivatives) over all
+        terms, 0 for an operator with no terms."""
+        return max((dt + dx + len(odds) for _, dt, dx, odds in self.terms),
+                   default=0)
+
     def max_degree_raise(self) -> int:
         """Largest possible total-degree increase over all terms."""
         best = None
@@ -385,7 +391,21 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     Operator application here is exact (no truncation), so agreement on the
     degree <= N monomial basis certifies each identity on every polynomial
     of degree <= N.  For each pair (X, Y) and basis monomial f the residual
-    X(Y f) - (-1)^{|X||Y|} Y(X f) - sum_h c_h H_h f must vanish.
+    Z f = X(Y f) - (-1)^{|X||Y|} Y(X f) - sum_h c_h H_h f must vanish.
+
+    Order bound.  Let k be the largest ``SuperDiffOp.order`` of the
+    operators passed in.  d_t and d_x are derivations of C[t, x] (x) Cl,
+    and an odd derivative, which removes a letter with the Koszul sign of
+    the letters it passes, is an interior product and so a superderivation
+    of the Clifford algebra, a nonzero square included.  Moving a
+    derivative word past a coefficient therefore never raises the order,
+    and Z = sum c_{a,I} d^a d_I has order <= 2k.  Such a Z that kills every
+    monomial t^a x^b theta^J with a + b + |J| <= 2k is zero: by induction
+    on a + b + |J|, Z(t^a x^b theta^J) = +-a! b! c_{(a,b),J} plus terms
+    whose coefficients are already zero.  So when ``max_degree`` > 2k the
+    brackets are decided on the degree <= 2k monomials alone.  Only if one
+    fails there is the degree <= ``max_degree`` basis enumerated and
+    checked, so the failures and their order are those of the full check.
 
     The check runs in Python ints over one D = L prod(den(sq)), L the lcm
     of all coefficient denominators and prod(den(sq)) the product of the
@@ -409,7 +429,6 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
         raise ValueError("max_failures must be >= 1, got %r"
                          % (max_failures,))
     space = next(iter(realization.values())).space
-    monos = enumerate_polyspace(space, max_degree)
     report = RealizationReport(table.kind,
                                Fraction(0) if d is None else Fraction(d),
                                Fraction(0) if m is None else Fraction(m),
@@ -432,15 +451,25 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
 
     def read(batch):
         for g, by_mono in images.items():
-            op = realization[g]
+            op, int_terms = realization[g], terms[g]
             for mono in batch:
-                by_mono[mono] = op.int_image(mono, terms[g], products).items()
+                if mono not in by_mono:
+                    by_mono[mono] = op.int_image(mono, int_terms,
+                                                 products).items()
 
-    read(monos)
-    read({mn for by_mono in images.values() for img in by_mono.values()
-          for mn, _ in img}.difference(monos))
-    for x, y, mono, acc, den in islice(table.residuals(
-            images, monos, scale * space.square_den),
+    def residuals(monos):
+        # the images of monos, then those of every monomial they reach
+        read(monos)
+        read({mn for by_mono in images.values() for img in by_mono.values()
+              for mn, _ in img})
+        return table.residuals(images, monos, scale * space.square_den)
+
+    bound = 2 * max(op.order() for op in realization.values())
+    if max_degree > bound and next(
+            residuals(enumerate_polyspace(space, bound)), None) is None:
+        return report
+    for x, y, mono, acc, den in islice(
+            residuals(enumerate_polyspace(space, max_degree)),
             max_failures - len(failures)):
         residual = SuperPoly(space, {mn: Fraction(v, den)
                                      for mn, v in acc.items() if v})

@@ -102,7 +102,8 @@ class StructureTable:
         x <= y in table order and f in ``basis``, with B the table's
         ``denominator``, yields (x, y, f, residual, B D^2) for each nonzero
         residual B D^2 (x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f), summed
-        in ints as a {key: int} dict.
+        in ints as a {key: int} dict.  For y = x the two composites are
+        one: they cancel for an even x and add up to 2 x(x f) for an odd x.
         """
         names, B = self.names, self.denominator
         for i, x in enumerate(names):
@@ -110,18 +111,22 @@ class StructureTable:
             px = self.parity(x)
             for y in names[i:]:
                 ry = rows[y]
-                swap = B if (px and self.parity(y)) else -B
+                # (first row, second row, factor) of each composite
+                if y != x:
+                    swap = B if (px and self.parity(y)) else -B
+                    composites = ((ry, rx, B), (rx, ry, swap))
+                elif px:
+                    composites = ((rx, rx, 2 * B),)
+                else:
+                    composites = ()
                 minus_bracket = [(rows[h], -n * scale) for h, n in ad_x[y]]
                 for f in basis:
                     acc = defaultdict(int)
-                    for key, c in ry[f]:
-                        c *= B
-                        for k2, c2 in rx[key]:
-                            acc[k2] += c * c2
-                    for key, c in rx[f]:
-                        c *= swap
-                        for k2, c2 in ry[key]:
-                            acc[k2] += c * c2
+                    for first, second, factor in composites:
+                        for key, c in first[f]:
+                            c *= factor
+                            for k2, c2 in second[key]:
+                                acc[k2] += c * c2
                     for rh, c in minus_bracket:
                         for k2, c2 in rh[f]:
                             acc[k2] += c * c2

@@ -219,7 +219,8 @@ def _verify(kind, d, m, degree):
 
 def term_mutants(ops):
     """(gen, term index, "drop" or "double", mutated operator map) for
-    every term of every operator, in operator and term order."""
+    every term of every operator, in operator and term order; shared with
+    tests/test_realization.py."""
     for gen, op in ops.items():
         for j, (coeff, dt, dx, odds) in enumerate(op.terms):
             for how in ("drop", "double"):

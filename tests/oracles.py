@@ -26,8 +26,11 @@ agree with the library exactly:
   ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
 * ``verify_relations_oracle`` -- the Fraction residual loop that
   ``realization.verify_relations`` replaced, on ``reference_apply``
-  images; same report, failure strings included.  Images are kept per
-  operator object across calls, so a mutant recomputes only its own.
+  images, always over every monomial up to the full degree: the reference
+  for the library's shortcut that decides each bracket on the monomials
+  of degree <= 2 (operator order); same report, failure strings included.
+  Images are kept per operator object across calls, so a mutant
+  recomputes only its own.
 * ``verify_structure_oracle`` / ``verify_adjoint_oracle`` -- the Fraction
   and ``QI`` dict loops that ``superalgebra.verify_structure`` and
   ``verify_adjoint`` replaced: Jacobi over every ordered triple, and both

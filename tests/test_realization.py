@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden.record import order_three_case, term_mutants
 from oracles import derive_odd, reference_apply, verify_relations_oracle
 from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
                                      build_realization, chi_eta_ops,
@@ -174,43 +175,41 @@ def test_every_term_mutant_is_detected(kind, d, m):
     table = build_algebra(kind)
     base = build_realization(kind, d, m)
     assert verify_relations(base, table, 3).ok
-    for gen, op in base.items():
-        for j, (coeff, dt, dx, odds) in enumerate(op.terms):
-            for term in (None, (coeff.scale(2), dt, dx, odds)):
-                terms = list(op.terms)
-                if term is None:
-                    del terms[j]
-                else:
-                    terms[j] = term
-                ops = dict(base)
-                ops[gen] = SuperDiffOp(op.space, terms)
-                report = verify_relations(ops, table, 3, max_failures=1)
-                assert not report.ok, (gen, j, term is None)
-                assert report == verify_relations_oracle(
-                    ops, table, 3, max_failures=1), (gen, j, term is None)
+    for gen, j, how, ops in term_mutants(base):
+        report = verify_relations(ops, table, 3, max_failures=1)
+        assert not report.ok, (gen, j, how)
+        assert report == verify_relations_oracle(
+            ops, table, 3, max_failures=1), (gen, j, how)
 
 
 _rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 9))
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(["ssch1", "ssch2"]), d=_rationals, m=_rationals,
-       degree=st.integers(0, 2), max_failures=st.integers(1, 12),
-       mutation=st.sampled_from([None, "drop", "scale"]), data=st.data())
+       degree=st.integers(0, 4), max_failures=st.integers(1, 12),
+       mutation=st.sampled_from([None, "drop", "scale", "deepen"]),
+       data=st.data())
 def test_verify_relations_matches_fraction_oracle(kind, d, m, degree,
                                                   max_failures, mutation,
                                                   data):
+    # degrees above 2 take the low-degree shortcut; "deepen" raises one
+    # term's t-derivative order, so the shortcut's bound must follow it
     table = build_algebra(kind)
     ops = build_realization(kind, d, m)
     if mutation:
-        gen = data.draw(st.sampled_from(sorted(ops)))
+        # M has no terms at m = 0
+        gen = data.draw(st.sampled_from(sorted(g for g, op in ops.items()
+                                               if op.terms)))
         op = ops[gen]
         j = data.draw(st.integers(0, len(op.terms) - 1))
         terms = list(op.terms)
+        coeff, dt, dx, odds = terms[j]
         if mutation == "drop":
             del terms[j]
+        elif mutation == "deepen":
+            terms[j] = (coeff, dt + data.draw(st.integers(1, 2)), dx, odds)
         else:
-            coeff, dt, dx, odds = terms[j]
             factor = data.draw(st.builds(F, st.integers(-9, 9),
                                          st.integers(2, 9)).filter(
                 lambda q: q.denominator > 1))
@@ -218,6 +217,20 @@ def test_verify_relations_matches_fraction_oracle(kind, d, m, degree,
         ops[gen] = SuperDiffOp(op.space, terms)
     args = (ops, table, degree, max_failures, d, m)
     assert verify_relations(*args) == verify_relations_oracle(*args)
+
+
+def test_order_bound_is_read_from_the_operators():
+    # H = d_t + d_t^3 against D: the residual of [H, D] = 2H is 4 d_t^3,
+    # zero on every monomial of degree <= 2, so a bound of 2 that ignored
+    # the operators would pass it at degree 3
+    ops, table = order_three_case()
+    assert ops["H"].order() == 3 and ops["D"].order() == 1
+    assert verify_relations(ops, table, 2).ok
+    assert verify_relations(ops, table, 3).failures == [
+        ("H", "D", (3, 0, ()), "(24)1")]
+    for degree in (2, 3, 4):
+        assert verify_relations(ops, table, degree) == \
+            verify_relations_oracle(ops, table, degree), degree
 
 
 def test_operator_parity_additivity():
