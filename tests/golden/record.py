@@ -241,11 +241,12 @@ def _verify_mutants(kind, d, m, degree):
             for gen, j, how, ops in term_mutants(base)]
 
 
-def order_three_case(d=F(3, 4), m=F(1)):
-    """ssch1's H and D on a two-generator table with [H, D] = 2H, H given
-    an extra d_t^3 term: the residual of [H, D] is 4 d_t^3, which vanishes
-    on every monomial of degree <= 2 and is 24 on t^3."""
-    ops = build_realization("ssch1", d, m)
+def order_three_case():
+    """ssch1's H and D at d = 3/4, m = 1 on a two-generator table with
+    [H, D] = 2H, H given an extra d_t^3 term: the residual of [H, D] is
+    4 d_t^3, which vanishes on every monomial of degree <= 2 and is 24 on
+    t^3."""
+    ops = build_realization("ssch1", F(3, 4), F(1))
     h = ops["H"]
     ops = {"H": SuperDiffOp(h.space, h.terms + [(poly_mono(h.space), 3, 0,
                                                   ())]),
