@@ -10,11 +10,15 @@ case and exits 1 when a digest differs or a case is missing; the tier-1
 suite recomputes the ``QUICK`` subset.
 
 The cases cover ``find_singular`` reports, ``classify(certify=True)``
-records, ``gram`` at every weight for every (epsilon, lambda) (on the
-seed 3-5 benchmark strata too),
-``closure_failures`` lists (``max_report=10**6``) on passing and on mutated
-modules, and ``verify_relations`` reports: passing realizations, every
-drop and double mutant (``max_failures=10**6``) and an order-3 operator.  A call that raises records its exception class and message.
+records, ``gram`` at every weight for every (epsilon, lambda) and
+``closure_failures`` lists (``max_report=10**6``) on the seed 0-5
+benchmark strata, on passing and on mutated modules and, to degree 7, on
+massive N=1 modules with chi^2 away from m/2; ``verify_relations``
+reports: passing realizations, every drop and double mutant
+(``max_failures=10**6``) and an order-3 operator; and the exit code,
+stdout and stderr of ``algebra verify --json`` for every kind, adjoint map
+and (epsilon, lambda), and of ``algebra dump`` for every kind.  A call
+that raises records its exception class and message.
 Known-bad points are recorded as they behave today and listed under
 ``known_bad`` with the ROADMAP item that changes them; that item then shows
 its intended change as a digest diff.  Re-record only when a change alters
@@ -23,11 +27,15 @@ an output on purpose, and list the changed ids in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
 from fractions import Fraction as F
+
+from superschrod import cli
 
 from superschrod.quotient import FactorModule, classify, gram
 from superschrod.realization import (SuperDiffOp, build_realization,
@@ -57,8 +65,7 @@ SHAPOVALOV = [
     ("ssch2", "-1/3", "0", "-8/7", 7), ("ssch2", "1/3", "0", "-14/3", 7),
 ]
 
-# The shapovalov strata of seeds 3, 4 and 5, drawn the same way; the
-# corpus records only their ``gram`` outputs.
+# The shapovalov strata of seeds 3, 4 and 5, drawn the same way.
 SHAPOVALOV_GRAM = [
     ("ssch1", "-20/7", "2/3", None, 6), ("ssch1", "1/2", "1", None, 6),
     ("ssch1", "9/7", "0", None, 13), ("ssch1", "0", "0", None, 13),
@@ -88,6 +95,8 @@ LINES = [
 CHI_POINTS = [("ssch1", "1/2", "1", None, 6), ("ssch1", "3/2", "1", None, 6),
               ("ssch1", "2/3", "3/2", None, 6)]
 CHI_SQUARES = (None, "1/3", "-3/4")
+# closure on those points to this degree, at the chi^2 values other than m/2
+CHI_CLOSURE_DEGREE = 7
 
 # The realization benchmark strata, one cycle each for seeds 0, 1 and 2,
 # as drawn by perfbench/workloads.py: (kind, d, m, degree).
@@ -299,20 +308,50 @@ def _closure_cases():
                    classify(_lw(kind, d, m, r)).terminal, degree))
 
 
+def _cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"exit_code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def _algebra_cases():
+    for kind in ("sch1", "ssch1", "ssch2"):
+        for adjoint in ("all", "omega1", "omega2", "sigma1", "sigma2",
+                        "identity"):
+            for epsilon in (0, 1):
+                for lam in (0, 1):
+                    argv = ["algebra", "verify", "--algebra", kind,
+                            "--adjoint", adjoint, "--epsilon", str(epsilon),
+                            "--lam", str(lam), "--json"]
+                    yield ("algebra verify %s %s eps=%d lam=%d"
+                           % (kind, adjoint, epsilon, lam),
+                           lambda argv=argv: _cli(argv))
+        yield ("algebra dump %s" % kind,
+               lambda kind=kind: _cli(["algebra", "dump", "--algebra", kind]))
+
+
+def _point_cases(point):
+    """find, classify, gram and closure at one benchmark point."""
+    pid = _point_id(*point[:4])
+    closure_degree = 4 if point[0] == "ssch1" else 2
+    return [("find %s deg%d" % (pid, point[4]),
+             lambda point=point: _find(point)),
+            ("classify %s" % pid, lambda point=point: _classify(point)),
+            ("gram %s" % pid, lambda point=point: _grams(point)),
+            ("closure %s" % pid,
+             lambda point=point, degree=closure_degree: _closure(
+                 _module(point), degree))]
+
+
 def cases():
     """(case id, thunk) pairs in a fixed order."""
     out = []
     # seeds 0 and 2 both draw ssch1 d=4 m=0: each point once
     for point in dict.fromkeys(SHAPOVALOV + LINES):
-        pid = _point_id(*point[:4])
-        closure_degree = 4 if point[0] == "ssch1" else 2
-        out += [("find %s deg%d" % (pid, point[4]),
-                 lambda point=point: _find(point)),
-                ("classify %s" % pid, lambda point=point: _classify(point)),
-                ("gram %s" % pid, lambda point=point: _grams(point)),
-                ("closure %s" % pid,
-                 lambda point=point, degree=closure_degree: _closure(
-                     _module(point), degree))]
+        out += _point_cases(point)
     for point in CHI_POINTS:
         for chi_square in CHI_SQUARES:
             pid = _point_id(*point[:4], chi_square=chi_square)
@@ -328,12 +367,20 @@ def cases():
     # points drawn again (or already among the chi^2 points) once each
     seen = {case_id for case_id, _ in out}
     for point in SHAPOVALOV_GRAM:
-        case_id = "gram %s" % _point_id(*point[:4])
-        if case_id not in seen:
-            seen.add(case_id)
-            out.append((case_id, lambda point=point: _grams(point)))
+        for case_id, thunk in _point_cases(point):
+            if case_id not in seen:
+                seen.add(case_id)
+                out.append((case_id, thunk))
     out += list(_closure_cases())
     out += list(_realization_cases())
+    for point in CHI_POINTS:
+        for chi_square in CHI_SQUARES[1:]:
+            out.append(("closure %s deg%d" % (
+                _point_id(*point[:4], chi_square=chi_square),
+                CHI_CLOSURE_DEGREE),
+                lambda point=point, c=chi_square: _closure(
+                    _module(point, c), CHI_CLOSURE_DEGREE)))
+    out += list(_algebra_cases())
     ids = [case_id for case_id, _ in out]
     assert len(set(ids)) == len(ids), "duplicate case ids"
     return out
@@ -341,11 +388,13 @@ def cases():
 
 # A subset cheap enough for the tier-1 suite (about a third of the
 # corpus time): the line points (the RuntimeError among them), the chi^2
-# variants, the closure mutants, the ssch1 realization mutants, the
-# order-3 realization and one point of each kind of module.
+# variants (the degree-7 closures among them), the closure mutants, the
+# ssch1 realization mutants, the order-3 realization, the algebra
+# requests and one point of each kind of module.
 QUICK = ("d=1/2 m=1 r=1/2", "d=0 m=1 r=0", "chi2=", "closure mutant",
          "closure terminal", "verify_relations mutants ssch1",
-         "verify_relations order3", "ssch1 d=-4/3 m=2 ", "ssch1 d=6 m=0",
+         "verify_relations order3", "algebra ", "ssch1 d=-4/3 m=2 ",
+         "ssch1 d=6 m=0",
          "ssch1 d=1/2 m=1 ", "ssch2 d=5/2 m=1 r=-19/7",
          "ssch2 d=3/2 m=1 r=-11/7", "ssch2 d=5/3 m=0 r=2/3")
 
