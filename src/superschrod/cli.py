@@ -22,10 +22,10 @@ from .realization import build_realization, verify_chi_eta, verify_relations
 from .scalars import parse_rational
 from .singular import (check_recurrences, closed_form_n1, closed_form_n2,
                        find_singular, ANNIHILATORS)
-from .superalgebra import (build_adjoint, build_algebra,
-                           identity_adjoint, triangular_decompose,
-                           verify_adjoint, verify_structure)
-from .verma import LowestWeight, VermaModule
+from .superalgebra import (build_adjoint, identity_adjoint,
+                           triangular_decompose, verify_adjoint,
+                           verify_structure)
+from .verma import LowestWeight, VermaModule, _shared_table
 
 ENV_CUTOFF = "SUPERSCHROD_CUTOFF"
 
@@ -116,7 +116,7 @@ def _emit(payload, as_json: bool, text_lines) -> None:
 
 
 def cmd_algebra_verify(args) -> int:
-    table = build_algebra(args.algebra)
+    table = _shared_table(args.algebra)
     structure = verify_structure(table)
     payload = {
         "algebra": args.algebra,
@@ -172,7 +172,7 @@ def cmd_algebra_verify(args) -> int:
 
 
 def cmd_algebra_dump(args) -> int:
-    table = build_algebra(args.algebra)
+    table = _shared_table(args.algebra)
     data = table.to_json_dict()
     plus, zero, minus = triangular_decompose(table)
     data["triangular"] = {"plus": plus, "zero": zero, "minus": minus}
@@ -311,7 +311,7 @@ def cmd_realization_verify(args) -> int:
         raise UsageError("realizations exist for ssch1/ssch2")
     if cfg.d is None or cfg.m is None:
         raise UsageError("--d and --m are required")
-    table = build_algebra(cfg.algebra)
+    table = _shared_table(cfg.algebra)
     ops = build_realization(cfg.algebra, cfg.d, cfg.m)
     report = verify_relations(ops, table, args.degree, d=cfg.d, m=cfg.m)
     chi_eta = verify_chi_eta(cfg.m)

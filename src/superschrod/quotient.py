@@ -19,7 +19,7 @@ from math import lcm
 from typing import List, Optional
 from weakref import WeakKeyDictionary
 
-from .singular import (ANNIHILATORS, WeightCoords, determinant,
+from .singular import (ANNIHILATORS, determinant, weight_coords,
                        find_singular, closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
 from .verma import LowestWeight, ModuleVector, VermaModule, chi_row
@@ -52,6 +52,7 @@ class FactorModule:
         self.rules = []  # list of (lead monomial, monic ModuleVector)
         self._rows = {}
         self._ints = {}
+        self._coords = {}  # weight -> WeightCoords, see singular.weight_coords
         for vec in rule_vectors:
             self._install(vec, verify=verify_singular)
 
@@ -77,6 +78,7 @@ class FactorModule:
             self.rules.append((f.leading_monomial(), f))
             self._rows.clear()
             self._ints.clear()
+            self._coords.clear()
             for gen in self.base.plus_set:
                 queue.append(self.base.act(gen, f))
 
@@ -474,7 +476,7 @@ class GramMatrix:
 _OMEGA1_LETTERS = {"ssch1": ("P", "H", "Q"),
                    "ssch2": ("P", "H", "Q-", "Q+", "X-")}
 
-# module -> ({label: vacuum functional}, {weight: keys}), see ``_functional``
+# module -> {label: vacuum functional}, see ``_functional``
 _FUNCTIONALS = WeakKeyDictionary()
 
 
@@ -519,8 +521,8 @@ def _functional(module: VermaModule, label):
     from the module's memo are built bottom-up, without recursion.
     """
     vac = module.vacuum
-    memo, domains = _FUNCTIONALS.setdefault(module, (
-        {(vac, 0): {(vac, 0): (1, 0), (vac, 1): (0, 1)}}, {}))
+    memo = _FUNCTIONALS.setdefault(
+        module, {(vac, 0): {(vac, 0): (1, 0), (vac, 1): (0, 1)}})
     todo, cur = [], label
     while cur not in memo:
         gen, below = _first_letter(module.kind, cur)
@@ -529,10 +531,7 @@ def _functional(module: VermaModule, label):
     for cur, gen, below in reversed(todo):
         lower = memo[below]
         out = memo[cur] = {}
-        weight = module.weight(cur[0])
-        if weight not in domains:
-            domains[weight] = WeightCoords(module, weight).labels
-        for key in domains[weight]:
+        for key in weight_coords(module, module.weight(cur[0])).labels:
             even = chi = 0
             for key2, c in module.int_row(gen, key)[1]:
                 value = lower.get(key2)
@@ -566,7 +565,7 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
         rep = verify_adjoint(module.table, amap)
         if not rep.ok:
             raise ValueError("omega1 failed its anti-automorphism check")
-    labels = list(WeightCoords(module, weight).labels)
+    labels = list(weight_coords(module, weight).labels)
 
     def parity_of(label):
         return (module.monomial_parity(label[0]) + label[1]) & 1

@@ -17,6 +17,7 @@ and reports the dimension of the doubled rational kernel.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
@@ -178,19 +179,24 @@ class WeightCoords:
     """Rational (Fraction) coordinates on one weight subspace.
 
     When the module's coefficients can carry chi, each monomial contributes
-    two coordinates (even part, chi part); otherwise one.
+    two coordinates (even part, chi part); otherwise one.  ``weight_coords``
+    keeps one per (space, weight); the module is held weakly, so that cache
+    makes no reference cycle.
     """
 
     def __init__(self, space, weight):
-        self.space = space
-        self.module = _space_module(space)
+        self._module = weakref.ref(_space_module(space))
         self.weight = weight
-        self.monos = space.subspace_basis(weight)
         self.doubled = space.uses_chi
-        self.slots = (0, 1) if self.doubled else (0,)
-        self.labels = [(mono, e) for mono in self.monos for e in self.slots]
+        slots = (0, 1) if self.doubled else (0,)
+        self.labels = tuple((mono, e) for mono in space.subspace_basis(weight)
+                            for e in slots)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
+
+    @property
+    def module(self) -> VermaModule:
+        return self._module()
 
     def to_coords(self, vec: ModuleVector):
         out = [_ZERO] * self.dim
@@ -225,6 +231,15 @@ class WeightCoords:
         chi_sq = self.module.ring.chi_square
         return rows + [[v for even, odd in zip(row[0::2], row[1::2])
                         for v in (odd * chi_sq, even)] for row in rows]
+
+
+def weight_coords(space, weight) -> WeightCoords:
+    """The space's coordinates at a weight, built once per (space, weight)
+    and kept in the space's ``_coords``."""
+    coords = space._coords.get(weight)
+    if coords is None:
+        coords = space._coords[weight] = WeightCoords(space, weight)
+    return coords
 
 
 @dataclass
@@ -311,7 +326,7 @@ def find_singular(space, max_degree: int):
     annihilators = ANNIHILATORS[module.kind]
     reports = []
     for weight in space.enumerate_weights(max_degree):
-        coords = WeightCoords(space, weight)
+        coords = weight_coords(space, weight)
         if coords.dim == 0:
             continue
         rows, _ = _annihilator_matrix(space, coords, annihilators)
@@ -320,14 +335,12 @@ def find_singular(space, max_degree: int):
             continue
         generators = _ring_generators(coords, kernel)
         vectors = []
-        # independent re-check: the Verma matrices are assembled from the
-        # closed N=1 table, so re-annihilate through the rewriting engine
-        recheck = module.act_engine if isinstance(space, VermaModule) \
-            else space.act
+        # independent re-check of the integer elimination: annihilate each
+        # normalised vector again, through GradedScalar vectors
         for gen_coords in generators:
             vec = coords.from_coords(gen_coords).normalized()
             for ann in annihilators:
-                residual = recheck(ann, vec)
+                residual = space.act(ann, vec)
                 if residual:
                     raise AssertionError(
                         "kernel vector not annihilated by %s at weight %s"
@@ -353,7 +366,7 @@ def _annihilator_matrix(space, coords, annihilators):
     module = _space_module(space)
     blocks = []
     for ann in annihilators:
-        target = WeightCoords(space, module.shift_weight(coords.weight, ann))
+        target = weight_coords(space, module.shift_weight(coords.weight, ann))
         if target.dim:
             blocks.append((target, [space.int_row(ann, label)
                                     for label in coords.labels]))
@@ -404,7 +417,7 @@ def in_span(space, weight, vectors, candidate) -> bool:
     chi multiple of each vector joins it, as for the generators that
     ``find_singular`` reports one per line over Q[chi].
     """
-    coords = WeightCoords(space, weight)
+    coords = weight_coords(space, weight)
     rows = coords.with_chi_multiples(coords.to_coords(v) for v in vectors)
     echelon, pivots = bareiss_echelon(rows)
     return rank(echelon + [coords.to_coords(candidate)]) == len(pivots)
@@ -511,7 +524,7 @@ def _compare_closed_forms(module: VermaModule, report: SingularVectorReport):
     expected = expected_closed_forms(module, report.weight)
     if not expected:
         return
-    coords = WeightCoords(module, report.weight)
+    coords = weight_coords(module, report.weight)
     # the generators and their chi multiples span the doubled kernel
     kernel_rows = coords.with_chi_multiples(
         coords.to_coords(v) for v in report.vectors)

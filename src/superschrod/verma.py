@@ -5,18 +5,18 @@ Basis monomials are exponent tuples applied to the lowest weight vector v0:
 * ssch1: (k, l, a)          <->  G^k K^l S^a v0,  a in {0,1}
 * ssch2: (k, l, a, b, c)    <->  G^k K^l S+^a S-^b X+^c v0, a,b,c in {0,1}
 
-The N=1 action is available both as the closed-form table and through the
-generic normal-ordering engine; the N=2 action comes from the engine alone.
-A row is the image of one generator on one basis monomial.  The engine is
+The action of both kinds comes from the generic normal-ordering engine; the
+closed-form N=1 table of the paper is kept in the tests as its oracle.  A
+row is the image of one generator on one basis monomial.  The engine is
 compiled once per algebra kind into parametric rows, whose entries are
 integer combinations of 1, d, m, r and the chi seed; a module evaluates
 them once, as Python ints over its ``scale`` D, on the chi-doubled basis
 whose keys are (monomial, 0) for the even part of a coefficient and
 (monomial, 1) for its chi part.  ``int_row`` is the read path of every
 consumer that sums (the kernel search, the Gram form, closure); ``row`` is
-the ``Fraction`` view of (monomial, even, chi) entries that ``act`` wraps:
-it sums e row + c ``chi_row(row)`` over the coefficients e + c chi of a
-vector.
+its ``Fraction`` view as (monomial, even, chi) entries, which ``act``
+wraps: it sums e row + c ``chi_row(row)`` over the coefficients e + c chi
+of a vector.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
 from .superalgebra import build_algebra, triangular_decompose
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # kind -> {(gen, monomial): parametric row}, filled on first use
 _PARAMETRIC = {}
@@ -208,10 +207,10 @@ class VermaModule:
     ever adds integer multiples of rows; its vacuum rows are -d, m and r
     (even) and chi (X v0 = chi v0).  An even part is therefore an integer
     combination of 1, d, m and r, and a chi part is an integer, because chi
-    parts start only at X v0 and only change sign after that.  The N=1
-    table's entries have the same form, and ``chi_row`` multiplies a chi
-    part by chi^2.  Every conversion to D is checked: an entry whose
-    denominator does not divide D raises ValueError.
+    parts start only at X v0 and only change sign after that.  A row at chi
+    times a monomial multiplies a chi part by chi^2; that product is
+    checked: an entry whose denominator does not divide D raises
+    ValueError.
     """
 
     def __init__(self, lw: LowestWeight, chi_square=None):
@@ -229,11 +228,10 @@ class VermaModule:
         self._parity = {g: self.table.parity(g) for g in self.table.names}
         self._raising = frozenset(plus)
         self._brackets = self.table.constants
-        self._cache_table = {}
+        self._cache_table = {}  # the Fraction rows
         self._cache_engine = {}
-        self._cache_frac = {}
         self._cache_int = {}
-        self._d = lw.d
+        self._coords = {}  # weight -> WeightCoords, see singular.weight_coords
         self._m = lw.m
         r = lw.r or _F0
         self.scale = D = lcm(lw.d.denominator, lw.m.denominator, r.denominator,
@@ -363,59 +361,62 @@ class VermaModule:
 
     # -- action -------------------------------------------------------------
     #
-    # A row is the image of one generator on one basis monomial, in order_key
-    # order with no zero entries.  ``int_row`` gives it as ((monomial, flag),
-    # int) pairs over one scale; ``row`` as (monomial, even, chi) Fractions,
-    # which ``act`` wraps in GradedScalar vectors.
+    # A row is the image of one generator on one basis monomial, with no
+    # zero entries.  ``int_row`` gives it as ((monomial, flag), int) pairs
+    # over one scale; ``row`` as (monomial, even, chi) Fractions, which
+    # ``act`` wraps in GradedScalar vectors.
 
     def row(self, gen: str, mono):
-        """Row of a generator at a monomial as Fractions: what ``act``
-        reads (the N=1 table, the engine's view for N=2)."""
-        if self.kind == "ssch1":
-            return self._act_mono_table(gen, mono)
-        return self.engine_row(gen, mono)
+        """Row of a generator at a monomial as (monomial, even, chi)
+        Fractions: the engine's ints over D, what ``act`` reads.  Cached."""
+        row = self._cache_table.get((gen, mono))
+        if row is None:
+            D = self.scale
+            parts = {}
+            for (mn, flag), v in self._act_mono_engine(gen, mono):
+                parts.setdefault(mn, [_F0, _F0])[flag] = Fraction(v, D)
+            row = self._cache_table[(gen, mono)] = tuple(
+                (mn, e, c) for mn, (e, c) in parts.items())
+        return row
 
     def int_row(self, gen: str, key):
         """Row at a doubled-basis key (monomial, flag), flag 1 for chi times
         the monomial, as (D, ((key, int), ...)): D = ``scale`` times the
-        rational row.  N=2 rows at flag 0 are the engine's ints; the others
-        are ``row`` (through ``chi_row`` at flag 1) scaled once by D.
-        Cached per module."""
+        rational row.  Flag 0 is the engine's row.  Flag 1 is formed from
+        it as ``chi_row`` does: g (chi w) = (-1)^{|g|} chi (g w), so an
+        entry e + c chi gives the even entry (-1)^{|g|} c chi^2 (a checked
+        conversion, since den chi^2 divides D) and the chi entry
+        (-1)^{|g|} e.  Entries go by monomial, flag 0 first.  Cached per
+        module."""
         cached = self._cache_int.get((gen, key))
         if cached is None:
             mono, flag = key
-            D = self.scale
-            if flag or self.kind == "ssch1":
-                row = self.row(gen, mono)
-                if flag:
-                    row = chi_row(row, self._parity[gen], self.ring.chi_square)
-                entries = tuple(((mn, f), _times(v, D)) for mn, e, c in row
-                                for f, v in ((0, e), (1, c)) if v)
-            else:
-                entries = self._act_mono_engine(gen, mono)
-            cached = self._cache_int[(gen, key)] = (D, entries)
+            entries = self._act_mono_engine(gen, mono)
+            if flag:
+                sign = -1 if self._parity[gen] else 1
+                chi_square = self.ring.chi_square
+                parts = {}
+                for (mn, f), v in entries:
+                    parts.setdefault(mn, [0, 0])[f] = sign * v
+                entries = tuple(
+                    ((mn, f), v) for mn, (e, c) in parts.items()
+                    for f, v in ((0, _times(chi_square, c)), (1, e)) if v)
+            cached = self._cache_int[(gen, key)] = (self.scale, entries)
         return cached
 
     def act(self, gen: str, target) -> ModuleVector:
         """Action of a generator on a monomial or a vector."""
-        return self._act_with(self.row, gen, target)
-
-    def act_engine(self, gen: str, target) -> ModuleVector:
-        """Action through the normal-ordering engine (both kinds)."""
-        return self._act_with(self.engine_row, gen, target)
-
-    def _act_with(self, row_fn, gen: str, target) -> ModuleVector:
         ring = self.ring
         out = ModuleVector(self)
         if isinstance(target, tuple):
             out.terms = {mn: _mk_gs(ring, e, c)
-                         for mn, e, c in row_fn(gen, target)}
+                         for mn, e, c in self.row(gen, target)}
             return out
         odd = self._parity[gen]
         even, chi = {}, {}  # every image monomial is a key of ``even``
         for mono, coeff in target.terms.items():
             # g (e + c chi) w = e (g w) + c g (chi w)
-            row = row_fn(gen, mono)
+            row = self.row(gen, mono)
             parts = [(coeff.even, row)] if coeff.even else []
             if coeff.odd:
                 parts.append((coeff.odd, chi_row(row, odd, ring.chi_square)))
@@ -428,72 +429,8 @@ class VermaModule:
                      for mn, ve in even.items() if ve or chi.get(mn)}
         return out
 
-    # closed-form action rows for the N=1 module
-    def _act_mono_table(self, gen, mono):
-        cached = self._cache_table.get((gen, mono))
-        if cached is not None:
-            return cached
-        k, l, a = mono
-        d, m = self._d, self._m
-        chi = _F1 if self.uses_chi else _F0  # X v0 = chi v0, or 0
-        out = []
-        if gen == "K":
-            out = [((k, l + 1, a), _F1, _F0)]
-        elif gen == "G":
-            out = [((k + 1, l, a), _F1, _F0)]
-        elif gen == "S":
-            # raising: S v_{k,l} = nu_{k,l}; S nu_{k,l} = -v_{k,l+1} (S^2 = -K)
-            out = [((k, l, 1), _F1, _F0)] if a == 0 else \
-                [((k, l + 1, 0), -_F1, _F0)]
-        elif gen == "D":
-            out = [((k, l, a), k + 2 * l + a - d, _F0)]
-        elif gen == "M":
-            out = [((k, l, a), m, _F0)]
-        elif gen == "X":
-            out = [((k, l, a), _F0, chi)]
-            if a:
-                out.append(((k + 1, l, 0), -_F1, _F0))
-        elif gen == "P":
-            if l:
-                out.append(((k + 1, l - 1, a), Fraction(l), _F0))
-            if a:
-                out.append(((k, l, 0), _F0, chi))
-            if m and k:
-                out.append(((k - 1, l, a), m * k, _F0))
-        elif gen == "Q":
-            if a == 0:
-                if k and chi:
-                    out.append(((k - 1, l, 0), _F0, chi * k))
-                if l:
-                    out.append(((k, l - 1, 1), Fraction(l), _F0))
-            else:
-                if k and chi:
-                    out.append(((k - 1, l, 1), _F0, chi * k))
-                coeff = d - l - k
-                if coeff:
-                    out.append(((k, l, 0), coeff, _F0))
-        elif gen == "H":
-            if a == 0:
-                c1 = l * (k + l - d - 1)
-                if l and c1:
-                    out.append(((k, l - 1, 0), c1, _F0))
-                c2 = m * k * (k - 1) / 2
-                if k >= 2 and c2:
-                    out.append(((k - 2, l, 0), c2, _F0))
-            else:
-                c1 = l * (k + l - d)
-                if l and c1:
-                    out.append(((k, l - 1, 1), c1, _F0))
-                if k and chi:
-                    out.append(((k - 1, l, 0), _F0, chi * k))
-                c2 = m * k * (k - 1) / 2
-                if k >= 2 and c2:
-                    out.append(((k - 2, l, 1), c2, _F0))
-        else:
-            raise ValueError("unknown generator %r" % gen)
-        out = tuple(row for row in out if row[1] or row[2])
-        self._cache_table[(gen, mono)] = out
-        return out
+    # the name the benchmark tracer wraps next to ``act``
+    act_engine = act
 
     # -- normal-ordering engine ----------------------------------------------
 
@@ -586,18 +523,6 @@ class VermaModule:
                 if x and xD:
                     out.append(((mn, 1), x * xD))
             row = self._cache_engine[(gen, mono)] = tuple(out)
-        return row
-
-    def engine_row(self, gen, mono):
-        """The engine's row as (monomial, even, chi) Fractions.  Cached."""
-        row = self._cache_frac.get((gen, mono))
-        if row is None:
-            D = self.scale
-            parts = {}
-            for (mn, flag), v in self._act_mono_engine(gen, mono):
-                parts.setdefault(mn, [_F0, _F0])[flag] = Fraction(v, D)
-            row = self._cache_frac[(gen, mono)] = tuple(
-                (mn, e, c) for mn, (e, c) in parts.items())
         return row
 
     def _parametric_row(self, gen, mono):

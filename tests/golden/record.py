@@ -36,7 +36,6 @@ import sys
 from fractions import Fraction as F
 
 from superschrod import cli
-
 from superschrod.quotient import FactorModule, classify, gram
 from superschrod.realization import (SuperDiffOp, build_realization,
                                      poly_mono, verify_relations)
@@ -186,25 +185,29 @@ def _closure(space, degree):
 class DoubledH(VermaModule):
     """H acting twice over, which breaks the brackets that involve H."""
 
-    def row(self, gen, mono):
-        row = super().row(gen, mono)
+    def _act_mono_engine(self, gen, mono):
+        row = super()._act_mono_engine(gen, mono)
         if gen != "H":
             return row
-        return tuple((mn, 2 * e, 2 * c) for mn, e, c in row)
+        return tuple((key, 2 * v) for key, v in row)
+
+
+def add_one(row, key, scale):
+    """An engine row (ints over ``scale``) with 1 added at ``key``."""
+    parts = dict(row)
+    parts[key] = parts.get(key, 0) + scale
+    return tuple((k, v) for k, v in parts.items() if v)
 
 
 class MutatedTable(VermaModule):
-    """The N=1 table with Q on G^k K^l S v0 giving d - l - k + 1 on
+    """The N=1 action with Q on G^k K^l S v0 giving d - l - k + 1 on
     G^k K^l v0 instead of d - l - k."""
 
-    def _act_mono_table(self, gen, mono):
-        row = super()._act_mono_table(gen, mono)
+    def _act_mono_engine(self, gen, mono):
+        row = super()._act_mono_engine(gen, mono)
         if gen != "Q" or mono[2] != 1:
             return row
-        target = (mono[0], mono[1], 0)
-        parts = {mn: [e, c] for mn, e, c in row}
-        parts.setdefault(target, [F(0), F(0)])[0] += 1
-        return tuple((mn, e, c) for mn, (e, c) in parts.items() if e or c)
+        return add_one(row, ((mono[0], mono[1], 0), 0), self.scale)
 
 
 # realization reports
@@ -394,8 +397,7 @@ def cases():
 QUICK = ("d=1/2 m=1 r=1/2", "d=0 m=1 r=0", "chi2=", "closure mutant",
          "closure terminal", "verify_relations mutants ssch1",
          "verify_relations order3", "algebra ", "ssch1 d=-4/3 m=2 ",
-         "ssch1 d=6 m=0",
-         "ssch1 d=1/2 m=1 ", "ssch2 d=5/2 m=1 r=-19/7",
+         "ssch1 d=6 m=0", "ssch1 d=1/2 m=1 ", "ssch2 d=5/2 m=1 r=-19/7",
          "ssch2 d=3/2 m=1 r=-11/7", "ssch2 d=5/3 m=0 r=2/3")
 
 

@@ -6,8 +6,9 @@ agree with the library exactly:
 
 * ``closure_failures_oracle`` -- the bracket-compatibility loop on
   ``space.act`` vectors that ``VermaModule.closure_failures`` replaced with
-  integer sums over ``row``; same failure triples, in the same order.  A
-  module subclass that overrides ``row`` changes both sides alike.
+  integer sums over ``int_row``; same failure triples, in the same order.
+  A module subclass that overrides ``_act_mono_engine`` changes both sides
+  alike.
 * ``gram_pair`` -- one pairing value of the bilinear form, applying the
   whole omega1 word of the left label to the right one; ``quotient.gram``,
   which builds each row from memoised one-letter-shorter functionals, must
@@ -21,6 +22,11 @@ agree with the library exactly:
   was compiled once per algebra kind: the same bottom-up walk, in Fraction
   arithmetic at one module's d, m, r and chi; the module's evaluated
   parametric rows must equal its rows exactly.
+* ``closed_form_rows_oracle`` -- the paper's closed-form N=1 action table,
+  which the library read for every N=1 row before it took them from the
+  engine: an oracle independent of the normal-ordering walk, one formula
+  per generator; the module's ``row`` and ``int_row`` (chi multiples
+  included) must equal it exactly at every degree.
 * ``derive_even`` / ``derive_odd`` -- one derivative on a whole superspace
   polynomial; ``reference_apply`` builds the term-by-term reference for
   ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
@@ -89,7 +95,7 @@ def normal_order(module, word):
     """Rewrite a generator word applied to v0 into the canonical basis."""
     vec = module.vacuum_vector()
     for gen in reversed(list(word)):
-        vec = module.act_engine(gen, vec)
+        vec = module.act(gen, vec)
     return vec
 
 
@@ -150,6 +156,81 @@ def engine_rows_oracle(module):
             for g in todo:
                 cache[(g, cur)] = one_row(g, cur)
         return cache[(gen, mono)]
+
+    return row
+
+
+def closed_form_rows_oracle(module):
+    """(gen, monomial) -> row of (monomial, even, chi) Fractions of an N=1
+    module, from the closed-form table, cached per returned function."""
+    F0, F1 = Fraction(0), Fraction(1)
+    d, m = module.lw.d, module.lw.m
+    chi = F1 if module.uses_chi else F0  # X v0 = chi v0, or 0
+    cache = {}
+
+    def row(gen, mono):
+        cached = cache.get((gen, mono))
+        if cached is not None:
+            return cached
+        k, l, a = mono
+        out = []
+        if gen == "K":
+            out = [((k, l + 1, a), F1, F0)]
+        elif gen == "G":
+            out = [((k + 1, l, a), F1, F0)]
+        elif gen == "S":
+            # raising: S v_{k,l} = nu_{k,l}; S nu_{k,l} = -v_{k,l+1} (S^2 = -K)
+            out = [((k, l, 1), F1, F0)] if a == 0 else \
+                [((k, l + 1, 0), -F1, F0)]
+        elif gen == "D":
+            out = [((k, l, a), k + 2 * l + a - d, F0)]
+        elif gen == "M":
+            out = [((k, l, a), m, F0)]
+        elif gen == "X":
+            out = [((k, l, a), F0, chi)]
+            if a:
+                out.append(((k + 1, l, 0), -F1, F0))
+        elif gen == "P":
+            if l:
+                out.append(((k + 1, l - 1, a), Fraction(l), F0))
+            if a:
+                out.append(((k, l, 0), F0, chi))
+            if m and k:
+                out.append(((k - 1, l, a), m * k, F0))
+        elif gen == "Q":
+            if a == 0:
+                if k and chi:
+                    out.append(((k - 1, l, 0), F0, chi * k))
+                if l:
+                    out.append(((k, l - 1, 1), Fraction(l), F0))
+            else:
+                if k and chi:
+                    out.append(((k - 1, l, 1), F0, chi * k))
+                coeff = d - l - k
+                if coeff:
+                    out.append(((k, l, 0), coeff, F0))
+        elif gen == "H":
+            if a == 0:
+                c1 = l * (k + l - d - 1)
+                if l and c1:
+                    out.append(((k, l - 1, 0), c1, F0))
+                c2 = m * k * (k - 1) / 2
+                if k >= 2 and c2:
+                    out.append(((k - 2, l, 0), c2, F0))
+            else:
+                c1 = l * (k + l - d)
+                if l and c1:
+                    out.append(((k, l - 1, 1), c1, F0))
+                if k and chi:
+                    out.append(((k - 1, l, 0), F0, chi * k))
+                c2 = m * k * (k - 1) / 2
+                if k >= 2 and c2:
+                    out.append(((k - 2, l, 1), c2, F0))
+        else:
+            raise ValueError("unknown generator %r" % gen)
+        out = tuple(row for row in out if row[1] or row[2])
+        cache[(gen, mono)] = out
+        return out
 
     return row
 

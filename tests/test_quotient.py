@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from golden.record import add_one
 from oracles import gram_pair
 from superschrod.scalars import QI
 from superschrod.singular import (WeightCoords, closed_form_n1,
@@ -348,18 +349,15 @@ def test_gram_matches_gram_pair():
 
 
 class _ParityBreaking(VermaModule):
-    """The N=1 table with P also sending G^k K^l S v0 to G^k K^l v0: an
+    """The N=1 action with P also sending G^k K^l S v0 to G^k K^l v0: an
     even generator that changes parity, so the form gets entries across
     the parity blocks (and, with chi, chi parts inside them)."""
 
-    def _act_mono_table(self, gen, mono):
-        row = super()._act_mono_table(gen, mono)
+    def _act_mono_engine(self, gen, mono):
+        row = super()._act_mono_engine(gen, mono)
         if gen != "P" or mono[2] != 1:
             return row
-        target = (mono[0], mono[1], 0)
-        parts = {mn: [e, c] for mn, e, c in row}
-        parts.setdefault(target, [F(0), F(0)])[0] += 1
-        return tuple((mn, e, c) for mn, (e, c) in parts.items() if e or c)
+        return add_one(row, ((mono[0], mono[1], 0), 0), self.scale)
 
 
 _RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=5)

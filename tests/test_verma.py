@@ -1,18 +1,21 @@
 import random
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golden.record import DoubledH as _DoubledH
 from golden.record import MutatedTable as _MutatedTable
-from oracles import closure_failures_oracle, engine_rows_oracle, normal_order
+from oracles import (closed_form_rows_oracle, closure_failures_oracle,
+                     engine_rows_oracle, normal_order)
 from superschrod.quotient import FactorModule, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
 from superschrod.superalgebra import build_algebra
-from superschrod.verma import LowestWeight, ModuleVector, VermaModule
+from superschrod.verma import (LowestWeight, ModuleVector, VermaModule,
+                               _times, chi_row)
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +75,35 @@ def test_lowering_action_rows(mod_m1):
     assert not mod_m1.act("H", mod_m1.vacuum)
 
 
+def _assert_rows_match_the_table(mod, pairs):
+    """``row`` and ``int_row`` at flags 0 and 1 against the closed-form N=1
+    table, at each (generator, monomial)."""
+    table = closed_form_rows_oracle(mod)
+    D = mod.scale
+    for gen, mono in pairs:
+        expected = table(gen, mono)
+        got = mod.row(gen, mono)
+        assert len(got) == len(expected)
+        assert {mn: (e, c) for mn, e, c in got} == \
+            {mn: (e, c) for mn, e, c in expected}, (gen, mono)
+        at_chi = chi_row(expected, mod.table.parity(gen), mod.ring.chi_square)
+        for flag, rows in ((0, expected), (1, at_chi)):
+            want = {(mn, f): v * D for mn, e, c in rows
+                    for f, v in ((0, e), (1, c)) if v}
+            scale, entries = mod.int_row(gen, (mono, flag))
+            assert scale == D and len(entries) == len(want)
+            assert all(type(v) is int for _, v in entries)
+            assert dict(entries) == want, (gen, mono, flag)
+
+
 def test_engine_matches_table():
     for m in (0, 1, F(3, 2)):
         for d in (F(-1, 2), 0, F(7, 3)):
-            mod = VermaModule(LowestWeight("ssch1", d, m))
-            for mono in mod.enumerate_monomials(5):
-                for gen in mod.table.names:
-                    assert mod.act(gen, mono) == mod.act_engine(gen, mono), \
-                        (m, d, gen, mono)
+            for chi_square in (None, F(1, 3), F(-3, 4)):
+                mod = VermaModule(LowestWeight("ssch1", d, m), chi_square)
+                _assert_rows_match_the_table(
+                    mod, [(gen, mono) for mono in mod.enumerate_monomials(8)
+                          for gen in mod.table.names])
 
 
 def test_normal_order_examples():
@@ -138,16 +162,21 @@ def test_closure_fixes_chi_sign():
     assert not mod.closure_failures(3)
 
 
-class _EngineRows(VermaModule):
-    """Every row from the normal-ordering engine's Fraction view, the N=1
-    table unused."""
+class _TableRows(VermaModule):
+    """Every N=1 row from the closed-form table, the engine unused."""
 
-    def row(self, gen, mono):
-        return self.engine_row(gen, mono)
+    def __init__(self, lw, chi_square=None):
+        super().__init__(lw, chi_square)
+        self._closed_form = closed_form_rows_oracle(self)
+
+    def _act_mono_engine(self, gen, mono):
+        return tuple(((mn, f), _times(v, self.scale))
+                     for mn, e, c in self._closed_form(gen, mono)
+                     for f, v in ((0, e), (1, c)) if v)
 
 
-def test_closure_engine_n1():
-    mod = _EngineRows(LowestWeight("ssch1", F(3, 4), F(1, 2)))
+def test_closure_table_n1():
+    mod = _TableRows(LowestWeight("ssch1", F(3, 4), F(1, 2)))
     assert not mod.closure_failures(4)
 
 
@@ -167,12 +196,13 @@ def test_engine_deeper_than_the_recursion_limit():
     # rows are built bottom-up, so a canonical word longer than the
     # recursion limit is no obstacle
     depth = sys.getrecursionlimit() + 200
-    mod = VermaModule(LowestWeight("ssch1", 1, 1))
-    for gen, mono in (("H", (0, depth, 1)), ("Q", (3, depth, 1)),
-                      ("P", (depth, 2, 0))):
-        assert mod.act_engine(gen, mono) == mod.act(gen, mono), gen
+    for chi_square in (None, F(-3, 4)):
+        mod = VermaModule(LowestWeight("ssch1", 1, 1), chi_square)
+        _assert_rows_match_the_table(mod, (("H", (0, depth, 1)),
+                                           ("Q", (3, depth, 1)),
+                                           ("P", (depth, 2, 0))))
     n2 = VermaModule(LowestWeight("ssch2", F(1, 2), 1, F(1, 3)))
-    assert n2.act_engine("Q+", (2, depth, 1, 1, 1))
+    assert n2.act("Q+", (2, depth, 1, 1, 1))
 
 
 def test_closure_rejects_a_negative_degree():
@@ -213,9 +243,9 @@ def _closure_cases(draw):
     m = draw(st.sampled_from([F(0), F(1)]) | _RATIONAL)
     r = draw(_RATIONAL) if kind == "ssch2" else None
     chi_square = draw(st.sampled_from([m / 2, -m / 2]) | _RATIONAL)
-    variants = ["verma", "engine", "quotient"]
+    variants = ["verma", "quotient"]
     if kind == "ssch1":
-        variants.append("mutated")
+        variants += ["table", "mutated"]
     variant = draw(st.sampled_from(variants))
     degree = draw(st.integers(0, 4 if kind == "ssch1" else 3))
     return kind, d, m, r, chi_square, variant, degree
@@ -226,10 +256,11 @@ def _closure_cases(draw):
 @example(("ssch1", F(7, 3), F(1), None, F(1, 2), "quotient", 2))
 @example(("ssch1", F(1, 2), F(1), None, F(-1, 2), "verma", 3))
 @example(("ssch1", F(1, 2), F(1), None, F(1, 2), "mutated", 3))
+@example(("ssch1", F(2, 3), F(3, 2), None, F(-3, 4), "table", 4))
 def test_closure_matches_the_graded_scalar_oracle(case):
     kind, d, m, r, chi_square, variant, degree = case
     lw = LowestWeight(kind, d, m, r)
-    cls = {"mutated": _MutatedTable, "engine": _EngineRows}.get(
+    cls = {"mutated": _MutatedTable, "table": _TableRows}.get(
         variant, VermaModule)
     mod = cls(lw, chi_square=chi_square)
     if variant == "quotient":
@@ -304,33 +335,35 @@ def test_evaluated_engine_table_equals_the_fraction_walk(case):
     for mono in mod.enumerate_monomials(8 if lw.kind == "ssch1" else 5):
         for gen in mod.table.names:
             expected = oracle(gen, mono)
-            assert mod.engine_row(gen, mono) == expected, (gen, mono)
+            assert mod.row(gen, mono) == expected, (gen, mono)
             assert mod._act_mono_engine(gen, mono) == tuple(
                 ((mn, f), v * D) for mn, e, c in expected
                 for f, v in ((0, e), (1, c)) if v), (gen, mono)
 
 
 class _OffDenominator(VermaModule):
-    """The N=1 table with every H entry divided by 7."""
+    """A module whose scale D leaves out den chi^2: D = lcm(den d, den m)."""
 
-    def _act_mono_table(self, gen, mono):
-        row = super()._act_mono_table(gen, mono)
-        if gen != "H":
-            return row
-        return tuple((mn, e / 7, c / 7) for mn, e, c in row)
+    def __init__(self, lw, chi_square=None):
+        super().__init__(lw, chi_square)
+        D = self.scale = lcm(lw.d.denominator, lw.m.denominator)
+        self._point = (D, _times(lw.d, D), _times(lw.m, D), 0,
+                       D if self.uses_chi else 0)
 
 
 def test_an_entry_off_the_module_denominator_raises():
-    # d = 1/2, m = 1: D = 2, and H on K^1 v0 gives (1 - 1/2 - 1)/7 = -1/14
-    mod = _OffDenominator(LowestWeight("ssch1", F(1, 2), 1))
+    # d = 1/2, m = 1, chi^2 = 1/7: D = 2, and Q on chi G v0 gives
+    # -chi^2 v0 = -2/7 over D
+    mod = _OffDenominator(LowestWeight("ssch1", F(1, 2), 1), F(1, 7))
     assert mod.scale == 2
     assert mod.int_row("G", ((0, 1, 0), 0)) == (2, ((((1, 1, 0), 0), 2),))
+    assert mod.int_row("Q", ((1, 0, 0), 0)) == (2, ((((0, 0, 0), 1), 2),))
     with pytest.raises(ValueError, match="not an integer"):
-        mod.int_row("H", ((0, 1, 0), 0))
+        mod.int_row("Q", ((1, 0, 0), 1))
     with pytest.raises(ValueError, match="not an integer"):
         mod.closure_failures(2)
     # a denominator that divides D converts exactly
-    # (m = 1/7: D = lcm(2, 7, den chi^2 = 14) = 14)
+    # (m = 1/7: D = lcm(2, 7) = 14 and chi^2 = 1/14)
     mod = _OffDenominator(LowestWeight("ssch1", F(1, 2), F(1, 7)))
     assert mod.scale == 14
-    assert mod.int_row("H", ((0, 1, 0), 0)) == (14, ((((0, 0, 0), 0), -1),))
+    assert mod.int_row("Q", ((1, 0, 0), 1)) == (14, ((((0, 0, 0), 0), -1),))
