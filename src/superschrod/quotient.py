@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from typing import List, Optional
 from weakref import WeakKeyDictionary
@@ -22,7 +22,8 @@ from weakref import WeakKeyDictionary
 from .singular import (ANNIHILATORS, determinant, weight_coords,
                        find_singular, closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
-from .verma import LowestWeight, ModuleVector, VermaModule, chi_row
+from .verma import (LowestWeight, ModuleVector, VermaModule, chi_row,
+                    closure_arguments)
 
 _COMPLETION_CAP = 60
 _ZERO = Fraction(0)
@@ -184,8 +185,42 @@ class FactorModule:
         return cached
 
     def closure_failures(self, max_degree: int, max_report=5):
-        return VermaModule.closure_failures(self, max_degree,
-                                            max_report=max_report)
+        """Bracket-compatibility check on the surviving monomials up to
+        max_degree, as ``VermaModule.closure_failures`` (same arguments,
+        same list), decided at this module's point on its reduced rows.
+
+        Every row the check touches is read once through ``int_row`` on
+        the chi-doubled basis: the monomials up to the degree, then the
+        keys their images reach.  Rows are rescaled to the lcm D of their
+        scales, and ``StructureTable.residuals`` sums each residual in
+        ints.
+        """
+        closure_arguments(max_degree, max_report)
+        names = self.table.names
+        basis = [(mono, 0) for mono in self.enumerate_monomials(max_degree)]
+        rows = {g: {} for g in names}
+
+        def read(key):
+            for g in names:
+                rows[g][key] = self.int_row(g, key)
+
+        for key in basis:
+            read(key)
+        seen = set(basis)
+        for g in names:
+            for key in basis:
+                for key2, _ in rows[g][key][1]:
+                    if key2 not in seen:
+                        seen.add(key2)
+                        read(key2)
+        D = lcm(*(scale for by_key in rows.values()
+                  for scale, _ in by_key.values()))
+        for by_key in rows.values():
+            for key, (scale, entries) in by_key.items():
+                by_key[key] = entries if scale == D else tuple(
+                    (k, v * (D // scale)) for k, v in entries)
+        return [(x, y, f[0]) for x, y, f, _, _ in
+                islice(self.table.residuals(rows, basis, D), max_report)]
 
     # -- dimensions -----------------------------------------------------------
 

@@ -13,10 +13,18 @@ integer combinations of 1, d, m, r and the chi seed; a module evaluates
 them once, as Python ints over its ``scale`` D, on the chi-doubled basis
 whose keys are (monomial, 0) for the even part of a coefficient and
 (monomial, 1) for its chi part.  ``int_row`` is the read path of every
-consumer that sums (the kernel search, the Gram form, closure); ``row`` is
-its ``Fraction`` view as (monomial, even, chi) entries, which ``act``
-wraps: it sums e row + c ``chi_row(row)`` over the coefficients e + c chi
-of a vector.
+consumer that sums (the kernel search, the Gram form); ``row`` is its
+``Fraction`` view as (monomial, even, chi) entries, which ``act`` wraps: it
+sums e row + c ``chi_row(row)`` over the coefficients e + c chi of a vector.
+
+Closure is decided once per algebra kind and chi seed, not per module.  An
+entry of a parametric row is linear in (1, d, m, r, chi^2) on the doubled
+basis, so every bracket residual x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f is
+a quadratic form in them: the ``ClosureCertificate``, grown by degree and
+shared by the modules of the kind and seed.  A module's
+``closure_failures`` evaluates those forms at its lowest weight; as
+evaluation is a ring homomorphism, its list is the one a check over the
+module's own rows gives (the check ``FactorModule`` still runs).
 """
 
 from __future__ import annotations
@@ -24,8 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
@@ -576,25 +583,43 @@ class VermaModule:
         sign = -1 if (self._parity[gen] and self._parity[w]) else 1
         # moving past an odd w twists the coefficient: its chi part flips
         chi_sign = -sign if self._parity[w] else sign
-        acc = {}  # monomial -> [a0, a_d, a_m, a_r, chi]
-
-        def add(mn, k, kx, params):
-            cur = acc.setdefault(mn, [0] * 5)
-            for i in range(4):
-                cur[i] += k * params[i]
-            cur[4] += kx * params[4]
-
-        for mn, *params in table[(gen, rest)]:
-            for k, mn2 in self._raise(w, mn):
-                add(mn2, sign * k, chi_sign * k, params)
-        for h, ch in self._brackets[gen][w]:
-            for mn, *params in table[(h, rest)]:
-                add(mn, ch, ch, params)
+        # (monomial, even factor, chi factor, entry) of every contribution
+        parts = [(mn2, sign * k, chi_sign * k, entry)
+                 for entry in table[(gen, rest)]
+                 for k, mn2 in self._raise(w, entry[0])]
+        parts += [(entry[0], ch, ch, entry) for h, ch in self._brackets[gen][w]
+                  for entry in table[(h, rest)]]
+        acc = {}  # monomial -> (a0, a_d, a_m, a_r, chi)
+        for mn, k, kx, (_, a0, ad, am, ar, x) in parts:
+            cur = acc.get(mn)
+            if cur is None:
+                acc[mn] = (k * a0, k * ad, k * am, k * ar, kx * x)
+            else:
+                b0, bd, bm, br, bx = cur
+                acc[mn] = (b0 + k * a0, bd + k * ad, bm + k * am, br + k * ar,
+                           bx + kx * x)
+        order_key = self.order_key
         return tuple((mn, *params) for mn, params in
-                     sorted(acc.items(), key=lambda item: self.order_key(item[0]))
+                     sorted(acc.items(), key=lambda item: order_key(item[0]))
                      if any(params))
 
     # -- bracket compatibility ------------------------------------------------
+
+    def _certificate(self):
+        """The ``ClosureCertificate`` of this module's kind and chi seed,
+        shared by those modules (and by the modules of a subclass that
+        keeps ``_parametric_row``); built on first use."""
+        source = (type(self)._parametric_row, self.kind, self.uses_chi)
+        certificate = _CERTIFICATES.get(source)
+        if certificate is None:
+            certificate = _CERTIFICATES[source] = ClosureCertificate()
+        return certificate
+
+    def closure_certificate(self, max_degree: int):
+        """The nonzero bracket residuals of every module of this one's kind
+        and chi seed on the monomials up to max_degree, as polynomials in
+        the lowest weight (``ClosureCertificate.residuals``)."""
+        return self._certificate().residuals(self, max_degree)
 
     def closure_failures(self, max_degree: int, max_report=5):
         """Bracket-compatibility check on all monomials up to max_degree.
@@ -602,42 +627,208 @@ class VermaModule:
         x (y w) - (-1)^{|x||y|} y (x w) must equal [x,y} w for every
         generator pair.  Returns a list of failing (x, y, monomial) triples
         (empty means the identity holds), at most ``max_report`` of them.
-        Factor modules run the same check over their surviving monomials,
-        on their reduced rows.  Raises ValueError for a negative
-        ``max_degree``, which would check no monomial at all, and for
-        ``max_report < 1``.
+        Raises ValueError for a negative ``max_degree``, which would check
+        no monomial at all, and for ``max_report < 1``.
 
-        Every row the check touches is read once through ``self.int_row``
-        on the chi-doubled basis: the monomials up to the degree, then the
-        keys their images reach.  Rows whose scale differs from the common
-        one D (only on a factor module) are rescaled to it, and
-        ``StructureTable.residuals`` sums each residual in ints.
+        The check is decided once per kind and chi seed, by the residuals
+        of ``closure_certificate``: quadratic forms in v = (1, d, m, r,
+        chi^2), evaluated here at the module's point over D, (D, dD, mD,
+        rD, chi^2 D) (the last a checked conversion).  Evaluation at a
+        point is a ring homomorphism from the polynomials to the
+        rationals, and the module's rows are the parametric rows evaluated
+        at its point, so a form's value is D^2 times the residual that
+        sums the module's own rows.  A residual therefore fails here
+        exactly when the point check over the rows finds it, and the list,
+        order included, is the same.  A factor module, whose rows are not
+        parametric, runs that point check (``FactorModule.closure_failures``).
         """
-        if max_degree < 0 or max_report < 1:
-            raise ValueError("max_degree >= 0 and max_report >= 1 expected, "
-                             "got %r and %r" % (max_degree, max_report))
-        names = self.table.names
-        basis = [(mono, 0) for mono in self.enumerate_monomials(max_degree)]
-        rows = {g: {} for g in names}
+        closure_arguments(max_degree, max_report)
+        D, dD, mD, rD, _ = self._point
+        point = (D, dD, mD, rD, _times(self.ring.chi_square, D))
+        return self._certificate().failures(self, max_degree, point,
+                                            max_report)
+
+
+def closure_arguments(max_degree, max_report):
+    """ValueError unless max_degree >= 0 and max_report >= 1."""
+    if max_degree < 0 or max_report < 1:
+        raise ValueError("max_degree >= 0 and max_report >= 1 expected, "
+                         "got %r and %r" % (max_degree, max_report))
+
+
+# (rows' source, kind, chi seed) -> ClosureCertificate, filled on first use
+_CERTIFICATES = {}
+# the terms v_i v_j (i <= j) of a quadratic form in v = (1, d, m, r, chi^2),
+# in order, and _PAIR_INDEX[i][j] = _PAIR_INDEX[j][i], the place of v_i v_j
+_PAIRS = tuple((i, j) for i in range(5) for j in range(i, 5))
+_PAIR_INDEX = tuple(tuple(_PAIRS.index((min(i, j), max(i, j)))
+                          for j in range(5)) for i in range(5))
+
+
+class ClosureCertificate:
+    """The bracket residuals of one kind's Verma modules for every lowest
+    weight at once, on one chi seed (on for massive N=1, else off).
+
+    A parametric row's entry a0 + a_d d + a_m m + a_r r + x chi becomes, on
+    the chi-doubled basis, linear forms in v = (1, d, m, r, q), q = chi^2:
+    at flag 0 the even entry a0 + a_d d + a_m m + a_r r and the chi entry
+    x (seed on); at flag 1 (chi times the monomial), with s = (-1)^{|g|},
+    the even entry s x q and the chi entry s (a0 + a_d d + a_m m + a_r r).
+    For x <= y in table order and f over the monomials, in the order of
+    ``StructureTable.residuals``, x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f is
+    summed with each composite term a product of two linear forms and the
+    bracket part times v_0 = 1: per key, a quadratic form in v with int
+    coefficients (``VermaModule`` requires integral structure
+    constants).  A residual that is zero as a polynomial vanishes at every
+    lowest weight; the rest are kept, each form as an int multiple of a
+    primitive form (coefficient gcd 1, first coefficient positive) in
+    ``forms``, which is nonzero at the same points, so a module evaluates
+    each primitive form once.  Up to degree 16 (N=1) and 8 (N=2), every
+    N=1 residual vanishes at chi^2 = m/2 (seed on) or at m = 0 (seed off)
+    and N=2 has none.
+    """
+
+    def __init__(self):
+        self.degree = -1
+        self.forms = []  # the distinct primitive forms
+        self._form_index = {}
+        # (pair index, degree of f, x, y, f, ((key, multiple, form index),
+        # ...)) per nonzero residual, sorted by pair, then by order_key f
+        self._records = []
+
+    def residuals(self, module, max_degree):
+        """(x, y, f, residual) for every nonzero residual with f of degree
+        <= max_degree, in ``closure_failures`` order.  A residual is a
+        tuple of (key, form) pairs, key a (monomial, flag) of the doubled
+        basis and form a nonempty tuple of ((i, j), c) terms standing for
+        the sum of c v_i v_j, v = (1, d, m, r, chi^2) by index (i <= j).
+        ``module`` supplies the rows and the monomials when the
+        certificate grows to max_degree."""
+        self._grow(module, max_degree)
+        return [(x, y, f, tuple((key, tuple((ij, g * c) for ij, c
+                                             in self.forms[index]))
+                                for key, g, index in terms))
+                for _, degree, x, y, f, terms in self._records
+                if degree <= max_degree]
+
+    def failures(self, module, max_degree, point, max_report):
+        """(x, y, f) of the first ``max_report`` residuals with f of degree
+        <= max_degree that are nonzero at ``point``, the values of v as
+        ints over one denominator."""
+        self._grow(module, max_degree)
+        nonzero = {k for k, form in enumerate(self.forms)
+                   if sum(c * point[i] * point[j] for (i, j), c in form)}
+        failures = []
+        if nonzero:
+            for _, degree, x, y, f, terms in self._records:
+                if degree <= max_degree and any(
+                        index in nonzero for _, _, index in terms):
+                    failures.append((x, y, f))
+                    if len(failures) == max_report:
+                        break
+        return failures
+
+    def _split(self, form):
+        """(g, index): the form is g times ``forms[index]``."""
+        g = gcd(*(c for _, c in form))
+        if form[0][1] < 0:
+            g = -g
+        primitive = tuple((ij, c // g) for ij, c in form)
+        index = self._form_index.get(primitive)
+        if index is None:
+            index = self._form_index[primitive] = len(self.forms)
+            self.forms.append(primitive)
+        return g, index
+
+    def _grow(self, module, max_degree):
+        """Add the residuals at the monomials of degree in (``degree``,
+        max_degree]."""
+        if max_degree <= self.degree:
+            return
+        table = module.table
+        names = table.names
+        basis = [(mono, 0) for mono in module.enumerate_monomials(max_degree)
+                 if _first_degree(module, mono) > self.degree]
+        # keys are numbered in the order they are met, the new monomials
+        # first; rows[g][n] is the row of g at key n, entries numbered too,
+        # for the new monomials and every key their rows reach
+        index = {key: n for n, key in enumerate(basis)}
+        rows = {g: [] for g in names}
 
         def read(key):
             for g in names:
-                rows[g][key] = self.int_row(g, key)
+                rows[g].append(tuple(
+                    (index.setdefault(key2, len(index)), form)
+                    for key2, form in _form_row(module, g, key)))
 
         for key in basis:
             read(key)
-        seen = set(basis)
-        for g in names:
-            for key in basis:
-                for key2, _ in rows[g][key][1]:
-                    if key2 not in seen:
-                        seen.add(key2)
-                        read(key2)
-        D = lcm(*(scale for by_key in rows.values()
-                  for scale, _ in by_key.values()))
-        for by_key in rows.values():
-            for key, (scale, entries) in by_key.items():
-                by_key[key] = entries if scale == D else tuple(
-                    (k, v * (D // scale)) for k, v in entries)
-        return [(x, y, f[0]) for x, y, f, _, _ in
-                islice(self.table.residuals(rows, basis, D), max_report)]
+        for key in list(index)[len(basis):]:
+            read(key)
+        keys = list(index)
+        pairs = [(x, y) for i, x in enumerate(names) for y in names[i:]]
+        for n, (x, y) in enumerate(pairs):
+            rx, ry = rows[x], rows[y]
+            if y != x:
+                swap = 1 if (table.parity(x) and table.parity(y)) else -1
+                composites = ((ry, rx, 1), (rx, ry, swap))
+            elif table.parity(x):
+                composites = ((rx, rx, 2),)
+            else:
+                composites = ()
+            minus_bracket = [(rows[h], -c) for h, c in table.ad[x][y]]
+            for f in range(len(basis)):
+                acc = {}  # key -> coefficients of the v_i v_j by _PAIRS
+                for first, second, factor in composites:
+                    for key, form in first[f]:
+                        for key2, form2 in second[key]:
+                            terms = acc.get(key2)
+                            if terms is None:
+                                terms = acc[key2] = [0] * len(_PAIRS)
+                            for i, a in form:
+                                a *= factor
+                                place = _PAIR_INDEX[i]
+                                for j, b in form2:
+                                    terms[place[j]] += a * b
+                for rh, c in minus_bracket:
+                    for key2, form in rh[f]:
+                        terms = acc.get(key2)
+                        if terms is None:
+                            terms = acc[key2] = [0] * len(_PAIRS)
+                        for j, b in form:
+                            terms[j] += c * b  # v_0 v_j is in place j
+                nonzero = [(keys[k], terms) for k, terms in acc.items()
+                           if any(terms)]
+                if nonzero:
+                    mono = basis[f][0]
+                    self._records.append((
+                        n, _first_degree(module, mono), x, y, mono,
+                        tuple((key, *self._split(tuple(
+                            (ij, v) for ij, v in zip(_PAIRS, terms) if v)))
+                            for key, terms in sorted(nonzero))))
+        order_key = module.order_key
+        self._records.sort(key=lambda record: (record[0],
+                                               order_key(record[4])))
+        self.degree = max_degree
+
+
+def _form_row(module, gen, key):
+    """Row of ``gen`` at a doubled-basis key of ``module`` as (key, linear
+    form) pairs, a linear form being ((variable, int), ...) with nonzero
+    ints, over the variables (1, d, m, r, chi^2) by index."""
+    mono, flag = key
+    seed = module.uses_chi
+    sign = -1 if flag and module._parity[gen] else 1
+    row = []
+    for mn, a0, ad, am, ar, x in module._parametric_row(gen, mono):
+        even = tuple((i, sign * a) for i, a in enumerate((a0, ad, am, ar)) if a)
+        chi = ((4 if flag else 0, sign * x),) if x and seed else ()
+        row += [((mn, f), form) for f, form in
+                enumerate((chi, even) if flag else (even, chi)) if form]
+    return tuple(row)
+
+
+def _first_degree(module, mono):
+    """The first weight component of a monomial: its degree."""
+    weight = module.weight(mono)
+    return weight if module.kind == "ssch1" else weight[0]

@@ -179,35 +179,39 @@ def _closure(space, degree):
             space.closure_failures(degree, max_report=10 ** 6)]
 
 
-# the closure mutants, shared with tests/test_verma.py
+# the closure mutants, shared with tests/test_verma.py; each alters the
+# kind's parametric rows as a module reads them, so its point rows, its
+# ``act`` and its closure certificate all see the mutation
 
 
 class DoubledH(VermaModule):
     """H acting twice over, which breaks the brackets that involve H."""
 
-    def _act_mono_engine(self, gen, mono):
-        row = super()._act_mono_engine(gen, mono)
+    def _parametric_row(self, gen, mono):
+        row = super()._parametric_row(gen, mono)
         if gen != "H":
             return row
-        return tuple((key, 2 * v) for key, v in row)
+        return tuple((mn, *(2 * v for v in coeffs)) for mn, *coeffs in row)
 
 
-def add_one(row, key, scale):
-    """An engine row (ints over ``scale``) with 1 added at ``key``."""
-    parts = dict(row)
-    parts[key] = parts.get(key, 0) + scale
-    return tuple((k, v) for k, v in parts.items() if v)
+def add_one(row, mono):
+    """A parametric row with 1 added to the constant term at ``mono``."""
+    out = [(mn, a0 + 1, *rest) if mn == mono else (mn, a0, *rest)
+           for mn, a0, *rest in row]
+    if all(mn != mono for mn, *_ in row):
+        out.append((mono, 1, 0, 0, 0, 0))
+    return tuple(entry for entry in out if any(entry[1:]))
 
 
 class MutatedTable(VermaModule):
     """The N=1 action with Q on G^k K^l S v0 giving d - l - k + 1 on
     G^k K^l v0 instead of d - l - k."""
 
-    def _act_mono_engine(self, gen, mono):
-        row = super()._act_mono_engine(gen, mono)
+    def _parametric_row(self, gen, mono):
+        row = super()._parametric_row(gen, mono)
         if gen != "Q" or mono[2] != 1:
             return row
-        return add_one(row, ((mono[0], mono[1], 0), 0), self.scale)
+        return add_one(row, (mono[0], mono[1], 0))
 
 
 # realization reports

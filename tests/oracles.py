@@ -5,10 +5,12 @@ Each applies generators to whole GradedScalar-weighted vectors through
 agree with the library exactly:
 
 * ``closure_failures_oracle`` -- the bracket-compatibility loop on
-  ``space.act`` vectors that ``VermaModule.closure_failures`` replaced with
-  integer sums over ``int_row``; same failure triples, in the same order.
-  A module subclass that overrides ``_act_mono_engine`` changes both sides
-  alike.
+  ``space.act`` vectors that ``closure_failures`` replaced: integer sums
+  over ``int_row`` on a factor module, the kind's closure certificate
+  evaluated at the lowest weight on a Verma module; same failure triples,
+  in the same order.  A module subclass that overrides ``_parametric_row``
+  changes both sides alike; one that overrides ``_act_mono_engine`` changes
+  only the oracle's rows, not the certificate.
 * ``gram_pair`` -- one pairing value of the bilinear form, applying the
   whole omega1 word of the left label to the right one; ``quotient.gram``,
   which builds each row from memoised one-letter-shorter functionals, must

@@ -353,11 +353,11 @@ class _ParityBreaking(VermaModule):
     even generator that changes parity, so the form gets entries across
     the parity blocks (and, with chi, chi parts inside them)."""
 
-    def _act_mono_engine(self, gen, mono):
-        row = super()._act_mono_engine(gen, mono)
+    def _parametric_row(self, gen, mono):
+        row = super()._parametric_row(gen, mono)
         if gen != "P" or mono[2] != 1:
             return row
-        return add_one(row, ((mono[0], mono[1], 0), 0), self.scale)
+        return add_one(row, (mono[0], mono[1], 0))
 
 
 _RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=5)

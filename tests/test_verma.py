@@ -14,8 +14,8 @@ from superschrod.quotient import FactorModule, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
 from superschrod.superalgebra import build_algebra
-from superschrod.verma import (LowestWeight, ModuleVector, VermaModule,
-                               _times, chi_row)
+from superschrod.verma import (ClosureCertificate, LowestWeight,
+                               ModuleVector, VermaModule, _times, chi_row)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,9 @@ def test_closure_fixes_chi_sign():
 
 
 class _TableRows(VermaModule):
-    """Every N=1 row from the closed-form table, the engine unused."""
+    """Every N=1 row that ``act`` and ``int_row`` read from the closed-form
+    table.  ``closure_failures`` still decides on the engine's certificate,
+    so the table's own closure goes through ``closure_failures_oracle``."""
 
     def __init__(self, lw, chi_square=None):
         super().__init__(lw, chi_square)
@@ -177,7 +179,7 @@ class _TableRows(VermaModule):
 
 def test_closure_table_n1():
     mod = _TableRows(LowestWeight("ssch1", F(3, 4), F(1, 2)))
-    assert not mod.closure_failures(4)
+    assert not closure_failures_oracle(mod, 4)
 
 
 def test_module_vector_algebra(mod_m1):
@@ -203,6 +205,80 @@ def test_engine_deeper_than_the_recursion_limit():
                                            ("P", (depth, 2, 0))))
     n2 = VermaModule(LowestWeight("ssch2", F(1, 2), 1, F(1, 3)))
     assert n2.act("Q+", (2, depth, 1, 1, 1))
+
+
+def _vanishes(form, substitution):
+    """Whether a quadratic form, ((i, j), c) terms over v = (1, d, m, r,
+    chi^2) by index, is zero as a polynomial after each variable index in
+    ``substitution`` is replaced by (index, factor) times that variable, or
+    by zero where it maps to None."""
+    out = {}
+    for (i, j), c in form:
+        subs = [substitution.get(v, (v, 1)) for v in (i, j)]
+        if None in subs:
+            continue
+        (a, fa), (b, fb) = subs
+        key = (min(a, b), max(a, b))
+        out[key] = out.get(key, 0) + c * fa * fb
+    return not any(out.values())
+
+
+# the lowest weights where each chi seed's modules are representations:
+# chi^2 = m/2 with the seed on (massive N=1), m = 0 with it off
+_ON_SHELL = {True: {4: (2, F(1, 2))}, False: {2: None}}
+
+
+def _certificate_modules(cls=VermaModule):
+    """One module per (kind, chi seed): massive and massless N=1, N=2."""
+    return [cls(LowestWeight("ssch1", 1, 1)), cls(LowestWeight("ssch1", 1, 0)),
+            cls(LowestWeight("ssch2", 1, 1, 0))]
+
+
+def assert_certificate_structure(degree_n1, degree_n2):
+    """The closure certificate to degree_n1 on both N=1 chi seeds and to
+    degree_n2 on N=2: N=2 has no nonzero residual, so closure holds at every
+    (d, m, r); every N=1 residual vanishes identically on its seed's shell.
+    Returns the number of residuals per module."""
+    counts = []
+    for mod in _certificate_modules():
+        if mod.kind == "ssch2":
+            residuals = mod.closure_certificate(degree_n2)
+            assert residuals == []
+        else:
+            residuals = mod.closure_certificate(degree_n1)
+            assert residuals
+            shell = _ON_SHELL[mod.uses_chi]
+            for x, y, f, residual in residuals:
+                assert all(_vanishes(form, shell) for _, form in residual), \
+                    (x, y, f)
+        counts.append((mod.kind, mod.uses_chi, len(residuals)))
+    return counts
+
+
+def test_closure_certificate_structure():
+    assert assert_certificate_structure(9, 6) == [
+        ("ssch1", True, 217), ("ssch1", False, 217), ("ssch2", False, 0)]
+
+
+def test_mutated_table_fails_the_certificate_itself():
+    # d - l - k + 1 leaves residuals that are nonzero on the whole shell,
+    # not only at some lowest weights
+    for mod in _certificate_modules(_MutatedTable)[:2]:  # N=1 only
+        shell = _ON_SHELL[mod.uses_chi]
+        residuals = mod.closure_certificate(3)
+        assert any(not _vanishes(form, shell)
+                   for _, _, _, residual in residuals for _, form in residual)
+
+
+def test_certificate_growth_does_not_depend_on_request_order():
+    mutants = _certificate_modules(_MutatedTable)[:2]  # N=1 only
+    for mod in _certificate_modules() + mutants:
+        degrees = range(7 if mod.kind == "ssch1" else 4)
+        fresh = {n: ClosureCertificate().residuals(mod, n) for n in degrees}
+        for order in (degrees, reversed(degrees)):
+            certificate = ClosureCertificate()
+            for n in order:
+                assert certificate.residuals(mod, n) == fresh[n], (order, n)
 
 
 def test_closure_rejects_a_negative_degree():
