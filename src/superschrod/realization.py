@@ -6,6 +6,17 @@ algebra, (theta, phi, rho) all Grassmann for N=2.  Differential operators
 are sums of (superpolynomial coefficient) x (derivative word); odd
 derivatives obey the graded Leibniz rule, realised here by differentiating
 monomials directly with the Koszul sign of the variables passed over.
+
+``verify_relations`` checks the brackets at one lowest weight (d, m) on the
+monomials up to twice the operators' order, which decides them at every
+degree.  The paper's realization is certified once per kind for every
+(d, m): a bracket residual of ``build_realization(kind, d, m)`` is a
+polynomial in (d, m) of bounded degree, so once the point check has passed
+at enough points in general position (15 for ssch1, 6 for ssch2) every
+residual is the zero polynomial.  A ``RealizationCertificate`` per kind and
+``build_realization`` gathers those points from the checks callers run
+anyway; once it is complete, a call on the paper's operators at any (d, m)
+is answered without a residual pass.
 """
 
 from __future__ import annotations
@@ -17,7 +28,9 @@ from itertools import islice
 from math import lcm, prod
 
 from .scalars import as_fraction, mul_odd_words
+from .singular import rank
 from .superalgebra import StructureTable
+from .verma import _shared_table
 
 
 class SuperSpace:
@@ -417,18 +430,64 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     ``StructureTable.residuals`` sums B D^2 times each residual in ints.
     Only a failing residual is turned into Fractions.
 
+    Degree bound in (d, m).  In ``build_realization(kind, d, m)`` every
+    coefficient is affine in (d, m) and every Clifford square is -m/2,
+    linear in m (a zero term is dropped, which changes no operator).  A
+    derivative word sends a monomial to an integer multiple of one
+    monomial, free of (d, m); the coefficient then multiplies it, and that
+    product of two canonical words contracts each square at most once.  So
+    an entry of one operator's image of a monomial is a polynomial in
+    (d, m) of degree <= 1 + c, with c the number of odd variables whose
+    square is nonzero (``SuperSpace.for_kind``: c = 1 for ssch1, 0 for
+    ssch2).  A composite X(Y f) has degree <= 2(1 + c) and the bracket
+    part, whose structure constants are numbers, degree <= 1 + c <= 2.
+    Every entry of every residual on a fixed monomial is therefore a
+    polynomial of total degree <= n = 2(1 + c): 4 for ssch1, 2 for ssch2.
+    Such a polynomial that vanishes at points whose rows (d^i m^j), i + j
+    <= n, have rank (n + 1)(n + 2)/2 (15 and 6) is zero, since those rows
+    then span every evaluation functional.  Every operator of the paper's
+    realization has order <= 1 and H = d_t has order 1 at every (d, m), so
+    2k = 2 everywhere, and a passing check with ``max_degree`` >= 2k shows
+    that the residuals vanish on the degree <= 2 monomials at its point.
+    Once the rows of such points reach full rank, those residuals are zero
+    at every (d, m), and by the order bound every bracket holds at every
+    degree and every (d, m).
+
+    Certificate.  That evidence is a ``RealizationCertificate`` per kind,
+    keyed by (kind, the ``build_realization`` in use) so that a replaced
+    builder (a test double) starts from an empty one.  It answers for or
+    learns from a call only if the guard holds: d and m are given (read
+    as Fractions, as the report reads them), the kind is ssch1 or ssch2,
+    ``table`` has the generators and constants of
+    ``build_algebra(table.kind)``, the operators are keyed by exactly the
+    table's names, and each equals ``build_realization(kind, d, m)``'s
+    term by term (its type, its space's names and squares, and each
+    term's coefficient dict, dt, dx and odd word, in order).  Every other
+    call (without d and m, with an edited term or table) runs the point
+    check.  A guarded point check with ``max_degree`` >= 2k whose report
+    has no failure records a new point; its row is kept only if it raises
+    the rank of the rows kept (``singular.rank``).  On a certified kind a
+    guarded call returns RealizationReport(kind, d, m, max_degree,
+    max_degree) after the shared argument checks and parity loop, which is
+    the point check's report at every degree and failure cap.
+
     Failures are (X, Y, monomial, residual string) in bracket-table order,
     after one (gen, gen, None, "parity mismatch") per operator of the wrong
     parity, at most ``max_failures`` in all.  Raises ValueError for a
     negative ``max_degree``, which would check no monomial at all, for
-    ``max_failures < 1`` and for a scaled value that is not an integer.
+    ``max_failures < 1``, for a table generator without an operator, for an
+    operator of a generator the table does not have and for a scaled value
+    that is not an integer.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
     if max_failures < 1:
         raise ValueError("max_failures must be >= 1, got %r"
                          % (max_failures,))
-    space = next(iter(realization.values())).space
+    missing = [g for g in table.names if g not in realization]
+    if missing:
+        raise ValueError("no operator for generator(s) %s"
+                         % ", ".join(missing))
     report = RealizationReport(table.kind,
                                Fraction(0) if d is None else Fraction(d),
                                Fraction(0) if m is None else Fraction(m),
@@ -442,6 +501,21 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
         report.degree_raise = max(report.degree_raise, op.max_degree_raise())
     if len(failures) >= max_failures:
         return report
+    certificate = None if d is None or m is None else _guarded_certificate(
+        realization, table, report.d, report.m)
+    if certificate is not None and certificate.certified:
+        return report
+    bound = _point_check(realization, table, max_degree,
+                         max_failures - len(failures), failures)
+    if certificate is not None and max_degree >= bound and report.ok:
+        certificate.record(report.d, report.m)
+    return report
+
+
+def _point_check(realization, table, max_degree, cap, failures):
+    """The residual pass of ``verify_relations`` at one point: appends at
+    most ``cap`` failures and returns the order bound 2k."""
+    space = next(iter(realization.values())).space
     scale = lcm(*(realization[g].denominator() for g in table.names))
     # gen -> monomial -> image items, local to this call so that an edit
     # to an operator's terms between calls is always seen
@@ -467,14 +541,83 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     bound = 2 * max(op.order() for op in realization.values())
     if max_degree > bound and next(
             residuals(enumerate_polyspace(space, bound)), None) is None:
-        return report
+        return bound
     for x, y, mono, acc, den in islice(
-            residuals(enumerate_polyspace(space, max_degree)),
-            max_failures - len(failures)):
+            residuals(enumerate_polyspace(space, max_degree)), cap):
         residual = SuperPoly(space, {mn: Fraction(v, den)
                                      for mn, v in acc.items() if v})
         failures.append((x, y, mono, str(residual)))
-    return report
+    return bound
+
+
+class RealizationCertificate:
+    """The points where the point check of one kind's paper realization
+    passed, kept while their rows (d^i m^j), i + j <= ``degree``, raise
+    the rank; ``certified`` once the rank is (n + 1)(n + 2)/2, and then
+    every bracket holds at every degree and every (d, m) (see
+    ``verify_relations``).  Fed only by ``verify_relations``."""
+
+    def __init__(self, kind):
+        squares = SuperSpace.for_kind(kind, 1).squares.values()
+        # the squares are linear in m, so nonzero at m = 1 unless always 0
+        self.degree = n = 2 * (1 + sum(1 for sq in squares if sq))
+        self.exponents = [(i, j) for i in range(n + 1)
+                          for j in range(n + 1 - i)]
+        self.points = set()
+        self.rows = []
+
+    @property
+    def certified(self) -> bool:
+        return len(self.rows) == len(self.exponents)
+
+    def record(self, d, m):
+        """Record a passing point (d, m); keep its row if it raises the
+        rank of the rows kept."""
+        if (d, m) in self.points:
+            return
+        self.points.add((d, m))
+        row = [d ** i * m ** j for i, j in self.exponents]
+        if rank(self.rows + [row]) > len(self.rows):
+            self.rows.append(row)
+
+
+# (kind, build_realization) -> RealizationCertificate, filled on first use
+_CERTIFICATES = {}
+
+
+def _guarded_certificate(realization, table, d, m):
+    """The certificate that may answer for or learn from a call of
+    ``verify_relations`` at the Fractions d and m, or None when the guard
+    fails."""
+    kind = table.kind
+    if kind not in ("ssch1", "ssch2"):
+        return None
+    algebra = _shared_table(kind)  # build_algebra(kind), built once
+    if (table.generators != algebra.generators
+            or table.constants != algebra.constants):
+        return None
+    build = build_realization
+    reference = build(kind, d, m)
+    if realization.keys() != reference.keys():
+        return None
+    for gen, expected in reference.items():
+        op = realization[gen]
+        space, space0 = op.space, expected.space
+        if (type(op) is not SuperDiffOp or type(space) is not SuperSpace
+                or space.names != space0.names
+                or space.squares != space0.squares
+                or len(op.terms) != len(expected.terms)):
+            return None
+        for (coeff, dt, dx, odds), (c0, dt0, dx0, odds0) in zip(
+                op.terms, expected.terms):
+            if (dt != dt0 or dx != dx0 or odds != odds0
+                    or coeff.terms != c0.terms):
+                return None
+    key = (kind, build)
+    certificate = _CERTIFICATES.get(key)
+    if certificate is None:
+        certificate = _CERTIFICATES[key] = RealizationCertificate(kind)
+    return certificate
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,29 @@ class ModuleVector:
     __repr__ = __str__
 
 
+class _KindData:
+    """What every module of one kind reads from its structure table: the
+    table, the raising generators in table order (``plus_set``) and as a
+    set, the lowering set, the parity of each generator, and the number of
+    exponents and the vacuum of a basis monomial."""
+
+    def __init__(self, kind):
+        self.table = table = _shared_table(kind)
+        if table.denominator != 1:
+            raise ValueError("the engine needs integral structure constants")
+        plus, _, minus = triangular_decompose(table)
+        self.plus_set = tuple(plus)
+        self.raising = frozenset(plus)
+        self.minus_set = frozenset(minus)
+        self.parity = {g: table.parity(g) for g in table.names}
+        self.n_exponents = 3 if kind == "ssch1" else 5
+        self.vacuum = (0,) * self.n_exponents
+
+
+# kind -> its _KindData, built on first use
+_kind_data = functools.cache(_KindData)
+
+
 class VermaModule:
     """Lowest-weight module with PBW monomial basis and exact action.
 
@@ -223,18 +246,16 @@ class VermaModule:
     def __init__(self, lw: LowestWeight, chi_square=None):
         self.lw = lw
         self.kind = lw.kind
-        self.table = _shared_table(lw.kind)
-        if self.table.denominator != 1:
-            raise ValueError("the engine needs integral structure constants")
+        shared = _kind_data(lw.kind)
+        self.table = shared.table
         self.ring = ScalarRing(lw.m, chi_square)
-        plus, zero, minus = triangular_decompose(self.table)
-        self.plus_set = tuple(plus)
-        self.minus_set = frozenset(minus)
-        self.n_exponents = 3 if self.kind == "ssch1" else 5
-        self.vacuum = (0, 0, 0) if self.kind == "ssch1" else (0, 0, 0, 0, 0)
-        self._parity = {g: self.table.parity(g) for g in self.table.names}
-        self._raising = frozenset(plus)
-        self._brackets = self.table.constants
+        self.plus_set = shared.plus_set
+        self.minus_set = shared.minus_set
+        self.n_exponents = shared.n_exponents
+        self.vacuum = shared.vacuum
+        self._parity = shared.parity
+        self._raising = shared.raising
+        self._brackets = shared.table.constants
         self._cache_table = {}  # the Fraction rows
         self._cache_engine = {}
         self._cache_int = {}

@@ -1,3 +1,8 @@
+import contextlib
+import functools
+import random
+import re
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -5,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from golden.record import order_three_case, term_mutants
 from oracles import derive_odd, reference_apply, verify_relations_oracle
-from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
-                                     build_realization, chi_eta_ops,
-                                     enumerate_polyspace, poly_mono,
-                                     verify_chi_eta, verify_relations)
-from superschrod.superalgebra import build_algebra
+from superschrod import realization
+from superschrod.realization import (RealizationCertificate, SuperDiffOp,
+                                     SuperPoly, SuperSpace, build_realization,
+                                     chi_eta_ops, enumerate_polyspace,
+                                     poly_mono, verify_chi_eta,
+                                     verify_relations)
+from superschrod.superalgebra import StructureTable, build_algebra
 
 
 def test_operator_shapes():
@@ -292,3 +299,241 @@ def test_polyspace_enumeration():
     assert (0, 0, ()) in monos and (2, 0, ()) in monos
     assert (0, 0, ("theta", "phi")) in monos
     assert all(a + b + len(w) <= 2 for a, b, w in monos)
+
+
+def test_malformed_operator_tables_are_rejected():
+    table = build_algebra("ssch1")
+    with pytest.raises(ValueError, match=re.escape(
+            "no operator for generator(s) " + ", ".join(table.names))):
+        verify_relations({}, table, 2)
+    ops = build_realization("ssch1", F(3, 4), 1)
+    del ops["G"]
+    with pytest.raises(ValueError, match=r"generator\(s\) G$"):
+        verify_relations(ops, table, 2, d=F(3, 4), m=1)
+    ops = build_realization("ssch1", F(3, 4), 1)
+    ops["Y"] = ops["H"]
+    with pytest.raises(ValueError, match="unknown generator 'Y'"):
+        verify_relations(ops, table, 2, d=F(3, 4), m=1)
+
+
+# the realization certificate
+
+
+@contextlib.contextmanager
+def certificates(installed=()):
+    """Run with the realization certificates set to ``installed`` (a dict,
+    empty by default), restoring the ones before afterwards; yields the
+    live dict."""
+    live = realization._CERTIFICATES
+    saved = dict(live)
+    live.clear()
+    live.update(installed)
+    try:
+        yield live
+    finally:
+        live.clear()
+        live.update(saved)
+
+
+@contextlib.contextmanager
+def counting_point_checks():
+    """Yields a list that gets one entry per residual pass run."""
+    calls = []
+    original = realization._point_check
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    realization._point_check = counted
+    try:
+        yield calls
+    finally:
+        realization._point_check = original
+
+
+def _grid(kind):
+    """The integer points (i, j), i + j <= n, of the kind's bound n."""
+    n = RealizationCertificate(kind).degree
+    return [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+
+
+@functools.cache
+def grid_certificates():
+    """Both kinds' certificates, fed only by the passing point checks at
+    their ``_grid`` points."""
+    with certificates() as live:
+        for kind in ("ssch1", "ssch2"):
+            table = build_algebra(kind)
+            for d, m in _grid(kind):
+                assert verify_relations(build_realization(kind, d, m), table,
+                                        2, d=d, m=m).ok
+            assert live[(kind, build_realization)].certified, kind
+        return dict(live)
+
+
+def certified_and_point_reports(kind, d, m, degree, max_failures):
+    """verify_relations on the paper's realization at (d, m), first with
+    the certified ``grid_certificates`` (no residual pass may run), then
+    with none (one residual pass must run)."""
+    table = build_algebra(kind)
+    ops = build_realization(kind, d, m)
+    with certificates(grid_certificates()), counting_point_checks() as calls:
+        certified = verify_relations(ops, table, degree, max_failures, d, m)
+    assert calls == []
+    with certificates(), counting_point_checks() as calls:
+        point = verify_relations(ops, table, degree, max_failures, d, m)
+    assert calls == [degree]
+    return certified, point
+
+
+def assert_certified_reports(points, seed=0):
+    """Compare the certified and the point-path report at ``points``
+    seeded draws of kind, d, m, degree 0-6 and failure cap 1-12; returns
+    the number compared."""
+    rng = random.Random(seed)
+    for _ in range(points):
+        kind = rng.choice(("ssch1", "ssch2"))
+        d, m = (F(rng.randint(-12, 12), rng.randint(1, 9)) for _ in "dm")
+        degree, cap = rng.randint(0, 6), rng.randint(1, 12)
+        certified, point = certified_and_point_reports(kind, d, m, degree,
+                                                       cap)
+        assert certified == point, (kind, d, m, degree, cap)
+    return points
+
+
+def _coefficients(ops):
+    """(gen, dt, dx, odd word, monomial) -> coefficient, summed over the
+    terms of one derivative word."""
+    out = defaultdict(F)
+    for gen, op in ops.items():
+        for coeff, dt, dx, odds in op.terms:
+            for mono, c in coeff.terms.items():
+                out[gen, dt, dx, odds, mono] += c
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_realization_is_affine_in_the_lowest_weight(kind):
+    # the premise of the degree bound: coefficients affine in (d, m),
+    # Clifford squares linear in m
+    at_0, along_d, along_m = (_coefficients(build_realization(kind, d, m))
+                              for d, m in ((0, 0), (1, 0), (0, 1)))
+    unit = SuperSpace.for_kind(kind, 1).squares
+    for d, m in ((F(3, 4), F(5, 2)), (F(-7, 3), F(2, 9)), (5, -4), (0, 3)):
+        at = _coefficients(build_realization(kind, d, m))
+        for key in set(at) | set(at_0) | set(along_d) | set(along_m):
+            c0 = at_0.get(key, 0)
+            assert at.get(key, 0) == c0 + d * (along_d.get(key, 0) - c0) \
+                + m * (along_m.get(key, 0) - c0), (key, d, m)
+        assert SuperSpace.for_kind(kind, m).squares == {
+            name: m * sq for name, sq in unit.items()}
+    assert RealizationCertificate(kind).degree == \
+        {"ssch1": 4, "ssch2": 2}[kind]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["ssch1", "ssch2"]), d=_rationals, m=_rationals,
+       degree=st.integers(0, 6), max_failures=st.integers(1, 12))
+def test_certified_report_equals_the_point_report(kind, d, m, degree,
+                                                  max_failures):
+    certified, point = certified_and_point_reports(kind, d, m, degree,
+                                                   max_failures)
+    assert certified == point
+
+
+def test_seeded_certified_reports():
+    # the check CI runs at 50 points
+    assert assert_certified_reports(10, seed=1) == 10
+
+
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_points_on_one_line_never_certify(kind):
+    n = RealizationCertificate(kind).degree
+    table = build_algebra(kind)
+    for line in ([(i, 0) for i in range(3 * n)],
+                 [(F(2, 3), j) for j in range(3 * n)]):
+        with certificates() as live:
+            for d, m in line:
+                verify_relations(build_realization(kind, d, m), table, 3,
+                                 d=d, m=m)
+            certificate = live[(kind, build_realization)]
+            assert len(certificate.points) == 3 * n
+            assert len(certificate.rows) == n + 1
+            assert not certificate.certified
+
+
+def test_certificate_is_fed_only_by_guarded_passing_checks():
+    table = build_algebra("ssch2")
+    with certificates() as live:
+        ops = build_realization("ssch2", 1, 2)
+        verify_relations(ops, table, 1, d=1, m=2)  # below 2k
+        verify_relations(ops, table, 3)  # no point given
+        ops["G"] = SuperDiffOp(ops["G"].space, ops["G"].terms[1:])
+        verify_relations(ops, table, 3, d=1, m=2)  # an edited operator
+        assert not any(c.points for c in live.values())
+        verify_relations(build_realization("ssch2", 1, 2), table, 2, d=1, m=2)
+        verify_relations(build_realization("ssch2", 1, 2), table, 5, d=1, m=2)
+        assert live[("ssch2", build_realization)].points == {(1, 2)}
+        # d and m are read as Fractions, as the report reads them
+        report = verify_relations(build_realization("ssch2", F(1, 3), 2),
+                                  table, 2, d="1/3", m=2.0)
+        assert report.ok and (report.d, report.m) == (F(1, 3), 2)
+        assert live[("ssch2", build_realization)].points == {(1, 2),
+                                                            (F(1, 3), 2)}
+
+
+def test_replaced_builder_starts_from_an_empty_certificate(monkeypatch):
+    with certificates(grid_certificates()) as live:
+        monkeypatch.setattr(realization, "build_realization",
+                            lambda kind, d, m: build_realization(kind, d, m))
+        with counting_point_checks() as calls:
+            assert verify_relations(build_realization("ssch1", 1, 1),
+                                    build_algebra("ssch1"), 2, d=1, m=1).ok
+        assert calls == [2]
+        assert len(live) == 3
+
+
+def _corrupted_table(kind):
+    """The kind's table with its first nonzero bracket doubled."""
+    data = build_algebra(kind).to_json_dict()
+    bracket = next(b for b in data["brackets"] if b["value"])
+    bracket["value"] = {g: str(2 * F(c)) for g, c in bracket["value"].items()}
+    return StructureTable.from_json_dict(data)
+
+
+@pytest.mark.parametrize("kind,d,m", [
+    ("ssch1", F(3, 4), 1), ("ssch1", F(3, 4), 0),
+    ("ssch2", 1, 2), ("ssch2", 1, 0),
+])
+def test_certified_kind_still_checks_edited_inputs(kind, d, m):
+    # mutants, a corrupted table and a non-canonical coefficient word take
+    # the point path on a certified kind, with the reports they get
+    # without a certificate
+    table = build_algebra(kind)
+    base = build_realization(kind, d, m)
+    cases = [(ops, table) for _, _, _, ops in term_mutants(base)]
+    cases.append((base, _corrupted_table(kind)))
+    if kind == "ssch1":
+        g = base["G"]
+        theta_eta = poly_mono(g.space, word=("theta", "eta"))
+        cases.append((dict(base, G=SuperDiffOp(g.space, [
+            t for t in g.terms if t[0] != theta_eta])), table))
+    with certificates():
+        before = [verify_relations(ops, tab, 3, 1, d, m)
+                  for ops, tab in cases]
+    with certificates(grid_certificates()), counting_point_checks() as calls:
+        after = [verify_relations(ops, tab, 3, 1, d, m) for ops, tab in cases]
+        # a parity mismatch that fills the cap returns before either path
+        assert len(calls) == sum(report.parity_ok for report in after)
+        assert after == before
+        assert not any(report.ok for report in after)
+        if kind == "ssch1":
+            x, y, _, residual = after[-1].failures[0]
+            assert (x, y) == ("P", "K") and "thetaeta" in residual
+            ops = build_realization(kind, d, F(2, 3))
+            coeff = SuperPoly(ops["M"].space)
+            coeff.terms = {(0, 0, ("eta",) * 4): F(1)}
+            ops["M"] = SuperDiffOp(ops["M"].space, [(coeff, 0, 0, ())])
+            with pytest.raises(ValueError, match="not an integer"):
+                verify_relations(ops, table, 1, d=d, m=F(2, 3))
