@@ -280,6 +280,8 @@ def cmd_gram(args) -> int:
         raise UsageError("--weight %d exceeds --cutoff %d"
                          % (args.weight, args.cutoff))
     if lw.kind == "ssch1":
+        if args.rweight is not None:
+            raise UsageError("--rweight applies to ssch2 only")
         weight = args.weight
     else:
         if args.rweight is None:
@@ -348,6 +350,12 @@ def cmd_realization_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+# the flags that take a rational value, with their help
+_VALUE_FLAGS = {"--d": "conformal weight (rational p/q)",
+                "--m": "mass eigenvalue (rational p/q)",
+                "--r": "R eigenvalue, ssch2 only"}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves it unchanged."""
@@ -359,12 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "form and vector-field realizations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kinds=("sch1", "ssch1", "ssch2"), module=False):
+    def add_common(p, kinds=("sch1", "ssch1", "ssch2"), values=()):
         p.add_argument("--algebra", required=True, choices=kinds)
-        if module:
-            p.add_argument("--d", help="conformal weight (rational p/q)")
-            p.add_argument("--m", help="mass eigenvalue (rational p/q)")
-            p.add_argument("--r", help="R eigenvalue, ssch2 only")
+        for flag in values:
+            p.add_argument(flag, help=_VALUE_FLAGS[flag])
         p.add_argument("--json", action="store_true")
 
     algebra = sub.add_parser("algebra", help="structure table commands")
@@ -384,23 +390,23 @@ def build_parser() -> argparse.ArgumentParser:
     singular = sub.add_parser("singular", help="singular vector commands")
     singular_sub = singular.add_subparsers(dest="subcommand", required=True)
     sfind = singular_sub.add_parser("find")
-    add_common(sfind, kinds=("ssch1", "ssch2"), module=True)
+    add_common(sfind, kinds=("ssch1", "ssch2"), values=_VALUE_FLAGS)
     sfind.add_argument("--max-degree", type=int, default=None)
     sfind.set_defaults(func=cmd_singular_find)
     scheck = singular_sub.add_parser("check")
-    add_common(scheck, kinds=("ssch1", "ssch2"), module=True)
+    add_common(scheck, kinds=("ssch1", "ssch2"), values=_VALUE_FLAGS)
     scheck.add_argument("--p", type=int, required=True)
     scheck.set_defaults(func=cmd_singular_check)
 
     cls = sub.add_parser("classify", help="irreducible module classification")
-    add_common(cls, kinds=("ssch1", "ssch2"), module=True)
+    add_common(cls, kinds=("ssch1", "ssch2"), values=_VALUE_FLAGS)
     cls.add_argument("--max-degree", type=int, default=None)
     cls.add_argument("--certify", action="store_true",
                      help="search the terminal module for singular vectors")
     cls.set_defaults(func=cmd_classify)
 
     gramp = sub.add_parser("gram", help="bilinear form Gram matrix")
-    add_common(gramp, kinds=("ssch1", "ssch2"), module=True)
+    add_common(gramp, kinds=("ssch1", "ssch2"), values=_VALUE_FLAGS)
     gramp.add_argument("--weight", type=int, required=True)
     gramp.add_argument("--rweight", type=int, default=None)
     gramp.add_argument("--cutoff", type=int, default=None)
@@ -411,13 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     real = sub.add_parser("realization", help="vector-field realization")
     real_sub = real.add_subparsers(dest="subcommand", required=True)
     rverify = real_sub.add_parser("verify")
-    add_common(rverify, kinds=("ssch1", "ssch2"), module=True)
+    # the paper's realization has no R eigenvalue, so no --r
+    add_common(rverify, kinds=("ssch1", "ssch2"), values=("--d", "--m"))
     rverify.add_argument("--degree", type=int, default=8)
     rverify.set_defaults(func=cmd_realization_verify)
     return parser
-
-
-_VALUE_FLAGS = ("--d", "--m", "--r")
 
 
 def _merge_negative_values(argv):

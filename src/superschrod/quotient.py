@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
 from math import lcm
+from operator import sub
 from typing import List, Optional
 from weakref import WeakKeyDictionary
 
@@ -94,12 +95,7 @@ class FactorModule:
 
     def _prefix_apply(self, delta, vec: ModuleVector) -> ModuleVector:
         """Apply the raising word with exponent vector ``delta``."""
-        if self.kind == "ssch1":
-            order = (("S", delta[2]), ("K", delta[1]), ("G", delta[0]))
-        else:
-            order = (("X+", delta[4]), ("S-", delta[3]), ("S+", delta[2]),
-                     ("K", delta[1]), ("G", delta[0]))
-        for gen, count in order:
+        for gen, count in reversed(tuple(zip(self.base.plus_set, delta))):
             for _ in range(count):
                 vec = self.base.act(gen, vec)
         return vec
@@ -228,7 +224,7 @@ class FactorModule:
         """Pure-G^j / pure-K^j rule leads bound the even exponents; the
         survivor set is downward closed, so it is finite iff both exist."""
         k_cap = l_cap = None
-        zeros = (0,) * (self.base.n_exponents - 1)
+        zeros = self.base.vacuum[1:]
         for lead, _ in self.rules:
             if lead[1:] == zeros and (k_cap is None or lead[0] < k_cap):
                 k_cap = lead[0]
@@ -248,7 +244,7 @@ class FactorModule:
         k_cap, l_cap = self._caps()
         if k_cap is None or l_cap is None:
             raise ValueError("module is infinite dimensional")
-        odd = [(0, 1)] * (self.base.n_exponents - 2)
+        odd = [(0, 1)] * (len(self.base.vacuum) - 2)
         box = product(range(k_cap + 1), range(l_cap + 1), *odd)
         return sorted(filter(self._survives, box), key=self.base.order_key)
 
@@ -633,16 +629,8 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
 
 
 def reachable_weight(module: VermaModule, source, target) -> bool:
-    """Whether target lies in source + (weight monoid of the raising part)."""
-    if module.kind == "ssch1":
-        return target - source >= 0
-    d1 = target[0] - source[0]
-    d2 = target[1] - source[1]
-    if d1 < 0:
-        return False
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                if a - b + c == d2 and d1 - a - b >= 0:
-                    return True
-    return False
+    """Whether target lies in source + (weight monoid of the raising part):
+    whether the subspace at target - source is nonempty."""
+    if isinstance(target, tuple):
+        return bool(module.subspace_basis(tuple(map(sub, target, source))))
+    return bool(module.subspace_basis(target - source))

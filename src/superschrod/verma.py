@@ -5,6 +5,13 @@ Basis monomials are exponent tuples applied to the lowest weight vector v0:
 * ssch1: (k, l, a)          <->  G^k K^l S^a v0,  a in {0,1}
 * ssch2: (k, l, a, b, c)    <->  G^k K^l S+^a S-^b X+^c v0, a,b,c in {0,1}
 
+The basis, its order and the raising products come from the structure
+table, once per kind (``_KindData``): the exponents follow the raising
+generators of ``triangular_decompose`` in table order, a weight is the
+exponents times the generators' degrees, the order is k, then the fermion
+count, then the other exponents, and an odd raising generator acts by
+anticommuting into the monomial's odd word with the table's brackets.
+
 The action of both kinds comes from the generic normal-ordering engine; the
 closed-form N=1 table of the paper is kept in the tests as its oracle.  A
 row is the image of one generator on one basis monomial.  The engine is
@@ -32,7 +39,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Optional
 
 from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
@@ -209,20 +218,67 @@ class ModuleVector:
 class _KindData:
     """What every module of one kind reads from its structure table: the
     table, the raising generators in table order (``plus_set``) and as a
-    set, the lowering set, the parity of each generator, and the number of
-    exponents and the vacuum of a basis monomial."""
+    set, the lowering set, the parity of each generator, and the monomial
+    layer.
+
+    A basis monomial lists the exponents of ``plus_set``: the even letters
+    (G, K) first, then the odd ones, each 0 or 1.  Its weight is the sum of
+    the exponents times their generators' degrees (``degree_columns`` holds
+    them by component).  In both tables the even letters commute with every
+    raising generator and the bracket of two odd ones is an integral
+    combination of even ones, even on a square; so a raising generator acts
+    on a monomial through its odd tail alone: ``products[gen, tail]`` is
+    that PBW-ordered product as (int coefficient, exponent shift) pairs,
+    read off the brackets by ``_product``.  ``by_degree``, ``bases``,
+    ``weights`` and ``raised`` keep the monomials of one degree, the basis
+    of one weight, the weight of one monomial and one raising product.
+    """
 
     def __init__(self, kind):
         self.table = table = _shared_table(kind)
         if table.denominator != 1:
             raise ValueError("the engine needs integral structure constants")
         plus, _, minus = triangular_decompose(table)
-        self.plus_set = tuple(plus)
+        self.plus_set = plus = tuple(plus)
         self.raising = frozenset(plus)
         self.minus_set = frozenset(minus)
         self.parity = {g: table.parity(g) for g in table.names}
-        self.n_exponents = 3 if kind == "ssch1" else 5
-        self.vacuum = (0,) * self.n_exponents
+        self.vacuum = (0,) * len(plus)
+        self.degree_columns = tuple(zip(*map(table.degree, plus)))
+        self.n_even = n = sum(not self.parity[g] for g in plus)
+        self.products = {(g, tail): self._product(g, tail) for g in plus
+                         for tail in product((0, 1), repeat=len(plus) - n)}
+        self.by_degree = {}
+        self.bases = {}
+        self.weights = {}
+        self.raised = {}
+
+    def _product(self, gen, tail):
+        """A raising generator times the odd word of ``tail``, as (int
+        coefficient, exponent shift) pairs.  An even one commutes past it.
+        An odd one moves right past the letters before its own place, each
+        move a sign -1: at its place it squares to [gen, gen}/2 if the word
+        has it, else joins it, and each letter o it passed leaves a term
+        [gen, o} times the word without o (an even raising combination,
+        which commutes out to the even exponents)."""
+        n, brackets = self.n_even, self.table.constants
+        evens, odds = self.plus_set[:n], self.plus_set[n:]
+        if gen in evens:
+            terms = [(1, gen, tail)]  # (coefficient, even letter, new tail)
+        else:
+            i = odds.index(gen)
+            sign = (-1) ** sum(tail[:i])
+            rest = tail[:i] + (1 - tail[i],) + tail[i + 1:]
+            terms = [(sign * c // 2, h, rest) for h, c in brackets[gen][gen]] \
+                if tail[i] else [(sign, None, rest)]
+            for j in range(i):
+                if tail[j]:
+                    sign = (-1) ** sum(tail[:j])
+                    rest = tail[:j] + (0,) + tail[j + 1:]
+                    terms += [(sign * c, h, rest)
+                              for h, c in brackets[gen][odds[j]]]
+        return tuple((c, tuple(int(g == h) for g in evens)
+                      + tuple(map(sub, rest, tail))) for c, h, rest in terms)
 
 
 # kind -> its _KindData, built on first use
@@ -251,11 +307,17 @@ class VermaModule:
         self.ring = ScalarRing(lw.m, chi_square)
         self.plus_set = shared.plus_set
         self.minus_set = shared.minus_set
-        self.n_exponents = shared.n_exponents
         self.vacuum = shared.vacuum
         self._parity = shared.parity
         self._raising = shared.raising
         self._brackets = shared.table.constants
+        self._n_even = shared.n_even
+        self._degree_columns = shared.degree_columns
+        self._products = shared.products
+        self._by_degree = shared.by_degree
+        self._bases = shared.bases
+        self._weights = shared.weights
+        self._raised = shared.raised
         self._cache_table = {}  # the Fraction rows
         self._cache_engine = {}
         self._cache_int = {}
@@ -288,43 +350,42 @@ class VermaModule:
     # -- monomials ----------------------------------------------------------
 
     def weight(self, mono):
-        """Weight relative to the lowest weight (int for N=1, pair for N=2)."""
-        if self.kind == "ssch1":
-            k, l, a = mono
-            return k + 2 * l + a
-        k, l, a, b, c = mono
-        return (k + 2 * l + a + b, a - b + c)
+        """Weight relative to the lowest weight: the exponents times their
+        generators' degrees (an int when degrees have one component).
+        Kept per kind."""
+        weight = self._weights.get(mono)
+        if weight is None:
+            weight = tuple(sum(map(mul, mono, column))
+                           for column in self._degree_columns)
+            weight = self._weights[mono] = \
+                weight if len(weight) > 1 else weight[0]
+        return weight
 
     def monomial_parity(self, mono) -> int:
-        if self.kind == "ssch1":
-            return mono[2] & 1
-        return (mono[2] + mono[3] + mono[4]) & 1
+        return sum(mono[self._n_even:]) & 1
 
     def order_key(self, mono):
-        if self.kind == "ssch1":
-            k, l, a = mono
-            return (k, a, l)
-        k, l, a, b, c = mono
-        return (k, a + b + c, l, a, b, c)
+        """k (the first exponent), then the fermion count, then the other
+        exponents in order."""
+        return (mono[0], sum(mono[self._n_even:])) + mono[1:]
 
     def monomial_str(self, mono) -> str:
-        if self.kind == "ssch1":
-            k, l, a = mono
-            return "G^%d K^%d S^%d v0" % (k, l, a)
-        k, l, a, b, c = mono
-        return "G^%d K^%d S+^%d S-^%d X+^%d v0" % (k, l, a, b, c)
+        return " ".join("%s^%d" % pair for pair in zip(self.plus_set, mono)) \
+            + " v0"
 
     def parse_monomial(self, text: str):
-        parts = text.split()
-        if not parts or parts[-1] != "v0":
-            raise ValueError("malformed monomial %r" % text)
+        """The monomial that ``monomial_str`` renders as ``text``:
+        ValueError for any other text."""
         try:
-            exps = tuple(int(p.split("^")[1]) for p in parts[:-1])
-        except (IndexError, ValueError) as exc:
-            raise ValueError("malformed monomial %r" % text) from exc
-        if len(exps) != self.n_exponents:
+            mono = tuple(int(part.partition("^")[2])
+                         for part in text.split()[:-1])
+        except ValueError:
+            mono = ()
+        if len(mono) != len(self.vacuum) or min(mono) < 0 \
+                or max(mono[self._n_even:], default=0) > 1 \
+                or self.monomial_str(mono) != text:
             raise ValueError("malformed monomial %r" % text)
-        return exps
+        return mono
 
     def basis_vector(self, mono, coeff=1) -> ModuleVector:
         return ModuleVector(self, {mono: self.coerce_scalar(coeff)})
@@ -332,60 +393,50 @@ class VermaModule:
     def vacuum_vector(self) -> ModuleVector:
         return self.basis_vector(self.vacuum)
 
+    def _degree_monomials(self, n):
+        """The monomials of degree n (first weight component): every
+        exponent but the first ranges, and the first is solved for.
+        Shared by the modules of the kind."""
+        monos = self._by_degree.get(n)
+        if monos is None:
+            first, *rest = self._degree_columns[0]
+            ranges = [range(n // deg + 1) for deg in rest[:self._n_even - 1]]
+            ranges += [(0, 1)] * (len(rest) + 1 - self._n_even)
+            monos = self._by_degree[n] = tuple(
+                (e,) + tail for tail in product(*ranges)
+                for e, rem in [divmod(n - sum(map(mul, tail, rest)), first)]
+                if e >= 0 and not rem)
+        return monos
+
     def enumerate_monomials(self, max_degree: int):
         """All monomials of first-weight component <= max_degree, in
         order_key order."""
-        weights = [self.weight(self.vacuum)] if max_degree >= 0 else []
-        weights += self.enumerate_weights(max_degree)
-        return sorted((mono for weight in weights
-                       for mono in self.subspace_basis(weight)),
+        return sorted((mono for n in range(max_degree + 1)
+                       for mono in self._degree_monomials(n)),
                       key=self.order_key)
 
     def subspace_basis(self, weight):
         """Monomials of the given relative weight, leading order first."""
-        out = []
-        if self.kind == "ssch1":
-            n = weight
-            if n >= 0:
-                for a in (0, 1):
-                    rem = n - a
-                    if rem < 0:
-                        continue
-                    for l in range(rem // 2 + 1):
-                        out.append((rem - 2 * l, l, a))
-        else:
-            n1, n2 = weight
-            for a in (0, 1):
-                for b in (0, 1):
-                    c = n2 - a + b
-                    if c not in (0, 1):
-                        continue
-                    rem = n1 - a - b
-                    if rem < 0:
-                        continue
-                    for l in range(rem // 2 + 1):
-                        out.append((rem - 2 * l, l, a, b, c))
-        out.sort(key=self.order_key, reverse=True)
-        return out
+        basis = self._bases.get(weight)
+        if basis is None:
+            basis = self._bases[weight] = sorted(
+                (mono for mono in self._degree_monomials(_degree(weight))
+                 if self.weight(mono) == weight),
+                key=self.order_key, reverse=True)
+        return list(basis)
 
     def enumerate_weights(self, max_degree: int):
         """Weights with nonempty subspace, the lowest-weight line excluded."""
-        if self.kind == "ssch1":
-            return [n for n in range(1, max_degree + 1)]
-        out = []
-        for n1 in range(0, max_degree + 1):
-            for n2 in (-1, 0, 1, 2):
-                if (n1, n2) == (0, 0):
-                    continue
-                if self.subspace_basis((n1, n2)):
-                    out.append((n1, n2))
-        return out
+        weights = {self.weight(mono) for n in range(max_degree + 1)
+                   for mono in self._degree_monomials(n)}
+        weights.discard(self.weight(self.vacuum))
+        return sorted(weights)
 
     def shift_weight(self, weight, gen: str):
         deg = self.table.degree(gen)
-        if self.kind == "ssch1":
+        if len(deg) == 1:
             return weight + deg[0]
-        return (weight[0] + deg[0], weight[1] + deg[1])
+        return tuple(map(add, weight, deg))
 
     # -- action -------------------------------------------------------------
     #
@@ -462,77 +513,22 @@ class VermaModule:
 
     # -- normal-ordering engine ----------------------------------------------
 
-    def _raise_odd_tail(self, gen, tail):
-        """Product of a raising odd generator with the odd tail of a monomial.
-
-        Returns [(int coeff, dk, dl, new tail)] with Koszul signs and the
-        anticommutator corrections (S+S- -> K, S-X+ -> G) folded in.
-        """
-        if self.kind == "ssch1":
-            (a,) = tail
-            if gen == "S":
-                return [(1, 0, 0, (1,))] if a == 0 else [(-1, 0, 1, (0,))]
-            raise ValueError(gen)
-        a, b, c = tail
-        if gen == "S+":
-            return [] if a else [(1, 0, 0, (1, b, c))]
-        if gen == "S-":
-            if b:
-                # S- S+ S- = -2 K S-  (S-^2 = 0)
-                return [(-2, 0, 1, (0, 1, c))] if a else []
-            if a:
-                return [(-1, 0, 0, (1, 1, c)), (-2, 0, 1, (0, 0, c))]
-            return [(1, 0, 0, (0, 1, c))]
-        if gen == "X+":
-            if c:
-                if not a and not b:
-                    return []
-                if a and not b:
-                    return []
-                if b and not a:
-                    return [(-1, 1, 0, (0, 0, 1))]
-                return [(1, 1, 0, (1, 0, 1))]
-            if not a and not b:
-                return [(1, 0, 0, (0, 0, 1))]
-            if a and not b:
-                return [(-1, 0, 0, (1, 0, 1))]
-            if b and not a:
-                return [(-1, 0, 0, (0, 1, 1)), (-1, 1, 0, (0, 0, 0))]
-            return [(1, 0, 0, (1, 1, 1)), (1, 1, 0, (1, 0, 0))]
-        raise ValueError(gen)
-
     def _raise(self, gen, mono):
-        """Raising generator on a monomial: [(int coeff, monomial)]."""
-        if gen == "G":
-            return [(1, (mono[0] + 1,) + mono[1:])]
-        if gen == "K":
-            return [(1, (mono[0], mono[1] + 1) + mono[2:])]
-        k, l = mono[0], mono[1]
-        return [(c, (k + dk, l + dl) + tail)
-                for c, dk, dl, tail in self._raise_odd_tail(gen, mono[2:])]
+        """Raising generator on a monomial: ((int coeff, monomial), ...),
+        the kind's product of ``gen`` with the monomial's odd tail.  Kept
+        per kind."""
+        raised = self._raised.get((gen, mono))
+        if raised is None:
+            raised = self._raised[gen, mono] = tuple(
+                (c, tuple(map(add, mono, shift)))
+                for c, shift in self._products[gen, mono[self._n_even:]])
+        return raised
 
     def _leading_factor(self, mono):
         """First generator of the canonical word and the remaining monomial."""
-        if self.kind == "ssch1":
-            k, l, a = mono
-            if k:
-                return "G", (k - 1, l, a)
-            if l:
-                return "K", (k, l - 1, a)
-            if a:
-                return "S", (k, l, 0)
-            return None, None
-        k, l, a, b, c = mono
-        if k:
-            return "G", (k - 1, l, a, b, c)
-        if l:
-            return "K", (k, l - 1, a, b, c)
-        if a:
-            return "S+", (k, l, 0, b, c)
-        if b:
-            return "S-", (k, l, a, 0, c)
-        if c:
-            return "X+", (k, l, a, b, 0)
+        for i, e in enumerate(mono):
+            if e:
+                return self.plus_set[i], mono[:i] + (e - 1,) + mono[i + 1:]
         return None, None
 
     def _act_mono_engine(self, gen, mono):
@@ -577,30 +573,29 @@ class VermaModule:
             todo = [g for g in need if (g, cur) not in table]
             if not todo:
                 break
-            levels.append((cur, todo))
-            if cur == self.vacuum:
-                break
             w, rest = self._leading_factor(cur)
+            levels.append((cur, todo, w, rest))
+            if w is None:  # cur is the vacuum
+                break
             below = set()
             for g in todo:
                 if g not in self._raising:
                     below.add(g)
                     below.update(h for h, _ in self._brackets[g][w])
             need, cur = below, rest
-        for cur, todo in reversed(levels):
+        for cur, todo, w, rest in reversed(levels):
             for g in todo:
-                table[(g, cur)] = self._compile_row(table, g, cur)
+                table[(g, cur)] = self._compile_row(table, g, cur, w, rest)
         return table[(gen, mono)]
 
-    def _compile_row(self, table, gen, mono):
+    def _compile_row(self, table, gen, mono, w, rest):
         """One parametric row, from the rows at the remaining monomial
-        (already in ``table``)."""
+        (already in ``table``); w and rest are ``_leading_factor(mono)``."""
         if gen in self._raising:
             return tuple((mn, c, 0, 0, 0, 0) for c, mn in self._raise(gen, mono))
-        if mono == self.vacuum:
+        if w is None:  # the vacuum
             params = _VACUUM_PARAMS.get(gen)
             return ((mono,) + params,) if params else ()
-        w, rest = self._leading_factor(mono)
         sign = -1 if (self._parity[gen] and self._parity[w]) else 1
         # moving past an odd w twists the coefficient: its chi part flips
         chi_sign = -sign if self._parity[w] else sign
@@ -849,7 +844,11 @@ def _form_row(module, gen, key):
     return tuple(row)
 
 
+def _degree(weight):
+    """The first component of a weight: its degree."""
+    return weight[0] if isinstance(weight, tuple) else weight
+
+
 def _first_degree(module, mono):
     """The first weight component of a monomial: its degree."""
-    weight = module.weight(mono)
-    return weight if module.kind == "ssch1" else weight[0]
+    return _degree(module.weight(mono))

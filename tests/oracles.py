@@ -20,10 +20,14 @@ agree with the library exactly:
   ``singular._annihilator_matrix`` replaced.
 * ``normal_order`` -- a generator word applied to v0, rewritten into the
   canonical basis through the engine.
+* ``raise_oracle`` -- the hand-written products of a raising generator
+  with a PBW monomial that the library kept before it derived them from
+  the bracket table; ``VermaModule._raise`` must equal it.
 * ``engine_rows_oracle`` -- the normal-ordering engine as it was before it
   was compiled once per algebra kind: the same bottom-up walk, in Fraction
-  arithmetic at one module's d, m, r and chi; the module's evaluated
-  parametric rows must equal its rows exactly.
+  arithmetic at one module's d, m, r and chi, on ``raise_oracle``'s
+  products; the module's evaluated parametric rows must equal its rows
+  exactly.
 * ``closed_form_rows_oracle`` -- the paper's closed-form N=1 action table,
   which the library read for every N=1 row before it took them from the
   engine: an oracle independent of the normal-ordering walk, one formula
@@ -101,6 +105,58 @@ def normal_order(module, word):
     return vec
 
 
+def _odd_tail_products(kind, gen, tail):
+    """Product of a raising odd generator with the odd tail of a monomial.
+
+    Returns [(int coeff, dk, dl, new tail)] with Koszul signs and the
+    anticommutator corrections (S S, S+ S- -> K; S- X+ -> G) folded in.
+    """
+    if kind == "ssch1":
+        (a,) = tail
+        if gen == "S":
+            return [(1, 0, 0, (1,))] if a == 0 else [(-1, 0, 1, (0,))]
+        raise ValueError(gen)
+    a, b, c = tail
+    if gen == "S+":
+        return [] if a else [(1, 0, 0, (1, b, c))]
+    if gen == "S-":
+        if b:
+            # S- S+ S- = -2 K S-  (S-^2 = 0)
+            return [(-2, 0, 1, (0, 1, c))] if a else []
+        if a:
+            return [(-1, 0, 0, (1, 1, c)), (-2, 0, 1, (0, 0, c))]
+        return [(1, 0, 0, (0, 1, c))]
+    if gen == "X+":
+        if c:
+            if not a and not b:
+                return []
+            if a and not b:
+                return []
+            if b and not a:
+                return [(-1, 1, 0, (0, 0, 1))]
+            return [(1, 1, 0, (1, 0, 1))]
+        if not a and not b:
+            return [(1, 0, 0, (0, 0, 1))]
+        if a and not b:
+            return [(-1, 0, 0, (1, 0, 1))]
+        if b and not a:
+            return [(-1, 0, 0, (0, 1, 1)), (-1, 1, 0, (0, 0, 0))]
+        return [(1, 0, 0, (1, 1, 1)), (1, 1, 0, (1, 0, 0))]
+    raise ValueError(gen)
+
+
+def raise_oracle(module, gen, mono):
+    """Raising generator on a monomial of G^k K^l (odd tail) v0: [(int
+    coeff, monomial)].  G and K commute with every raising generator."""
+    if gen == "G":
+        return [(1, (mono[0] + 1,) + mono[1:])]
+    if gen == "K":
+        return [(1, (mono[0], mono[1] + 1) + mono[2:])]
+    k, l = mono[0], mono[1]
+    return [(c, (k + dk, l + dl) + tail) for c, dk, dl, tail
+            in _odd_tail_products(module.kind, gen, mono[2:])]
+
+
 def engine_rows_oracle(module):
     """(gen, monomial) -> row of (monomial, even, chi) Fractions, computed
     by the Fraction walk of the engine, cached per returned function."""
@@ -111,7 +167,7 @@ def engine_rows_oracle(module):
     def one_row(gen, mono):
         if gen in module._raising:
             return tuple((mn, Fraction(c), F0)
-                         for c, mn in module._raise(gen, mono))
+                         for c, mn in raise_oracle(module, gen, mono))
         if mono == module.vacuum:
             value = vacuum_values.get(gen)
             if value:
@@ -125,7 +181,7 @@ def engine_rows_oracle(module):
         chi_sign = -sign if parity(w) else sign
         even, chi = {}, {}
         for mn, e, c in cache[(gen, rest)]:
-            for k, mn2 in module._raise(w, mn):
+            for k, mn2 in raise_oracle(module, w, mn):
                 even[mn2] = even.get(mn2, 0) + sign * k * e
                 chi[mn2] = chi.get(mn2, 0) + chi_sign * k * c
         for h, ch in module._brackets[gen][w]:

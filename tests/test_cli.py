@@ -96,6 +96,16 @@ def test_realization_verify(capsys):
     assert "relations: pass" in out
 
 
+def test_realization_verify_takes_no_r(capsys):
+    # the paper's realization has no R eigenvalue: --r is not an option
+    for kind in ("ssch1", "ssch2"):
+        for r in ("2", "-1/2"):
+            code, out, err = run(capsys, "realization", "verify", "--algebra",
+                                 kind, "--d", "3/4", "--m", "1", "--r", r)
+            assert code == 2 and out == "", (kind, r)
+            assert "unrecognized arguments: --r" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "singular", "find", "--algebra", "ssch1",
                        "--d", "0.5", "--m", "1")
@@ -110,6 +120,10 @@ def test_usage_errors(capsys):
                        "--d", "1", "--m", "1")
     assert code == 2
     assert "--r" in err
+    code, out, err = run(capsys, "gram", "--algebra", "ssch1", "--d", "1",
+                         "--m", "1", "--weight", "1", "--rweight", "1")
+    assert (code, out) == (2, "")
+    assert "--rweight applies to ssch2 only" in err
     # beyond the bound the recursive action engine would overflow the stack
     too_big = str(MAX_DEGREE + 1)
     for argv, flag in [

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from golden.record import DoubledH as _DoubledH
 from golden.record import MutatedTable as _MutatedTable
 from oracles import (closed_form_rows_oracle, closure_failures_oracle,
-                     engine_rows_oracle, normal_order)
+                     engine_rows_oracle, normal_order, raise_oracle)
 from superschrod.quotient import FactorModule, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
@@ -139,9 +139,31 @@ def test_weight_additivity(mod_n2):
             assert mod_n2.weight(m2) == target
 
 
-def test_monomial_rendering_roundtrip(mod_n2):
-    for mono in mod_n2.enumerate_monomials(3):
-        assert mod_n2.parse_monomial(mod_n2.monomial_str(mono)) == mono
+def test_monomial_rendering_roundtrip(mod_m1, mod_n2):
+    for mod in (mod_m1, mod_n2):
+        for mono in mod.enumerate_monomials(3):
+            assert mod.parse_monomial(mod.monomial_str(mono)) == mono
+
+
+@pytest.mark.parametrize("text", [
+    "G^-1 K^0 S^0 v0",  # a negative exponent
+    "X^1 Y^2 Z^0 v0",  # generators that are not the raising ones
+    "G^1 K^0 S^3 v0",  # an odd exponent above 1
+    "G^1 K^0 v0", "G^1 K^0 S^0", "G^1 K^0 S^+1 v0", "G^1  K^0 S^0 v0",
+    "G^x K^0 S^0 v0", ""])
+def test_parse_monomial_rejects_what_monomial_str_never_renders(mod_m1, text):
+    with pytest.raises(ValueError, match="malformed monomial"):
+        mod_m1.parse_monomial(text)
+
+
+def test_raising_products_equal_the_hand_written_table(mod_m1, mod_n2):
+    # the products derived from the brackets against the ones listed by
+    # hand, for every raising generator on every monomial to degree 6
+    for mod in (mod_m1, mod_n2):
+        for mono in mod.enumerate_monomials(6):
+            for gen in mod.plus_set:
+                assert list(mod._raise(gen, mono)) == \
+                    raise_oracle(mod, gen, mono), (gen, mono)
 
 
 def test_closure_small_grid():
@@ -405,16 +427,26 @@ def test_evaluated_engine_table_equals_the_fraction_walk(case):
     # against the engine's Fraction walk at those parameters: massless
     # ssch1 (chi zeroed) and ssch2 included, up to degree 8 and 5
     lw, chi_square = case
-    mod = VermaModule(lw, chi_square=chi_square)
+    assert_rows_match_the_engine_oracle(
+        VermaModule(lw, chi_square=chi_square),
+        8 if lw.kind == "ssch1" else 5)
+
+
+def assert_rows_match_the_engine_oracle(mod, max_degree):
+    """``row`` and the engine's int row of every generator on every
+    monomial up to max_degree against ``engine_rows_oracle``; returns the
+    number of rows compared."""
     oracle = engine_rows_oracle(mod)
     D = mod.scale
-    for mono in mod.enumerate_monomials(8 if lw.kind == "ssch1" else 5):
-        for gen in mod.table.names:
-            expected = oracle(gen, mono)
-            assert mod.row(gen, mono) == expected, (gen, mono)
-            assert mod._act_mono_engine(gen, mono) == tuple(
-                ((mn, f), v * D) for mn, e, c in expected
-                for f, v in ((0, e), (1, c)) if v), (gen, mono)
+    pairs = [(gen, mono) for mono in mod.enumerate_monomials(max_degree)
+             for gen in mod.table.names]
+    for gen, mono in pairs:
+        expected = oracle(gen, mono)
+        assert mod.row(gen, mono) == expected, (gen, mono)
+        assert mod._act_mono_engine(gen, mono) == tuple(
+            ((mn, f), v * D) for mn, e, c in expected
+            for f, v in ((0, e), (1, c)) if v), (gen, mono)
+    return len(pairs)
 
 
 class _OffDenominator(VermaModule):
