@@ -22,10 +22,10 @@ from .realization import build_realization, verify_chi_eta, verify_relations
 from .scalars import parse_rational
 from .singular import (check_recurrences, closed_form_n1, closed_form_n2,
                        find_singular, ANNIHILATORS)
-from .superalgebra import (build_adjoint, identity_adjoint,
+from .superalgebra import (_shared_table, build_adjoint, identity_adjoint,
                            triangular_decompose, verify_adjoint,
                            verify_structure)
-from .verma import LowestWeight, VermaModule, _shared_table
+from .verma import LowestWeight, VermaModule
 
 ENV_CUTOFF = "SUPERSCHROD_CUTOFF"
 

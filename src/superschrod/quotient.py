@@ -55,6 +55,10 @@ class FactorModule:
         self._rows = {}
         self._ints = {}
         self._coords = {}  # weight -> WeightCoords, see singular.weight_coords
+        # weight -> surviving basis, max degree -> surviving monomials;
+        # cleared with the other caches whenever a rule is added
+        self._bases = {}
+        self._monomials = {}
         for vec in rule_vectors:
             self._install(vec, verify=verify_singular)
 
@@ -81,6 +85,8 @@ class FactorModule:
             self._rows.clear()
             self._ints.clear()
             self._coords.clear()
+            self._bases.clear()
+            self._monomials.clear()
             for gen in self.base.plus_set:
                 queue.append(self.base.act(gen, f))
 
@@ -138,12 +144,22 @@ class FactorModule:
         return not any(_divides(lead, mono) for lead, _ in self.rules)
 
     def subspace_basis(self, weight):
-        return [mono for mono in self.base.subspace_basis(weight)
-                if self._survives(mono)]
+        """The base module's basis at ``weight`` without the monomials a
+        rule lead divides, memoised per weight; a fresh list per call."""
+        basis = self._bases.get(weight)
+        if basis is None:
+            basis = self._bases[weight] = tuple(filter(
+                self._survives, self.base.subspace_basis(weight)))
+        return list(basis)
 
     def enumerate_monomials(self, max_degree: int):
-        return [mono for mono in self.base.enumerate_monomials(max_degree)
-                if self._survives(mono)]
+        """The surviving monomials up to ``max_degree``, memoised as
+        ``subspace_basis``."""
+        monos = self._monomials.get(max_degree)
+        if monos is None:
+            monos = self._monomials[max_degree] = tuple(filter(
+                self._survives, self.base.enumerate_monomials(max_degree)))
+        return list(monos)
 
     def enumerate_weights(self, max_degree: int):
         out = []

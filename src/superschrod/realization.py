@@ -6,6 +6,8 @@ algebra, (theta, phi, rho) all Grassmann for N=2.  Differential operators
 are sums of (superpolynomial coefficient) x (derivative word); odd
 derivatives obey the graded Leibniz rule, realised here by differentiating
 monomials directly with the Koszul sign of the variables passed over.
+The paper's operators are written once per kind as data, each coefficient
+affine in the lowest weight (d, m); ``build_realization`` evaluates them.
 
 ``verify_relations`` checks the brackets at one lowest weight (d, m) on the
 monomials up to twice the operators' order, which decides them at every
@@ -25,12 +27,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .scalars import as_fraction, mul_odd_words
-from .singular import rank
-from .superalgebra import StructureTable
-from .verma import _shared_table
+from .superalgebra import StructureTable, _shared_table
+
+_ZERO = Fraction(0)
 
 
 class SuperSpace:
@@ -48,9 +50,10 @@ class SuperSpace:
         m = as_fraction(m)
         if kind == "ssch1":
             # {eta, eta} = -m, so eta^2 = -m/2
-            return SuperSpace([("theta", 0), ("eta", -m / 2)])
+            return SuperSpace([("theta", _ZERO), ("eta", -m / 2)])
         if kind == "ssch2":
-            return SuperSpace([("theta", 0), ("phi", 0), ("rho", 0)])
+            return SuperSpace([("theta", _ZERO), ("phi", _ZERO),
+                               ("rho", _ZERO)])
         raise ValueError("unknown realization kind %r" % kind)
 
 
@@ -290,80 +293,164 @@ def _op(space, *terms) -> SuperDiffOp:
     return SuperDiffOp(space, packed)
 
 
+# The paper's operators, one table per kind: generator -> terms
+# (coefficient, dt, dx, odd derivative word), the coefficient a dict from a
+# canonical monomial (t, x, odd word) to (c0, c_d, c_m), the value
+# c0 + c_d d + c_m m.  Terms and monomials are in the order in which the
+# paper's formulas write them.
+_1, _MINUS_1, _2 = (1, 0, 0), (-1, 0, 0), (2, 0, 0)
+_D, _MINUS_D = (0, 1, 0), (0, -1, 0)
+_M, _MINUS_M, _HALF_M = (0, 0, 1), (0, 0, -1), (0, 0, Fraction(1, 2))
+_OPERATORS = {
+    "ssch1": {
+        "H": [({(0, 0, ()): _1}, 1, 0, ())],  # d_t
+        "P": [({(0, 0, ()): _1}, 0, 1, ())],  # d_x
+        "M": [({(0, 0, ()): _M}, 0, 0, ())],  # m
+        # 2t d_t + x d_x + theta d_theta - d
+        "D": [({(1, 0, ()): _2}, 1, 0, ()),
+              ({(0, 1, ()): _1}, 0, 1, ()),
+              ({(0, 0, ("theta",)): _1}, 0, 0, ("theta",)),
+              ({(0, 0, ()): _MINUS_D}, 0, 0, ())],
+        # t d_x + m x + theta eta
+        "G": [({(1, 0, ()): _1}, 0, 1, ()),
+              ({(0, 1, ()): _M}, 0, 0, ()),
+              ({(0, 0, ("theta", "eta")): _1}, 0, 0, ())],
+        # t^2 d_t + t x d_x + t theta d_theta + m/2 x^2 + x theta eta - d t
+        "K": [({(2, 0, ()): _1}, 1, 0, ()),
+              ({(1, 1, ()): _1}, 0, 1, ()),
+              ({(1, 0, ("theta",)): _1}, 0, 0, ("theta",)),
+              ({(0, 2, ()): _HALF_M}, 0, 0, ()),
+              ({(0, 1, ("theta", "eta")): _1}, 0, 0, ()),
+              ({(1, 0, ()): _MINUS_D}, 0, 0, ())],
+        # -theta d_t + d_theta
+        "Q": [({(0, 0, ("theta",)): _MINUS_1}, 1, 0, ()),
+              ({(0, 0, ()): _1}, 0, 0, ("theta",))],
+        # -t theta d_t - x theta d_x + t d_theta + x eta + d theta
+        "S": [({(1, 0, ("theta",)): _MINUS_1}, 1, 0, ()),
+              ({(0, 1, ("theta",)): _MINUS_1}, 0, 1, ()),
+              ({(1, 0, ()): _1}, 0, 0, ("theta",)),
+              ({(0, 1, ("eta",)): _1}, 0, 0, ()),
+              ({(0, 0, ("theta",)): _D}, 0, 0, ())],
+        # -theta d_x + eta
+        "X": [({(0, 0, ("theta",)): _MINUS_1}, 0, 1, ()),
+              ({(0, 0, ("eta",)): _1}, 0, 0, ())],
+    },
+    "ssch2": {
+        "H": [({(0, 0, ()): _1}, 1, 0, ())],  # d_t
+        "P": [({(0, 0, ()): _1}, 0, 1, ())],  # d_x
+        "M": [({(0, 0, ()): _M}, 0, 0, ())],  # m
+        # 2t d_t + x d_x + theta d_theta + phi d_phi - d
+        "D": [({(1, 0, ()): _2}, 1, 0, ()),
+              ({(0, 1, ()): _1}, 0, 1, ()),
+              ({(0, 0, ("theta",)): _1}, 0, 0, ("theta",)),
+              ({(0, 0, ("phi",)): _1}, 0, 0, ("phi",)),
+              ({(0, 0, ()): _MINUS_D}, 0, 0, ())],
+        # -theta d_theta + phi d_phi + rho d_rho
+        "R": [({(0, 0, ("theta",)): _MINUS_1}, 0, 0, ("theta",)),
+              ({(0, 0, ("phi",)): _1}, 0, 0, ("phi",)),
+              ({(0, 0, ("rho",)): _1}, 0, 0, ("rho",))],
+        # t d_x + m x - m theta rho + phi d_rho
+        "G": [({(1, 0, ()): _1}, 0, 1, ()),
+              ({(0, 1, ()): _M, (0, 0, ("theta", "rho")): _MINUS_M}, 0, 0, ()),
+              ({(0, 0, ("phi",)): _1}, 0, 0, ("rho",))],
+        # t^2 d_t + t x d_x + t theta d_theta + t phi d_phi
+        # + theta phi rho d_rho - m x theta rho + m/2 x^2 + x phi d_rho - d t
+        "K": [({(2, 0, ()): _1}, 1, 0, ()),
+              ({(1, 1, ()): _1}, 0, 1, ()),
+              ({(1, 0, ("theta",)): _1}, 0, 0, ("theta",)),
+              ({(1, 0, ("phi",)): _1}, 0, 0, ("phi",)),
+              ({(0, 0, ("theta", "phi", "rho")): _1}, 0, 0, ("rho",)),
+              ({(0, 1, ("theta", "rho")): _MINUS_M}, 0, 0, ()),
+              ({(0, 2, ()): _HALF_M}, 0, 0, ()),
+              ({(0, 1, ("phi",)): _1}, 0, 0, ("rho",)),
+              ({(1, 0, ()): _MINUS_D}, 0, 0, ())],
+        # -phi d_t + d_theta
+        "Q+": [({(0, 0, ("phi",)): _MINUS_1}, 1, 0, ()),
+               ({(0, 0, ()): _1}, 0, 0, ("theta",))],
+        # -theta d_t + d_phi
+        "Q-": [({(0, 0, ("theta",)): _MINUS_1}, 1, 0, ()),
+               ({(0, 0, ()): _1}, 0, 0, ("phi",))],
+        # -t phi d_t - x phi d_x + theta phi d_theta + phi rho d_rho
+        # + t d_theta - m x rho + d phi
+        "S+": [({(1, 0, ("phi",)): _MINUS_1}, 1, 0, ()),
+               ({(0, 1, ("phi",)): _MINUS_1}, 0, 1, ()),
+               ({(0, 0, ("theta", "phi")): _1}, 0, 0, ("theta",)),
+               ({(0, 0, ("phi", "rho")): _1}, 0, 0, ("rho",)),
+               ({(1, 0, ()): _1}, 0, 0, ("theta",)),
+               ({(0, 1, ("rho",)): _MINUS_M}, 0, 0, ()),
+               ({(0, 0, ("phi",)): _D}, 0, 0, ())],
+        # -t theta d_t - x theta d_x - theta phi d_phi - theta rho d_rho
+        # + t d_phi + x d_rho + d theta
+        "S-": [({(1, 0, ("theta",)): _MINUS_1}, 1, 0, ()),
+               ({(0, 1, ("theta",)): _MINUS_1}, 0, 1, ()),
+               ({(0, 0, ("theta", "phi")): _MINUS_1}, 0, 0, ("phi",)),
+               ({(0, 0, ("theta", "rho")): _MINUS_1}, 0, 0, ("rho",)),
+               ({(1, 0, ()): _1}, 0, 0, ("phi",)),
+               ({(0, 1, ()): _1}, 0, 0, ("rho",)),
+               ({(0, 0, ("theta",)): _D}, 0, 0, ())],
+        # -phi d_x - m rho
+        "X+": [({(0, 0, ("phi",)): _MINUS_1}, 0, 1, ()),
+               ({(0, 0, ("rho",)): _MINUS_M}, 0, 0, ())],
+        # -theta d_x + d_rho
+        "X-": [({(0, 0, ("theta",)): _MINUS_1}, 0, 1, ()),
+               ({(0, 0, ()): _1}, 0, 0, ("rho",))],
+    },
+}
+
+
+def _compile(operators):
+    """A kind's operators as (triples, generators): the distinct affine
+    triples, each as c0 and its nonzero parts ((c_d, 0), (c_m, 1)) in
+    Fractions, and per generator its terms with each monomial paired with
+    the index of its triple."""
+    index = {}  # triple -> its position in triples
+    generators = []
+    for gen, terms in operators.items():
+        compiled = tuple(
+            (tuple((mono, index.setdefault(triple, len(index)))
+                   for mono, triple in coeff.items()), dt, dx, odds)
+            for coeff, dt, dx, odds in terms)
+        generators.append((gen, compiled))
+    triples = tuple((Fraction(c0), tuple((Fraction(c), i) for i, c in
+                                         enumerate((c_d, c_m)) if c))
+                    for c0, c_d, c_m in index)
+    return triples, tuple(generators)
+
+
+_COMPILED = {kind: _compile(ops) for kind, ops in _OPERATORS.items()}
+
+
+def _affine(c0, parts, point):
+    """c0 plus c times point[i] for each part (c, i): a constant is c0
+    itself."""
+    for c, i in parts:
+        part = c * point[i]
+        c0 = c0 + part if c0 else part
+    return c0
+
+
 def build_realization(kind: str, d, m):
-    """Operator table for the generators, on the kind's superspace."""
+    """Operator table for the generators, on the kind's superspace: the
+    kind's ``_OPERATORS`` at (d, m), each coefficient in a fresh
+    ``SuperPoly`` on a fresh ``SuperSpace.for_kind(kind, m)``, zero
+    coefficients dropped and a term without one dropped.  Each triple is
+    evaluated once per call, and a constant is the table's own Fraction."""
     d, m = as_fraction(d), as_fraction(m)
     space = SuperSpace.for_kind(kind, m)
-    one = poly_mono(space)
-    t = poly_mono(space, t=1)
-    x = poly_mono(space, x=1)
-
-    if kind == "ssch1":
-        theta = poly_mono(space, word=("theta",))
-        eta = poly_mono(space, word=("eta",))
-        tt = poly_mono(space, t=2)
-        tx = poly_mono(space, t=1, x=1)
-        return {
-            "H": _op(space, (one, 1, 0, ())),
-            "P": _op(space, (one, 0, 1, ())),
-            "M": _op(space, (one.scale(m), 0, 0, ())),
-            "D": _op(space, (t.scale(2), 1, 0, ()), (x, 0, 1, ()),
-                     (theta, 0, 0, ("theta",)), (one.scale(-d), 0, 0, ())),
-            "G": _op(space, (t, 0, 1, ()), (x.scale(m), 0, 0, ()),
-                     (theta * eta, 0, 0, ())),
-            "K": _op(space, (tt, 1, 0, ()), (tx, 0, 1, ()),
-                     (t * theta, 0, 0, ("theta",)),
-                     (poly_mono(space, x=2, coeff=Fraction(m, 2)), 0, 0, ()),
-                     (x * theta * eta, 0, 0, ()),
-                     (t.scale(-d), 0, 0, ())),
-            "Q": _op(space, (-theta, 1, 0, ()), (one, 0, 0, ("theta",))),
-            "S": _op(space, (-(theta * t), 1, 0, ()), (-(theta * x), 0, 1, ()),
-                     (t, 0, 0, ("theta",)), (x * eta, 0, 0, ()),
-                     (theta.scale(d), 0, 0, ())),
-            "X": _op(space, (-theta, 0, 1, ()), (eta, 0, 0, ())),
-        }
-
-    if kind == "ssch2":
-        theta = poly_mono(space, word=("theta",))
-        phi = poly_mono(space, word=("phi",))
-        rho = poly_mono(space, word=("rho",))
-        tt = poly_mono(space, t=2)
-        tx = poly_mono(space, t=1, x=1)
-        return {
-            "H": _op(space, (one, 1, 0, ())),
-            "P": _op(space, (one, 0, 1, ())),
-            "M": _op(space, (one.scale(m), 0, 0, ())),
-            "D": _op(space, (t.scale(2), 1, 0, ()), (x, 0, 1, ()),
-                     (theta, 0, 0, ("theta",)), (phi, 0, 0, ("phi",)),
-                     (one.scale(-d), 0, 0, ())),
-            "R": _op(space, (-theta, 0, 0, ("theta",)),
-                     (phi, 0, 0, ("phi",)), (rho, 0, 0, ("rho",))),
-            "G": _op(space, (t, 0, 1, ()),
-                     (x.scale(m) - (theta * rho).scale(m), 0, 0, ()),
-                     (phi, 0, 0, ("rho",))),
-            "K": _op(space, (tt, 1, 0, ()), (tx, 0, 1, ()),
-                     (t * theta, 0, 0, ("theta",)), (t * phi, 0, 0, ("phi",)),
-                     (theta * phi * rho, 0, 0, ("rho",)),
-                     (-(x * theta * rho).scale(m), 0, 0, ()),
-                     (poly_mono(space, x=2, coeff=Fraction(m, 2)), 0, 0, ()),
-                     (x * phi, 0, 0, ("rho",)),
-                     (t.scale(-d), 0, 0, ())),
-            "Q+": _op(space, (-phi, 1, 0, ()), (one, 0, 0, ("theta",))),
-            "Q-": _op(space, (-theta, 1, 0, ()), (one, 0, 0, ("phi",))),
-            "S+": _op(space, (-(phi * t), 1, 0, ()), (-(phi * x), 0, 1, ()),
-                      (-(phi * theta), 0, 0, ("theta",)),
-                      (phi * rho, 0, 0, ("rho",)),
-                      (t, 0, 0, ("theta",)),
-                      (-(x * rho).scale(m), 0, 0, ()),
-                      (phi.scale(d), 0, 0, ())),
-            "S-": _op(space, (-(theta * t), 1, 0, ()), (-(theta * x), 0, 1, ()),
-                      (-(theta * phi), 0, 0, ("phi",)),
-                      (-(theta * rho), 0, 0, ("rho",)),
-                      (t, 0, 0, ("phi",)), (x, 0, 0, ("rho",)),
-                      (theta.scale(d), 0, 0, ())),
-            "X+": _op(space, (-phi, 0, 1, ()), (-rho.scale(m), 0, 0, ())),
-            "X-": _op(space, (-theta, 0, 1, ()), (one, 0, 0, ("rho",))),
-        }
+    triples, generators = _COMPILED[kind]
+    values = [_affine(c0, parts, (d, m)) or None for c0, parts in triples]
+    ops = {}
+    for gen, terms in generators:
+        packed = []
+        for entries, dt, dx, odds in terms:
+            coeff = SuperPoly(space)
+            for mono, i in entries:
+                if values[i] is not None:
+                    coeff.terms[mono] = values[i]
+            if coeff.terms:
+                packed.append((coeff, dt, dx, odds))
+        ops[gen] = SuperDiffOp(space, packed)
+    return ops
 
 
 def enumerate_polyspace(space: SuperSpace, max_degree: int):
@@ -430,17 +517,19 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     ``StructureTable.residuals`` sums B D^2 times each residual in ints.
     Only a failing residual is turned into Fractions.
 
-    Degree bound in (d, m).  In ``build_realization(kind, d, m)`` every
-    coefficient is affine in (d, m) and every Clifford square is -m/2,
-    linear in m (a zero term is dropped, which changes no operator).  A
-    derivative word sends a monomial to an integer multiple of one
-    monomial, free of (d, m); the coefficient then multiplies it, and that
-    product of two canonical words contracts each square at most once.  So
-    an entry of one operator's image of a monomial is a polynomial in
-    (d, m) of degree <= 1 + c, with c the number of odd variables whose
-    square is nonzero (``SuperSpace.for_kind``: c = 1 for ssch1, 0 for
-    ssch2).  A composite X(Y f) has degree <= 2(1 + c) and the bracket
-    part, whose structure constants are numbers, degree <= 1 + c <= 2.
+    Degree bound in (d, m).  ``build_realization(kind, d, m)`` evaluates
+    the kind's ``_OPERATORS`` table, whose every coefficient is an affine
+    triple (c0, c_d, c_m), so every coefficient is affine in (d, m) by the
+    shape of the data; every Clifford square is -m/2, linear in m (a zero
+    term is dropped, which changes no operator).  A derivative word sends
+    a monomial to an integer multiple of one monomial, free of (d, m); the
+    coefficient then multiplies it, and that product of two canonical
+    words contracts each square at most once.  So an entry of one
+    operator's image of a monomial is a polynomial in (d, m) of degree
+    <= 1 + c, with c the number of odd variables whose square is nonzero
+    (``SuperSpace.for_kind``: c = 1 for ssch1, 0 for ssch2).  A composite
+    X(Y f) has degree <= 2(1 + c) and the bracket part, whose structure
+    constants are numbers, degree <= 1 + c <= 2.
     Every entry of every residual on a fixed monomial is therefore a
     polynomial of total degree <= n = 2(1 + c): 4 for ssch1, 2 for ssch2.
     Such a polynomial that vanishes at points whose rows (d^i m^j), i + j
@@ -466,10 +555,11 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     call (without d and m, with an edited term or table) runs the point
     check.  A guarded point check with ``max_degree`` >= 2k whose report
     has no failure records a new point; its row is kept only if it raises
-    the rank of the rows kept (``singular.rank``).  On a certified kind a
-    guarded call returns RealizationReport(kind, d, m, max_degree,
-    max_degree) after the shared argument checks and parity loop, which is
-    the point check's report at every degree and failure cap.
+    the rank of the rows kept (it does not reduce to zero against their
+    integer echelon form).  On a certified kind a guarded call returns
+    RealizationReport(kind, d, m, max_degree, max_degree) after the shared
+    argument checks and parity loop, which is the point check's report at
+    every degree and failure cap.
 
     Failures are (X, Y, monomial, residual string) in bracket-table order,
     after one (gen, gen, None, "parity mismatch") per operator of the wrong
@@ -555,7 +645,10 @@ class RealizationCertificate:
     passed, kept while their rows (d^i m^j), i + j <= ``degree``, raise
     the rank; ``certified`` once the rank is (n + 1)(n + 2)/2, and then
     every bracket holds at every degree and every (d, m) (see
-    ``verify_relations``).  Fed only by ``verify_relations``."""
+    ``verify_relations``).  Fed only by ``verify_relations``.
+
+    ``echelon`` spans the kept rows: one integer row per kept row, as
+    (pivot column, row), each zero at the pivots of the rows before it."""
 
     def __init__(self, kind):
         squares = SuperSpace.for_kind(kind, 1).squares.values()
@@ -565,6 +658,7 @@ class RealizationCertificate:
                           for j in range(n + 1 - i)]
         self.points = set()
         self.rows = []
+        self.echelon = []
 
     @property
     def certified(self) -> bool:
@@ -572,13 +666,28 @@ class RealizationCertificate:
 
     def record(self, d, m):
         """Record a passing point (d, m); keep its row if it raises the
-        rank of the rows kept."""
+        rank of the rows kept, that is if its integer multiple does not
+        reduce to zero against ``echelon``."""
         if (d, m) in self.points:
             return
         self.points.add((d, m))
-        row = [d ** i * m ** j for i, j in self.exponents]
-        if rank(self.rows + [row]) > len(self.rows):
-            self.rows.append(row)
+        # the row d^i m^j times (den d den m)^n, in ints
+        n, (p, q), (r, s) = (self.degree, d.as_integer_ratio(),
+                             m.as_integer_ratio())
+        row = [p ** i * q ** (n - i) * r ** j * s ** (n - j)
+               for i, j in self.exponents]
+        reduced = row
+        for col, kept in self.echelon:
+            c = reduced[col]
+            if c:
+                k = kept[col]
+                reduced = [k * v - c * w for v, w in zip(reduced, kept)]
+        pivot = next((j for j, v in enumerate(reduced) if v), None)
+        if pivot is not None:
+            g = gcd(*reduced)
+            self.echelon.append((pivot, [v // g for v in reduced]))
+            den = (q * s) ** n
+            self.rows.append([Fraction(v, den) for v in row])
 
 
 # (kind, build_realization) -> RealizationCertificate, filled on first use
@@ -592,22 +701,25 @@ def _guarded_certificate(realization, table, d, m):
     kind = table.kind
     if kind not in ("ssch1", "ssch2"):
         return None
-    algebra = _shared_table(kind)  # build_algebra(kind), built once
-    if (table.generators != algebra.generators
-            or table.constants != algebra.constants):
+    algebra = _shared_table(kind)  # what build_algebra(kind) copies
+    if table is not algebra and (table.generators != algebra.generators
+                                 or table.constants != algebra.constants):
         return None
     build = build_realization
     reference = build(kind, d, m)
     if realization.keys() != reference.keys():
         return None
+    checked = None, None  # the last space and reference space found equal
     for gen, expected in reference.items():
         op = realization[gen]
         space, space0 = op.space, expected.space
-        if (type(op) is not SuperDiffOp or type(space) is not SuperSpace
-                or space.names != space0.names
-                or space.squares != space0.squares
-                or len(op.terms) != len(expected.terms)):
+        if type(op) is not SuperDiffOp or len(op.terms) != len(expected.terms):
             return None
+        if space is not checked[0] or space0 is not checked[1]:
+            if (type(space) is not SuperSpace or space.names != space0.names
+                    or space.squares != space0.squares):
+                return None
+            checked = space, space0
         for (coeff, dt, dx, odds), (c0, dt0, dx0, odds0) in zip(
                 op.terms, expected.terms):
             if (dt != dt0 or dx != dx0 or odds != odds0

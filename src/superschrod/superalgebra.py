@@ -9,6 +9,8 @@ consistency verifiers, the triangular decomposition and the four adjoint
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -189,8 +191,10 @@ _SCH1_BRACKETS = {
 }
 
 
-def build_algebra(kind: str) -> StructureTable:
-    """Construct the structure table for ``sch1``, ``ssch1`` or ``ssch2``."""
+@functools.cache
+def _shared_table(kind: str) -> StructureTable:
+    """The structure table for ``sch1``, ``ssch1`` or ``ssch2``, compiled
+    once per kind and shared by every reader that does not edit it."""
     if kind == "sch1":
         return StructureTable(kind, _sch1_generators(), dict(_SCH1_BRACKETS))
 
@@ -260,6 +264,24 @@ def build_algebra(kind: str) -> StructureTable:
         return StructureTable(kind, gens, brackets)
 
     raise ValueError("unknown algebra kind %r" % kind)
+
+
+def build_algebra(kind: str) -> StructureTable:
+    """The structure table for ``sch1``, ``ssch1`` or ``ssch2``: a copy of
+    the kind's shared table whose containers (``generators``, ``_by_name``,
+    ``_index``, ``_pairs`` and each of its dicts, ``constants`` and ``ad``)
+    are its own, so a caller may edit them; the immutable entries are
+    shared."""
+    shared = _shared_table(kind)
+    table = copy.copy(shared)
+    table.generators = list(shared.generators)
+    table._by_name = dict(shared._by_name)
+    table._index = dict(shared._index)
+    table._pairs = {key: dict(value) for key, value in shared._pairs.items()}
+    table.constants = {x: dict(row) for x, row in shared.constants.items()}
+    table.ad = table.constants if shared.ad is shared.constants else {
+        x: dict(row) for x, row in shared.ad.items()}
+    return table
 
 
 # ---------------------------------------------------------------------------

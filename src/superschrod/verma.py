@@ -45,14 +45,12 @@ from operator import add, mul, sub
 from typing import Optional
 
 from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
-from .superalgebra import build_algebra, triangular_decompose
+from .superalgebra import _shared_table, triangular_decompose
 
 _F0 = Fraction(0)
 
 # kind -> {(gen, monomial): parametric row}, filled on first use
 _PARAMETRIC = {}
-# kind -> the StructureTable its modules share, built on first use
-_shared_table = functools.cache(build_algebra)
 # the vacuum rows: D v0 = -d v0, M v0 = m v0, R v0 = r v0, X v0 = chi v0
 _VACUUM_PARAMS = {"D": (0, -1, 0, 0, 0), "M": (0, 0, 1, 0, 0),
                   "R": (0, 0, 0, 1, 0), "X": (0, 0, 0, 0, 1)}

@@ -36,6 +36,11 @@ agree with the library exactly:
 * ``derive_even`` / ``derive_odd`` -- one derivative on a whole superspace
   polynomial; ``reference_apply`` builds the term-by-term reference for
   ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
+* ``realization_oracle`` -- the paper's vector-field realization written as
+  products and sums of ``SuperPoly`` monomials, the way the library built
+  it before it evaluated one table of affine coefficients per kind;
+  ``build_realization`` must equal it term by term, coefficient dicts in
+  insertion order included.
 * ``verify_relations_oracle`` -- the Fraction residual loop that
   ``realization.verify_relations`` replaced, on ``reference_apply``
   images, always over every monomial up to the full degree: the reference
@@ -54,8 +59,9 @@ from fractions import Fraction
 
 from superschrod.quotient import _omega1_word
 from superschrod.realization import (RealizationReport, SuperPoly,
-                                     enumerate_polyspace)
-from superschrod.scalars import QI, QI_ONE, QI_ZERO
+                                     SuperSpace, _op, enumerate_polyspace,
+                                     poly_mono)
+from superschrod.scalars import QI, QI_ONE, QI_ZERO, as_fraction
 from superschrod.singular import WeightCoords, _space_module
 from superschrod.superalgebra import AdjointReport, StructureReport
 from superschrod.verma import ModuleVector
@@ -358,6 +364,82 @@ def reference_apply(op, poly: SuperPoly) -> SuperPoly:
             g = derive_even("t", g)
         out = out + coeff * g
     return out
+
+
+def realization_oracle(kind: str, d, m):
+    """Operator table for the generators, on the kind's superspace."""
+    d, m = as_fraction(d), as_fraction(m)
+    space = SuperSpace.for_kind(kind, m)
+    one = poly_mono(space)
+    t = poly_mono(space, t=1)
+    x = poly_mono(space, x=1)
+
+    if kind == "ssch1":
+        theta = poly_mono(space, word=("theta",))
+        eta = poly_mono(space, word=("eta",))
+        tt = poly_mono(space, t=2)
+        tx = poly_mono(space, t=1, x=1)
+        return {
+            "H": _op(space, (one, 1, 0, ())),
+            "P": _op(space, (one, 0, 1, ())),
+            "M": _op(space, (one.scale(m), 0, 0, ())),
+            "D": _op(space, (t.scale(2), 1, 0, ()), (x, 0, 1, ()),
+                     (theta, 0, 0, ("theta",)), (one.scale(-d), 0, 0, ())),
+            "G": _op(space, (t, 0, 1, ()), (x.scale(m), 0, 0, ()),
+                     (theta * eta, 0, 0, ())),
+            "K": _op(space, (tt, 1, 0, ()), (tx, 0, 1, ()),
+                     (t * theta, 0, 0, ("theta",)),
+                     (poly_mono(space, x=2, coeff=Fraction(m, 2)), 0, 0, ()),
+                     (x * theta * eta, 0, 0, ()),
+                     (t.scale(-d), 0, 0, ())),
+            "Q": _op(space, (-theta, 1, 0, ()), (one, 0, 0, ("theta",))),
+            "S": _op(space, (-(theta * t), 1, 0, ()), (-(theta * x), 0, 1, ()),
+                     (t, 0, 0, ("theta",)), (x * eta, 0, 0, ()),
+                     (theta.scale(d), 0, 0, ())),
+            "X": _op(space, (-theta, 0, 1, ()), (eta, 0, 0, ())),
+        }
+
+    if kind == "ssch2":
+        theta = poly_mono(space, word=("theta",))
+        phi = poly_mono(space, word=("phi",))
+        rho = poly_mono(space, word=("rho",))
+        tt = poly_mono(space, t=2)
+        tx = poly_mono(space, t=1, x=1)
+        return {
+            "H": _op(space, (one, 1, 0, ())),
+            "P": _op(space, (one, 0, 1, ())),
+            "M": _op(space, (one.scale(m), 0, 0, ())),
+            "D": _op(space, (t.scale(2), 1, 0, ()), (x, 0, 1, ()),
+                     (theta, 0, 0, ("theta",)), (phi, 0, 0, ("phi",)),
+                     (one.scale(-d), 0, 0, ())),
+            "R": _op(space, (-theta, 0, 0, ("theta",)),
+                     (phi, 0, 0, ("phi",)), (rho, 0, 0, ("rho",))),
+            "G": _op(space, (t, 0, 1, ()),
+                     (x.scale(m) - (theta * rho).scale(m), 0, 0, ()),
+                     (phi, 0, 0, ("rho",))),
+            "K": _op(space, (tt, 1, 0, ()), (tx, 0, 1, ()),
+                     (t * theta, 0, 0, ("theta",)), (t * phi, 0, 0, ("phi",)),
+                     (theta * phi * rho, 0, 0, ("rho",)),
+                     (-(x * theta * rho).scale(m), 0, 0, ()),
+                     (poly_mono(space, x=2, coeff=Fraction(m, 2)), 0, 0, ()),
+                     (x * phi, 0, 0, ("rho",)),
+                     (t.scale(-d), 0, 0, ())),
+            "Q+": _op(space, (-phi, 1, 0, ()), (one, 0, 0, ("theta",))),
+            "Q-": _op(space, (-theta, 1, 0, ()), (one, 0, 0, ("phi",))),
+            "S+": _op(space, (-(phi * t), 1, 0, ()), (-(phi * x), 0, 1, ()),
+                      (-(phi * theta), 0, 0, ("theta",)),
+                      (phi * rho, 0, 0, ("rho",)),
+                      (t, 0, 0, ("theta",)),
+                      (-(x * rho).scale(m), 0, 0, ()),
+                      (phi.scale(d), 0, 0, ())),
+            "S-": _op(space, (-(theta * t), 1, 0, ()), (-(theta * x), 0, 1, ()),
+                      (-(theta * phi), 0, 0, ("phi",)),
+                      (-(theta * rho), 0, 0, ("rho",)),
+                      (t, 0, 0, ("phi",)), (x, 0, 0, ("rho",)),
+                      (theta.scale(d), 0, 0, ())),
+            "X+": _op(space, (-phi, 0, 1, ()), (-rho.scale(m), 0, 0, ())),
+            "X-": _op(space, (-theta, 0, 1, ()), (one, 0, 0, ("rho",))),
+        }
 
 
 # id(op) -> (op, snapshot of its terms, {monomial: reference image}), least

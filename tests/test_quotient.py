@@ -457,3 +457,47 @@ def test_det_vanishes_iff_singular_below():
             vanish = not gm.det
             below = any(reachable_weight(mod, s, w) for s in sing)
             assert vanish == below, (kind, d, m, r, w)
+
+
+def test_memoised_survivors_follow_every_install(monkeypatch):
+    # along classify's chains of both kinds the memo is filled before each
+    # _install; after it, every memoised basis equals a fresh filter
+    # through _survives of the rules then in force, and callers get lists
+    # of their own
+    install = FactorModule._install
+    shrunk = []
+
+    def fresh(space, weight):
+        return [mono for mono in space.base.subspace_basis(weight)
+                if space._survives(mono)]
+
+    def checked_install(self, vec, verify=True):
+        weights = self.base.enumerate_weights(6)
+        before = {w: self.subspace_basis(w) for w in weights}
+        monos = {n: self.enumerate_monomials(n) for n in range(5)}
+        install(self, vec, verify)
+        for w in weights:
+            basis = self.subspace_basis(w)
+            assert basis == fresh(self, w), w
+            basis.append("edited")
+            assert self.subspace_basis(w) == fresh(self, w), w
+            shrunk.append(len(basis) - 1 < len(before[w]))
+        for n in monos:
+            expected = [mono for mono in self.base.enumerate_monomials(n)
+                        if self._survives(mono)]
+            got = self.enumerate_monomials(n)
+            assert got == expected, n
+            got.clear()
+            assert self.enumerate_monomials(n) == expected, n
+        assert self.enumerate_weights(6) == [
+            w for w in weights if fresh(self, w)]
+
+    monkeypatch.setattr(FactorModule, "_install", checked_install)
+    for lw in (LowestWeight("ssch1", F(1, 2), 1), LowestWeight("ssch1", 1, 0),
+               LowestWeight("ssch1", 2, 0),
+               LowestWeight("ssch2", 3, 0, -3), LowestWeight("ssch2", 2, 0, 2),
+               LowestWeight("ssch2", 1, 0, -1),
+               LowestWeight("ssch2", F(5, 2), 0, F(1, 3))):
+        classify(lw, cutoff=6)
+    # the installs removed monomials from many memoised bases
+    assert len(shrunk) > 300 and sum(shrunk) > 100

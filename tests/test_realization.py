@@ -6,16 +6,18 @@ from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from golden.record import order_three_case, term_mutants
-from oracles import derive_odd, reference_apply, verify_relations_oracle
+from oracles import (derive_odd, realization_oracle, reference_apply,
+                     verify_relations_oracle)
 from superschrod import realization
 from superschrod.realization import (RealizationCertificate, SuperDiffOp,
                                      SuperPoly, SuperSpace, build_realization,
                                      chi_eta_ops, enumerate_polyspace,
                                      poly_mono, verify_chi_eta,
                                      verify_relations)
+from superschrod.singular import rank
 from superschrod.superalgebra import StructureTable, build_algebra
 
 
@@ -33,6 +35,107 @@ def test_operator_shapes():
         (poly_mono(space, word=("phi",), coeff=-1), 0, 1, ()),
         (poly_mono(space, word=("rho",), coeff=-2), 0, 0, ()),
     ], key=str)
+
+
+def assert_same_operators(ops, expected):
+    """Term-by-term equality of two operator tables: generator order, the
+    operator type, the space's names, order and squares (dict order
+    included), each term's dt, dx and odd word in order, and each
+    coefficient on the operator's space with its dict in insertion order,
+    every value a Fraction."""
+    assert list(ops) == list(expected)
+    for gen, op in ops.items():
+        ref = expected[gen]
+        assert type(op) is type(ref) is SuperDiffOp, gen
+        space, space0 = op.space, ref.space
+        assert space.names == space0.names and space.order == space0.order
+        assert list(space.squares.items()) == list(space0.squares.items())
+        assert space.square_den == space0.square_den
+        assert len(op.terms) == len(ref.terms), gen
+        for (coeff, dt, dx, odds), (c0, dt0, dx0, odds0) in zip(op.terms,
+                                                                ref.terms):
+            assert (dt, dx, odds) == (dt0, dx0, odds0), gen
+            assert coeff.space is space
+            assert list(coeff.terms.items()) == list(c0.terms.items()), gen
+            assert all(type(c) is F for c in coeff.terms.values()), gen
+
+
+def assert_realizations_match_the_oracle(points, seed=0):
+    """``build_realization`` against ``realization_oracle`` for both kinds
+    at ``points`` seeded (d, m), each also with d = 0 and with m = 0, and
+    at (0, 0); returns the number of tables compared."""
+    rng = random.Random(seed)
+    grid = [(0, 0)]
+    for _ in range(points):
+        d, m = (F(rng.randint(-12, 12), rng.randint(1, 9)) for _ in "dm")
+        grid += [(d, m), (0, m), (d, 0)]
+    for kind in ("ssch1", "ssch2"):
+        for d, m in grid:
+            assert_same_operators(build_realization(kind, d, m),
+                                  realization_oracle(kind, d, m))
+    return 2 * len(grid)
+
+
+_weights = st.one_of(st.just(0), st.builds(F, st.integers(-12, 12),
+                                           st.integers(1, 9)))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["ssch1", "ssch2"]), d=_weights, m=_weights)
+@example(kind="ssch1", d=0, m=0)
+@example(kind="ssch2", d=0, m=0)
+@example(kind="ssch1", d=F(-3, 2), m=0)
+@example(kind="ssch2", d=0, m=F(2, 7))
+def test_build_realization_equals_the_oracle(kind, d, m):
+    # zero weights drop the terms -d, m x, m/2 x^2, ... as the oracle does
+    assert_same_operators(build_realization(kind, d, m),
+                          realization_oracle(kind, d, m))
+
+
+def test_seeded_realizations_equal_the_oracle():
+    # the check CI runs at 200 points
+    assert assert_realizations_match_the_oracle(10, seed=1) == 62
+
+
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_build_realization_results_are_independent(kind):
+    # editing a result's terms list, a coefficient dict or its space leaves
+    # every later result as the oracle's
+    d, m = F(3, 4), F(5, 2)
+    edited = build_realization(kind, d, m)
+    for op in edited.values():
+        for coeff, _, _, _ in op.terms:
+            for mono in coeff.terms:
+                coeff.terms[mono] *= 3
+            coeff.terms[(9, 9, ())] = F(1)
+        op.terms.append(op.terms[0])
+        op.terms.reverse()
+    space = edited["H"].space
+    space.squares[space.names[-1]] = F(7)
+    space.order[space.names[0]] = 5
+    space.names = space.names[::-1]
+    edited["G"].terms.clear()
+    assert_same_operators(build_realization(kind, d, m),
+                          realization_oracle(kind, d, m))
+
+
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_constant_coefficients_are_shared_fractions(kind):
+    # a coefficient free of d and m is the table's own Fraction in every
+    # result, so the certificate's guard compares it by identity
+    at, other = build_realization(kind, F(3, 4), F(5, 2)), \
+        build_realization(kind, F(-2, 7), 3)
+    shared = 0
+    for gen, op in at.items():
+        for (coeff, _, _, _), (coeff2, _, _, _) in zip(op.terms,
+                                                       other[gen].terms):
+            for (mono, c), (mono2, c2) in zip(coeff.terms.items(),
+                                              coeff2.terms.items()):
+                assert mono == mono2
+                if c == c2:
+                    assert c is c2, (gen, mono)
+                    shared += 1
+    assert shared > 15
 
 
 def test_odd_derivative_examples():
@@ -461,6 +564,53 @@ def test_points_on_one_line_never_certify(kind):
             assert len(certificate.points) == 3 * n
             assert len(certificate.rows) == n + 1
             assert not certificate.certified
+
+
+def _rank_rule(kind, points):
+    """The rows a certificate keeps from ``points`` when a new point's row
+    is kept iff it raises ``singular.rank`` of the rows kept, and the
+    index of the point at which they reach full rank (None if never)."""
+    exponents = RealizationCertificate(kind).exponents
+    seen, rows, full = set(), [], None
+    for i, (d, m) in enumerate(points):
+        if (d, m) not in seen:
+            seen.add((d, m))
+            row = [d ** a * m ** b for a, b in exponents]
+            if rank(rows + [row]) > len(rows):
+                rows.append(row)
+        if full is None and len(rows) == len(exponents):
+            full = i
+    return rows, full
+
+
+def _point_sequence(rng, length):
+    """Seeded points drawn from a small pool, so that points repeat, and
+    from lines d = c, m = c and d = m, on which rows are dependent."""
+    pool = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
+    points = []
+    for _ in range(length):
+        c, e = rng.choice(pool), rng.choice(pool)
+        points.append(rng.choice([(c, e), (c, c), (c, pool[0]),
+                                  (pool[1], e), (c, 0), (0, e)]))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_keeps_the_rows_of_the_rank_rule(seed):
+    rng = random.Random(seed)
+    for kind in ("ssch1", "ssch2"):
+        points = _point_sequence(rng, 60)
+        points[5:5] = points[:5]  # repeated points
+        rows, full = _rank_rule(kind, points)
+        certificate = RealizationCertificate(kind)
+        certified_at = None
+        for i, (d, m) in enumerate(points):
+            certificate.record(d, m)
+            if certified_at is None and certificate.certified:
+                certified_at = i
+        assert certificate.rows == rows, (seed, kind)
+        assert certified_at == full, (seed, kind)
+        assert certificate.points == set(points)
 
 
 def test_certificate_is_fed_only_by_guarded_passing_checks():

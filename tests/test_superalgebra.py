@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (adjoint_apply, verify_adjoint_oracle,
                      verify_structure_oracle)
+from superschrod import superalgebra
 from superschrod.scalars import QI
 from superschrod.superalgebra import (AdjointMap, Generator, StructureTable,
                                       build_adjoint, build_algebra,
@@ -224,6 +226,48 @@ def test_table_json_roundtrip(tables):
         again = StructureTable.from_json_dict(json.loads(text))
         assert again.to_json() == text
         assert verify_structure(again).ok
+
+
+_COMPILED = ("kind", "names", "constants", "ad", "denominator", "_index",
+             "_by_name", "_pairs", "generators")
+
+
+def _snapshot(table):
+    """Every attribute of a table, its containers copied."""
+    return {attr: copy.deepcopy(getattr(table, attr)) for attr in _COMPILED}
+
+
+@pytest.mark.parametrize("kind", ["sch1", "ssch1", "ssch2"])
+def test_build_algebra_copies_the_shared_table(kind):
+    shared = superalgebra._shared_table(kind)
+    assert superalgebra._shared_table(kind) is shared
+    before = _snapshot(shared)
+    table = build_algebra(kind)
+    assert table is not shared
+    # equal to a table compiled from scratch, attribute by attribute
+    scratch = superalgebra._shared_table.__wrapped__(kind)
+    again = StructureTable(kind, list(table.generators),
+                           {key: dict(v) for key, v in table._pairs.items()})
+    for fresh in (scratch, again):
+        assert table.to_json() == fresh.to_json()
+        for attr in _COMPILED:
+            assert getattr(table, attr) == getattr(fresh, attr), attr
+        assert (table.ad is table.constants) == (fresh.ad is fresh.constants)
+    # edit every container of the copy
+    x, y = next((x, y) for x in table.names for y in table.names
+                if table.ad[x][y])
+    table.ad[x][y] = tuple((h, 2 * c) for h, c in table.ad[x][y])
+    table.constants[y][x] = ()
+    key = next(iter(table._pairs))
+    g = next(iter(table._pairs[key]))
+    table._pairs[key][g] *= 3
+    table.generators.reverse()
+    table._index[x] = -1
+    assert not verify_structure(table).ok
+    # the shared table and the next copy are untouched
+    assert _snapshot(shared) == before
+    assert _snapshot(build_algebra(kind)) == before
+    assert verify_structure(build_algebra(kind)).ok
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
