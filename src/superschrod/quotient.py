@@ -23,7 +23,7 @@ from weakref import WeakKeyDictionary
 from .singular import (ANNIHILATORS, determinant, weight_coords,
                        find_singular, closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
-from .verma import (LowestWeight, ModuleVector, VermaModule, chi_row,
+from .verma import (LowestWeight, ModuleVector, VermaModule, chi_entries,
                     closure_arguments)
 
 _COMPLETION_CAP = 60
@@ -52,7 +52,6 @@ class FactorModule:
         self.lw = base.lw
         self.chain = list(chain or [])
         self.rules = []  # list of (lead monomial, monic ModuleVector)
-        self._rows = {}
         self._ints = {}
         self._coords = {}  # weight -> WeightCoords, see singular.weight_coords
         # weight -> surviving basis, max degree -> surviving monomials;
@@ -82,7 +81,6 @@ class FactorModule:
                 continue
             f = self._monic(f)
             self.rules.append((f.leading_monomial(), f))
-            self._rows.clear()
             self._ints.clear()
             self._coords.clear()
             self._bases.clear()
@@ -171,29 +169,29 @@ class FactorModule:
     def act(self, gen, target) -> ModuleVector:
         return self.reduce(self.base.act(gen, target))
 
-    def row(self, gen, mono):
-        """Row of a generator at a monomial: its reduced image, cached."""
-        row = self._rows.get((gen, mono))
-        if row is None:
-            terms = self.reduce(self.base.act(gen, mono)).terms.items()
-            row = self._rows[(gen, mono)] = tuple(
-                (mn, c.even, c.odd) for mn, c in terms)
-        return row
-
     def int_row(self, gen, key):
         """Row at a doubled-basis key (monomial, flag), as in
-        ``VermaModule.int_row``, over L, the lcm of the denominators of
-        the reduced row.  Cached."""
+        ``VermaModule.int_row``.  Flag 0 is the reduced image of the
+        monomial under ``base.act``, over L, the lcm of the denominators
+        of its parts; flag 1 is ``chi_entries`` of it over L q, q = den
+        chi^2.  Cached until a rule is added."""
         cached = self._ints.get((gen, key))
         if cached is None:
             mono, flag = key
-            row = self.row(gen, mono)
             if flag:
-                row = chi_row(row, self.table.parity(gen), self.ring.chi_square)
-            L = lcm(*(v.denominator for _, e, c in row for v in (e, c)))
-            cached = self._ints[(gen, key)] = (L, tuple(
-                ((mn, f), v.numerator * (L // v.denominator))
-                for mn, e, c in row for f, v in ((0, e), (1, c)) if v))
+                L, entries = self.int_row(gen, (mono, 0))
+                q = self.ring.chi_square.denominator
+                cached = (L * q, chi_entries(
+                    [(k, v * q) for k, v in entries],
+                    self.table.parity(gen), self.ring.chi_square))
+            else:
+                terms = self.reduce(self.base.act(gen, mono)).terms.items()
+                L = lcm(*(v.denominator for _, c in terms
+                          for v in (c.even, c.odd)))
+                cached = (L, tuple(
+                    ((mn, f), v.numerator * (L // v.denominator)) for mn, c
+                    in terms for f, v in ((0, c.even), (1, c.odd)) if v))
+            self._ints[(gen, key)] = cached
         return cached
 
     def closure_failures(self, max_degree: int, max_report=5):

@@ -19,10 +19,10 @@ compiled once per algebra kind into parametric rows, whose entries are
 integer combinations of 1, d, m, r and the chi seed; a module evaluates
 them once, as Python ints over its ``scale`` D, on the chi-doubled basis
 whose keys are (monomial, 0) for the even part of a coefficient and
-(monomial, 1) for its chi part.  ``int_row`` is the read path of every
-consumer that sums (the kernel search, the Gram form); ``row`` is its
-``Fraction`` view as (monomial, even, chi) entries, which ``act`` wraps: it
-sums e row + c ``chi_row(row)`` over the coefficients e + c chi of a vector.
+(monomial, 1) for its chi part.  ``int_row`` is the one read path: the
+kernel search and the Gram form sum its ints, and ``act`` sums e' row(w, 0)
++ c' row(w, 1) in ints over the coefficients e + c chi of a vector written
+as (e', c') over one denominator, making one ``Fraction`` per output part.
 
 Closure is decided once per algebra kind and chi seed, not per module.  An
 entry of a parametric row is linear in (1, d, m, r, chi^2) on the doubled
@@ -92,13 +92,6 @@ class LowestWeight:
         if self.kind == "ssch1":
             return "d=%s, m=%s" % (self.d, self.m)
         return "d=%s, m=%s, r=%s" % (self.d, self.m, self.r)
-
-
-def chi_row(row, odd, chi_square):
-    """The row at chi times a monomial, from the row at the monomial:
-    g (chi w) = (-1)^{|g|} chi (g w), and chi (e + c chi) = c chi^2 + e chi."""
-    sign = -1 if odd else 1
-    return tuple((mn, sign * c * chi_square, sign * e) for mn, e, c in row)
 
 
 class ModuleVector:
@@ -316,9 +309,8 @@ class VermaModule:
         self._bases = shared.bases
         self._weights = shared.weights
         self._raised = shared.raised
-        self._cache_table = {}  # the Fraction rows
+        self._cache_table = {}  # the int rows
         self._cache_engine = {}
-        self._cache_int = {}
         self._coords = {}  # weight -> WeightCoords, see singular.weight_coords
         self._m = lw.m
         r = lw.r or _F0
@@ -440,70 +432,54 @@ class VermaModule:
     #
     # A row is the image of one generator on one basis monomial, with no
     # zero entries.  ``int_row`` gives it as ((monomial, flag), int) pairs
-    # over one scale; ``row`` as (monomial, even, chi) Fractions, which
-    # ``act`` wraps in GradedScalar vectors.
-
-    def row(self, gen: str, mono):
-        """Row of a generator at a monomial as (monomial, even, chi)
-        Fractions: the engine's ints over D, what ``act`` reads.  Cached."""
-        row = self._cache_table.get((gen, mono))
-        if row is None:
-            D = self.scale
-            parts = {}
-            for (mn, flag), v in self._act_mono_engine(gen, mono):
-                parts.setdefault(mn, [_F0, _F0])[flag] = Fraction(v, D)
-            row = self._cache_table[(gen, mono)] = tuple(
-                (mn, e, c) for mn, (e, c) in parts.items())
-        return row
+    # over one scale; ``act`` sums those rows into GradedScalar vectors.
 
     def int_row(self, gen: str, key):
         """Row at a doubled-basis key (monomial, flag), flag 1 for chi times
         the monomial, as (D, ((key, int), ...)): D = ``scale`` times the
-        rational row.  Flag 0 is the engine's row.  Flag 1 is formed from
-        it as ``chi_row`` does: g (chi w) = (-1)^{|g|} chi (g w), so an
-        entry e + c chi gives the even entry (-1)^{|g|} c chi^2 (a checked
-        conversion, since den chi^2 divides D) and the chi entry
-        (-1)^{|g|} e.  Entries go by monomial, flag 0 first.  Cached per
-        module."""
-        cached = self._cache_int.get((gen, key))
+        rational row.  Flag 0 is the engine's row, flag 1 its
+        ``chi_entries`` (exact, as den chi^2 divides D).  Entries go by
+        monomial, flag 0 first.  Cached per module in ``_cache_table``."""
+        cached = self._cache_table.get((gen, key))
         if cached is None:
             mono, flag = key
             entries = self._act_mono_engine(gen, mono)
             if flag:
-                sign = -1 if self._parity[gen] else 1
-                chi_square = self.ring.chi_square
-                parts = {}
-                for (mn, f), v in entries:
-                    parts.setdefault(mn, [0, 0])[f] = sign * v
-                entries = tuple(
-                    ((mn, f), v) for mn, (e, c) in parts.items()
-                    for f, v in ((0, _times(chi_square, c)), (1, e)) if v)
-            cached = self._cache_int[(gen, key)] = (self.scale, entries)
+                entries = chi_entries(entries, self._parity[gen],
+                                      self.ring.chi_square)
+            cached = self._cache_table[(gen, key)] = (self.scale, entries)
         return cached
 
     def act(self, gen: str, target) -> ModuleVector:
-        """Action of a generator on a monomial or a vector."""
-        ring = self.ring
-        out = ModuleVector(self)
+        """Action of a generator on a monomial or on a vector of this
+        module (ValueError for a vector of another module).  With each
+        coefficient e + c chi written as (e', c') over L, the lcm of the
+        vector's denominators, g (e + c chi) w is the int sum e'
+        ``int_row(g, (w, 0))`` + c' ``int_row(g, (w, 1))`` over L D."""
         if isinstance(target, tuple):
-            out.terms = {mn: _mk_gs(ring, e, c)
-                         for mn, e, c in self.row(gen, target)}
-            return out
-        odd = self._parity[gen]
-        even, chi = {}, {}  # every image monomial is a key of ``even``
-        for mono, coeff in target.terms.items():
-            # g (e + c chi) w = e (g w) + c g (chi w)
-            row = self.row(gen, mono)
-            parts = [(coeff.even, row)] if coeff.even else []
-            if coeff.odd:
-                parts.append((coeff.odd, chi_row(row, odd, ring.chi_square)))
-            for scale, entries in parts:
-                for mn, e, c in entries:
-                    even[mn] = even.get(mn, 0) + scale * e
-                    if c:
-                        chi[mn] = chi.get(mn, 0) + scale * c
-        out.terms = {mn: _mk_gs(ring, ve or _F0, chi.get(mn) or _F0)
-                     for mn, ve in even.items() if ve or chi.get(mn)}
+            L, weights = 1, ((target, 1, 0),)
+        else:
+            if target.module is not self:
+                raise ValueError("module mismatch")
+            coeffs = target.terms.items()
+            L = lcm(*(v.denominator for _, c in coeffs for v in (c.even, c.odd)))
+            weights = [(mono, c.even.numerator * (L // c.even.denominator),
+                        c.odd.numerator * (L // c.odd.denominator))
+                       for mono, c in coeffs]
+        acc = {}  # monomial -> [even, chi] ints over L D
+        for mono, e, c in weights:
+            for flag, w in ((0, e), (1, c)):
+                if w:
+                    for (mn, f), v in self.int_row(gen, (mono, flag))[1]:
+                        parts = acc.get(mn)
+                        if parts is None:
+                            parts = acc[mn] = [0, 0]
+                        parts[f] += w * v
+        ring, den = self.ring, L * self.scale
+        out = ModuleVector(self)
+        out.terms = {mn: _mk_gs(ring, Fraction(e, den) if e else _F0,
+                                Fraction(c, den) if c else _F0)
+                     for mn, (e, c) in acc.items() if e or c}
         return out
 
     # the name the benchmark tracer wraps next to ``act``
@@ -661,6 +637,18 @@ class VermaModule:
         point = (D, dD, mD, rD, _times(self.ring.chi_square, D))
         return self._certificate().failures(self, max_degree, point,
                                             max_report)
+
+
+def chi_entries(entries, odd, chi_square):
+    """An int row at chi times a monomial from the row at the monomial,
+    over the same scale: g (chi w) = (-1)^{|g|} chi (g w), and chi (e + c
+    chi) = c chi^2 + e chi.  ValueError when c chi^2 is not an integer."""
+    sign = -1 if odd else 1
+    parts = {}
+    for (mn, f), v in entries:
+        parts.setdefault(mn, [0, 0])[f] = sign * v
+    return tuple(((mn, f), v) for mn, (e, c) in parts.items()
+                 for f, v in ((0, _times(chi_square, c)), (1, e)) if v)
 
 
 def closure_arguments(max_degree, max_report):

@@ -118,9 +118,9 @@ REALIZATION = [
 MUTANT_POINTS = [("ssch1", "3/4", "1"), ("ssch2", "1", "2")]
 
 # Known-bad points: case id -> the ROADMAP item that changes its output.
-_ITEM2 = ("ROADMAP item 2: verdict misses the r = d / r = -d-1 branch, "
+_ITEM3 = ("ROADMAP item 3: verdict misses the r = d / r = -d-1 branch, "
           "so the certificate fails")
-_ITEM4 = ("ROADMAP item 4: FactorModule.reduce raises when a leading "
+_ITEM5 = ("ROADMAP item 5: FactorModule.reduce raises when a leading "
           "coefficient cancels")
 
 
@@ -420,9 +420,9 @@ def known_bad():
     for point in LINES:
         pid = _point_id(*point[:4])
         if point[1:4] in (("1/2", "1", "1/2"), ("3/2", "1", "3/2")):
-            out["classify %s" % pid] = _ITEM4
+            out["classify %s" % pid] = _ITEM5
         else:
-            out["classify %s" % pid] = _ITEM2
+            out["classify %s" % pid] = _ITEM3
     return out
 
 

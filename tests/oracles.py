@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use.
 
-Each applies generators to whole GradedScalar-weighted vectors through
-``act``, the way the library did before it read integer rows, and must
-agree with the library exactly:
+Each computes what a library function computes along an older or more
+direct path, and must agree with the library exactly.  Most apply
+generators to whole GradedScalar-weighted vectors through ``act``, the way
+the library did before it read integer rows; ``act`` itself sums the ints
+of ``int_row``, and ``act_oracle`` keeps the Fraction row sums it replaced:
 
 * ``closure_failures_oracle`` -- the bracket-compatibility loop on
   ``space.act`` vectors that ``closure_failures`` replaced: integer sums
@@ -28,11 +30,18 @@ agree with the library exactly:
   arithmetic at one module's d, m, r and chi, on ``raise_oracle``'s
   products; the module's evaluated parametric rows must equal its rows
   exactly.
+* ``chi_rule`` -- the row at chi times a monomial from the row at the
+  monomial, in Fractions: the Koszul/chi^2 rule that ``int_row`` applies
+  at flag 1.
+* ``act_oracle`` -- ``VermaModule.act`` as it was before it summed int
+  rows: e row + c ``chi_rule(row)`` in Fractions over the coefficients
+  e + c chi of a vector, on ``engine_rows_oracle``'s rows; ``act`` must
+  equal it, and ``FactorModule.act`` its reduction.
 * ``closed_form_rows_oracle`` -- the paper's closed-form N=1 action table,
   which the library read for every N=1 row before it took them from the
   engine: an oracle independent of the normal-ordering walk, one formula
-  per generator; the module's ``row`` and ``int_row`` (chi multiples
-  included) must equal it exactly at every degree.
+  per generator; the module's ``act`` and ``int_row`` on a monomial and on
+  chi times it must equal it exactly at every degree.
 * ``derive_even`` / ``derive_odd`` -- one derivative on a whole superspace
   polynomial; ``reference_apply`` builds the term-by-term reference for
   ``SuperDiffOp.apply`` from them and ``SuperPoly`` products.
@@ -56,6 +65,7 @@ agree with the library exactly:
 """
 
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 from superschrod.quotient import _omega1_word
 from superschrod.realization import (RealizationReport, SuperPoly,
@@ -222,6 +232,43 @@ def engine_rows_oracle(module):
         return cache[(gen, mono)]
 
     return row
+
+
+def chi_rule(row, odd, chi_square):
+    """The row at chi times a monomial, from the row at the monomial, as
+    (monomial, even, chi) Fractions: g (chi w) = (-1)^{|g|} chi (g w), and
+    chi (e + c chi) = c chi^2 + e chi."""
+    sign = -1 if odd else 1
+    return tuple((mn, sign * c * chi_square, sign * e) for mn, e, c in row)
+
+
+# module -> its ``engine_rows_oracle``, for ``act_oracle``
+_ENGINE_ROWS = WeakKeyDictionary()
+
+
+def act_oracle(module, gen, target):
+    """A generator on a monomial or a vector of a Verma module, summed in
+    Fractions: e row + c ``chi_rule(row)`` per coefficient e + c chi, the
+    rows from ``engine_rows_oracle``."""
+    rows = _ENGINE_ROWS.get(module)
+    if rows is None:
+        rows = _ENGINE_ROWS[module] = engine_rows_oracle(module)
+    if isinstance(target, tuple):
+        target = module.basis_vector(target)
+    ring = module.ring
+    odd = module.table.parity(gen)
+    even, chi = {}, {}
+    for mono, coeff in target.terms.items():
+        row = rows(gen, mono)
+        parts = [(coeff.even, row)] if coeff.even else []
+        if coeff.odd:
+            parts.append((coeff.odd, chi_rule(row, odd, ring.chi_square)))
+        for scale, entries in parts:
+            for mn, e, c in entries:
+                even[mn] = even.get(mn, 0) + scale * e
+                chi[mn] = chi.get(mn, 0) + scale * c
+    return ModuleVector(module, {mn: ring.scalar(e, chi[mn])
+                                 for mn, e in even.items()})
 
 
 def closed_form_rows_oracle(module):

@@ -157,7 +157,7 @@ def test_usage_errors(capsys):
 
 def test_a_broken_rewriting_is_one_error_line(capsys):
     # the massive N=2 quotient by u0 at d = r = 1/2 cannot be rewritten
-    # (ROADMAP item 4); the command reports it instead of a traceback
+    # (ROADMAP item 5); the command reports it instead of a traceback
     code, out, err = run(capsys, "classify", "--algebra", "ssch2", "--d",
                          "1/2", "--m", "1", "--r", "1/2", "--certify")
     assert code == 1

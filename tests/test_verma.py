@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from fractions import Fraction as F
@@ -6,16 +7,18 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import golden.record as golden
 from golden.record import DoubledH as _DoubledH
 from golden.record import MutatedTable as _MutatedTable
-from oracles import (closed_form_rows_oracle, closure_failures_oracle,
-                     engine_rows_oracle, normal_order, raise_oracle)
-from superschrod.quotient import FactorModule, quotient_by_singular
+from oracles import (act_oracle, chi_rule, closed_form_rows_oracle,
+                     closure_failures_oracle, engine_rows_oracle,
+                     normal_order, raise_oracle)
+from superschrod.quotient import FactorModule, classify, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
 from superschrod.superalgebra import build_algebra
 from superschrod.verma import (ClosureCertificate, LowestWeight,
-                               ModuleVector, VermaModule, _times, chi_row)
+                               ModuleVector, VermaModule, _times)
 
 
 @pytest.fixture(scope="module")
@@ -75,19 +78,36 @@ def test_lowering_action_rows(mod_m1):
     assert not mod_m1.act("H", mod_m1.vacuum)
 
 
+def _parts(vec):
+    """A vector's terms as (monomial, even, chi) in term order; every part
+    must be a Fraction."""
+    out = tuple((mn, c.even, c.odd) for mn, c in vec.terms.items())
+    assert all(type(e) is F and type(c) is F for _, e, c in out), out
+    return out
+
+
+def _act_at_flag(mod, gen, mono, flag):
+    """``act`` on a monomial (flag 0) or on chi times it (flag 1)."""
+    if flag:
+        return mod.act(gen, mod.basis_vector(mono, mod.ring.chi))
+    return mod.act(gen, mono)
+
+
 def _assert_rows_match_the_table(mod, pairs):
-    """``row`` and ``int_row`` at flags 0 and 1 against the closed-form N=1
-    table, at each (generator, monomial)."""
+    """``act`` and ``int_row`` on a monomial and on chi times it (flags 0
+    and 1) against the closed-form N=1 table, at each (generator,
+    monomial)."""
     table = closed_form_rows_oracle(mod)
     D = mod.scale
     for gen, mono in pairs:
         expected = table(gen, mono)
-        got = mod.row(gen, mono)
-        assert len(got) == len(expected)
-        assert {mn: (e, c) for mn, e, c in got} == \
-            {mn: (e, c) for mn, e, c in expected}, (gen, mono)
-        at_chi = chi_row(expected, mod.table.parity(gen), mod.ring.chi_square)
+        at_chi = chi_rule(expected, mod.table.parity(gen), mod.ring.chi_square)
         for flag, rows in ((0, expected), (1, at_chi)):
+            got = _parts(_act_at_flag(mod, gen, mono, flag))
+            nonzero = [(mn, e, c) for mn, e, c in rows if e or c]
+            assert len(got) == len(nonzero)
+            assert {mn: (e, c) for mn, e, c in got} == \
+                {mn: (e, c) for mn, e, c in nonzero}, (gen, mono, flag)
             want = {(mn, f): v * D for mn, e, c in rows
                     for f, v in ((0, e), (1, c)) if v}
             scale, entries = mod.int_row(gen, (mono, flag))
@@ -409,6 +429,187 @@ def test_vector_action_is_the_twisted_sum_of_monomial_actions(case):
     assert space.act(gen, vec) == expected
 
 
+def test_act_rejects_a_vector_of_another_module():
+    a = VermaModule(LowestWeight("ssch1", F(1, 3), 1))
+    b = VermaModule(LowestWeight("ssch1", F(5, 7), 2))
+    vec = b.basis_vector((2, 0, 0))
+    assert b.act("P", vec) == b.basis_vector((1, 0, 0), 4)
+    fm = FactorModule(a, [a.basis_vector((0, 0, 1))], verify_singular=False)
+    for space in (a, fm):
+        with pytest.raises(ValueError, match="module mismatch"):
+            space.act("P", vec)
+    assert fm.act("P", a.basis_vector((2, 0, 0))) == \
+        a.basis_vector((1, 0, 0), 2)
+
+
+# coefficient parts with denominators above 1 among them
+_COEFF = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _act_cases(draw):
+    kind = draw(st.sampled_from(["ssch1", "ssch2"]))
+    m = draw(st.sampled_from([F(0), F(1)]) | _RATIONAL)
+    r = draw(_RATIONAL) if kind == "ssch2" else None
+    # None is chi^2 = m/2
+    chi_square = draw(st.sampled_from([None, F(0)]) | _RATIONAL)
+    mod = VermaModule(LowestWeight(kind, draw(_RATIONAL), m, r), chi_square)
+    monos = draw(st.lists(st.sampled_from(mod.enumerate_monomials(
+        4 if kind == "ssch1" else 3)), min_size=1, max_size=6, unique=True))
+    vec = ModuleVector(mod, {mono: mod.ring.scalar(draw(_COEFF), draw(_COEFF))
+                             for mono in monos})
+    return mod, vec, draw(st.sampled_from(mod.table.names))
+
+
+def _example_vector(kind, d, m, r, chi_square, gen, coeffs):
+    mod = VermaModule(LowestWeight(kind, d, m, r), chi_square)
+    return mod, ModuleVector(mod, {mono: mod.ring.scalar(e, c)
+                                   for mono, (e, c) in coeffs.items()}), gen
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_act_cases())
+@example(_example_vector("ssch1", F(7, 3), F(3, 2), None, None, "Q",
+                         {(1, 0, 1): (F(2, 3), F(-5, 4)),
+                          (0, 1, 0): (F(1, 6), F(7, 9))}))
+@example(_example_vector("ssch1", F(1, 2), 0, None, None, "H",
+                         {(2, 0, 1): (F(3, 5), F(1, 7)),
+                          (0, 1, 1): (F(0), F(-4, 3))}))
+@example(_example_vector("ssch1", F(-1, 2), 1, None, F(0), "P",
+                         {(1, 1, 1): (F(1, 2), F(1, 3))}))
+@example(_example_vector("ssch2", F(5, 2), F(2, 3), F(-1, 3), None, "Q-",
+                         {(1, 0, 1, 1, 0): (F(3, 4), F(2, 5)),
+                          (0, 1, 1, 0, 1): (F(-5, 6), F(0))}))
+@example(_example_vector("ssch2", F(4, 3), 0, F(1, 5), F(1, 3), "X-",
+                         {(0, 1, 0, 1, 1): (F(1, 9), F(5, 2))}))
+def test_act_equals_the_fraction_oracle(case):
+    # int sums over one denominator against Fraction row sums, on a vector
+    # and on each of its monomials
+    mod, vec, gen = case
+    got = mod.act(gen, vec)
+    _parts(got)
+    assert got == act_oracle(mod, gen, vec)
+    for mono in vec.terms:
+        assert _parts(mod.act(gen, mono)) == _parts(act_oracle(mod, gen, mono))
+
+
+# lowest weights whose ``classify`` chain ends in a factor module: massive
+# and massless N=1, massive N=2 and each massless N=2 chain (L^{d,r},
+# L^{p,r}, L+^d, L-^d, L+^l/II^l, L-^l/II^l)
+_CHAIN_POINTS = (
+    ("ssch1", F(1, 2), 1, None), ("ssch1", F(-1, 2), F(3, 2), None),
+    ("ssch1", F(3, 2), F(2, 3), None), ("ssch1", F(2, 3), 0, None),
+    ("ssch1", 2, 0, None), ("ssch2", F(3, 2), 1, F(-11, 7)),
+    ("ssch2", F(5, 2), F(1, 2), F(1, 3)), ("ssch2", F(5, 3), 0, F(2, 3)),
+    ("ssch2", 2, 0, F(1, 3)), ("ssch2", F(2, 3), 0, F(-2, 3)),
+    ("ssch2", F(2, 3), 0, F(2, 3)), ("ssch2", 2, 0, -2), ("ssch2", 1, 0, 1))
+
+
+@functools.cache
+def _chain_terminal(point):
+    terminal = classify(LowestWeight(*point), cutoff=4).terminal
+    assert isinstance(terminal, FactorModule), point
+    return terminal
+
+
+def _fractions(scale, entries):
+    """An ``int_row`` as (monomial, even, chi) Fractions, by monomial."""
+    parts = {}
+    for (mn, f), v in entries:
+        parts.setdefault(mn, [F(0), F(0)])[f] = F(v, scale)
+    return {mn: tuple(ec) for mn, ec in parts.items()}
+
+
+def assert_factor_rows_follow_the_chi_rule(fm, gen, mono):
+    """``FactorModule.int_row`` at flag 1 equals the chi rule applied to
+    its flag-0 row, and ``act`` on chi times the monomial."""
+    at_zero = _fractions(*fm.int_row(gen, (mono, 0)))
+    want = {mn: (e, c) for mn, e, c in chi_rule(
+        [(mn, e, c) for mn, (e, c) in at_zero.items()],
+        fm.table.parity(gen), fm.ring.chi_square) if e or c}
+    assert _fractions(*fm.int_row(gen, (mono, 1))) == want, (gen, mono)
+    at_chi = fm.act(gen, fm.base.basis_vector(mono, fm.ring.chi))
+    assert {mn: (e, c) for mn, e, c in _parts(at_chi)} == want, (gen, mono)
+
+
+@st.composite
+def _factor_cases(draw):
+    fm = _chain_terminal(draw(st.sampled_from(_CHAIN_POINTS)))
+    mod = fm.base
+    monos = draw(st.lists(st.sampled_from(fm.enumerate_monomials(3)),
+                          min_size=1, max_size=4, unique=True))
+    vec = ModuleVector(mod, {mono: mod.ring.scalar(draw(_COEFF), draw(_COEFF))
+                             for mono in monos})
+    return fm, vec, draw(st.sampled_from(mod.table.names))
+
+
+def golden_classify_terminals():
+    """(case id, terminal module) of every ``classify`` case of the golden
+    corpus whose recorded call does not raise, in corpus order."""
+    points = {golden._point_id(*point[:4]): point for point in
+              golden.SHAPOVALOV + golden.LINES + golden.CHI_POINTS
+              + golden.SHAPOVALOV_GRAM}
+    out = []
+    for case_id, thunk in golden.cases():
+        if case_id.startswith("classify ") and "raises" not in thunk():
+            kind, d, m, r, degree = points[case_id[len("classify "):]]
+            out.append((case_id, classify(golden._lw(kind, d, m, r),
+                                          cutoff=min(degree, 6)).terminal))
+    return out
+
+
+def assert_act_matches_the_oracle(space, max_degree, seed=0):
+    """``act`` of every generator on every (surviving) monomial up to
+    max_degree, as a monomial, as a vector with a seeded coefficient e + c
+    chi and on the seeded sum of each weight's basis, against
+    ``act_oracle`` (reduced on a factor module, whose flag-1 rows must also
+    follow the chi rule); returns the number of comparisons."""
+    rng = random.Random(seed)
+    factor = isinstance(space, FactorModule)
+    mod = space.base if factor else space
+    reduce = space.reduce if factor else (lambda vec: vec)
+
+    def coeff():
+        return mod.ring.scalar(*(F(rng.randint(-9, 9), rng.randint(1, 9))
+                                 for _ in range(2)))
+
+    monos = space.enumerate_monomials(max_degree)
+    vectors = monos + [mod.basis_vector(mono, coeff()) for mono in monos]
+    vectors += [ModuleVector(mod, {mono: coeff() for mono
+                                   in space.subspace_basis(weight)})
+                for weight in sorted({mod.weight(mono) for mono in monos})]
+    count = 0
+    for gen in mod.table.names:
+        for target in vectors:
+            got = space.act(gen, target)
+            _parts(got)
+            assert got == reduce(act_oracle(mod, gen, target)), (gen, target)
+            count += 1
+        if factor:
+            for mono in monos:
+                assert_factor_rows_follow_the_chi_rule(space, gen, mono)
+    return count
+
+
+def test_golden_terminal_actions_equal_the_oracle():
+    terminals = golden_classify_terminals()
+    assert len(terminals) == 54 and any(
+        isinstance(space, VermaModule) for _, space in terminals)
+    assert sum(assert_act_matches_the_oracle(space, 2)
+               for _, space in terminals[::5]) > 0
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_factor_cases())
+def test_factor_action_equals_the_reduced_fraction_oracle(case):
+    fm, vec, gen = case
+    got = fm.act(gen, vec)
+    _parts(got)
+    assert got == fm.reduce(act_oracle(fm.base, gen, vec))
+    for mono in vec.terms:
+        assert_factor_rows_follow_the_chi_rule(fm, gen, mono)
+
+
 @st.composite
 def _engine_cases(draw):
     kind = draw(st.sampled_from(["ssch1", "ssch2"]))
@@ -433,16 +634,21 @@ def test_evaluated_engine_table_equals_the_fraction_walk(case):
 
 
 def assert_rows_match_the_engine_oracle(mod, max_degree):
-    """``row`` and the engine's int row of every generator on every
-    monomial up to max_degree against ``engine_rows_oracle``; returns the
-    number of rows compared."""
+    """``act`` on a monomial and on chi times it, and the engine's int row,
+    of every generator on every monomial up to max_degree against
+    ``engine_rows_oracle`` (in order); returns the number of rows
+    compared."""
     oracle = engine_rows_oracle(mod)
     D = mod.scale
     pairs = [(gen, mono) for mono in mod.enumerate_monomials(max_degree)
              for gen in mod.table.names]
     for gen, mono in pairs:
         expected = oracle(gen, mono)
-        assert mod.row(gen, mono) == expected, (gen, mono)
+        at_chi = chi_rule(expected, mod.table.parity(gen), mod.ring.chi_square)
+        for flag, rows in ((0, expected), (1, at_chi)):
+            assert _parts(_act_at_flag(mod, gen, mono, flag)) == tuple(
+                entry for entry in rows if entry[1] or entry[2]), \
+                (gen, mono, flag)
         assert mod._act_mono_engine(gen, mono) == tuple(
             ((mn, f), v * D) for mn, e, c in expected
             for f, v in ((0, e), (1, c)) if v), (gen, mono)
