@@ -12,13 +12,11 @@ affine in the lowest weight (d, m); ``build_realization`` evaluates them.
 ``verify_relations`` checks the brackets at one lowest weight (d, m) on the
 monomials up to twice the operators' order, which decides them at every
 degree.  The paper's realization is certified once per kind for every
-(d, m): a bracket residual of ``build_realization(kind, d, m)`` is a
-polynomial in (d, m) of bounded degree, so once the point check has passed
-at enough points in general position (15 for ssch1, 6 for ssch2) every
-residual is the zero polynomial.  A ``RealizationCertificate`` per kind and
-``build_realization`` gathers those points from the checks callers run
-anyway; once it is complete, a call on the paper's operators at any (d, m)
-is answered without a residual pass.
+(d, m): the first call on the paper's operators forms every bracket
+residual of the kind's table once, with coefficients that are polynomials
+in (d, m), and the kind is certified when each is the zero polynomial.
+After that a call on the paper's operators at any (d, m) is answered
+without a residual pass.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm, prod
+from math import lcm, prod
 
-from .scalars import as_fraction, mul_odd_words
+from .scalars import Poly, as_fraction, mul_odd_words
 from .superalgebra import StructureTable, _shared_table
 
 _ZERO = Fraction(0)
@@ -275,14 +273,11 @@ class SuperDiffOp:
                    default=0)
 
     def max_degree_raise(self) -> int:
-        """Largest possible total-degree increase over all terms."""
-        best = None
-        for coeff, dt, dx, odds in self.terms:
-            drop = dt + dx + len(odds)
-            for (t, x, w) in coeff.terms:
-                raise_by = t + x + len(w) - drop
-                best = raise_by if best is None else max(best, raise_by)
-        return 0 if best is None else best
+        """Largest possible total-degree increase over all terms, 0 for an
+        operator with no coefficient monomial."""
+        return max((t + x + len(w) - dt - dx - len(odds)
+                    for coeff, dt, dx, odds in self.terms
+                    for t, x, w in coeff.terms), default=0)
 
 
 def _op(space, *terms) -> SuperDiffOp:
@@ -517,49 +512,29 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     ``StructureTable.residuals`` sums B D^2 times each residual in ints.
     Only a failing residual is turned into Fractions.
 
-    Degree bound in (d, m).  ``build_realization(kind, d, m)`` evaluates
-    the kind's ``_OPERATORS`` table, whose every coefficient is an affine
-    triple (c0, c_d, c_m), so every coefficient is affine in (d, m) by the
-    shape of the data; every Clifford square is -m/2, linear in m (a zero
-    term is dropped, which changes no operator).  A derivative word sends
-    a monomial to an integer multiple of one monomial, free of (d, m); the
-    coefficient then multiplies it, and that product of two canonical
-    words contracts each square at most once.  So an entry of one
-    operator's image of a monomial is a polynomial in (d, m) of degree
-    <= 1 + c, with c the number of odd variables whose square is nonzero
-    (``SuperSpace.for_kind``: c = 1 for ssch1, 0 for ssch2).  A composite
-    X(Y f) has degree <= 2(1 + c) and the bracket part, whose structure
-    constants are numbers, degree <= 1 + c <= 2.
-    Every entry of every residual on a fixed monomial is therefore a
-    polynomial of total degree <= n = 2(1 + c): 4 for ssch1, 2 for ssch2.
-    Such a polynomial that vanishes at points whose rows (d^i m^j), i + j
-    <= n, have rank (n + 1)(n + 2)/2 (15 and 6) is zero, since those rows
-    then span every evaluation functional.  Every operator of the paper's
-    realization has order <= 1 and H = d_t has order 1 at every (d, m), so
-    2k = 2 everywhere, and a passing check with ``max_degree`` >= 2k shows
-    that the residuals vanish on the degree <= 2 monomials at its point.
-    Once the rows of such points reach full rank, those residuals are zero
-    at every (d, m), and by the order bound every bracket holds at every
-    degree and every (d, m).
-
-    Certificate.  That evidence is a ``RealizationCertificate`` per kind,
-    keyed by (kind, the ``build_realization`` in use) so that a replaced
-    builder (a test double) starts from an empty one.  It answers for or
-    learns from a call only if the guard holds: d and m are given (read
-    as Fractions, as the report reads them), the kind is ssch1 or ssch2,
-    ``table`` has the generators and constants of
-    ``build_algebra(table.kind)``, the operators are keyed by exactly the
-    table's names, and each equals ``build_realization(kind, d, m)``'s
-    term by term (its type, its space's names and squares, and each
-    term's coefficient dict, dt, dx and odd word, in order).  Every other
-    call (without d and m, with an edited term or table) runs the point
-    check.  A guarded point check with ``max_degree`` >= 2k whose report
-    has no failure records a new point; its row is kept only if it raises
-    the rank of the rows kept (it does not reduce to zero against their
-    integer echelon form).  On a certified kind a guarded call returns
-    RealizationReport(kind, d, m, max_degree, max_degree) after the shared
-    argument checks and parity loop, which is the point check's report at
-    every degree and failure cap.
+    Certificate.  ``build_realization(kind, d, m)`` evaluates the compiled
+    table ``_COMPILED[kind]``, whose every coefficient is an affine triple
+    (c0, c_d, c_m), and every Clifford square is -m/2.  So the same pass
+    runs once per table over Z[d, m] (``_symbolic_residuals``), each triple
+    times the lcm L of the table's denominators a ``scalars.Poly`` and each
+    Clifford contraction times ``square_den`` an int times m.  The order
+    bound holds over the integral domain Z[d, m], and evaluation at (d, m)
+    is a ring homomorphism taking each image of the pass to L
+    ``square_den`` times the image under the operators at (d, m), whose
+    vanishing terms are dropped.  So if every residual on the monomials of
+    degree <= 2k is the zero polynomial, every bracket holds at every
+    degree and every (d, m), and the table certifies its kind.  The first
+    guarded call forms that verdict, kept per table in ``_CERTIFICATES``.
+    A call is guarded when d and m are given (read as Fractions, as the
+    report reads them), ``table`` has the generators and constants of
+    ``build_algebra(kind)`` for a kind with a compiled table, and the
+    operators equal the table at (d, m) as ``build_realization`` returns
+    them: same generators, type, space names and squares, and each term's
+    coefficient dict, dt, dx and odd word, in order.  Their parities and
+    degree raise depend only on which triples vanish, so they are read once
+    per table and vanishing pattern.  A certified guarded call returns after
+    the parity check, with the point check's report at every degree and
+    failure cap; every other call runs the point check.
 
     Failures are (X, Y, monomial, residual string) in bracket-table order,
     after one (gen, gen, None, "parity mismatch") per operator of the wrong
@@ -582,40 +557,38 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
                                Fraction(0) if d is None else Fraction(d),
                                Fraction(0) if m is None else Fraction(m),
                                max_degree, max_degree)
+    guarded = None if d is None or m is None else _paper_operators(
+        realization, table, report.d, report.m)
+    (_, certified, shapes), zeros = guarded or ((None, False, {}), None)
+    if zeros not in shapes:
+        shapes[zeros] = ({gen: op.parity() for gen, op in realization.items()},
+                         max([0] + [op.max_degree_raise()
+                                    for op in realization.values()]))
+    parities, report.degree_raise = shapes[zeros]
     failures = report.failures
-    for gen, op in realization.items():
-        if op.parity() != table.parity(gen):
+    for gen in realization:
+        if parities[gen] != table.parity(gen):
             report.parity_ok = False
             if len(failures) < max_failures:
                 failures.append((gen, gen, None, "parity mismatch"))
-        report.degree_raise = max(report.degree_raise, op.max_degree_raise())
-    if len(failures) >= max_failures:
+    if len(failures) >= max_failures or certified:
         return report
-    certificate = None if d is None or m is None else _guarded_certificate(
-        realization, table, report.d, report.m)
-    if certificate is not None and certificate.certified:
-        return report
-    bound = _point_check(realization, table, max_degree,
-                         max_failures - len(failures), failures)
-    if certificate is not None and max_degree >= bound and report.ok:
-        certificate.record(report.d, report.m)
+    _point_check(realization, table, max_degree,
+                 max_failures - len(failures), failures)
     return report
 
 
-def _point_check(realization, table, max_degree, cap, failures):
-    """The residual pass of ``verify_relations`` at one point: appends at
-    most ``cap`` failures and returns the order bound 2k."""
-    space = next(iter(realization.values())).space
-    scale = lcm(*(realization[g].denominator() for g in table.names))
-    # gen -> monomial -> image items, local to this call so that an edit
-    # to an operator's terms between calls is always seen
+def _residual_pass(table, ops, terms, products, scale):
+    """``residuals(monos)``: ``table.residuals`` on the images of ``monos``
+    under each ``ops[g].int_image`` with ``terms[g]`` and the ``products``
+    memo, over the images' common ``scale``."""
+    # gen -> monomial -> image items, read once per pass and shared by its
+    # calls, so that an edit to an operator's terms between passes is seen
     images = {g: {} for g in table.names}
-    terms = {g: realization[g].int_terms(scale) for g in table.names}
-    products = {}
 
     def read(batch):
         for g, by_mono in images.items():
-            op, int_terms = realization[g], terms[g]
+            op, int_terms = ops[g], terms[g]
             for mono in batch:
                 if mono not in by_mono:
                     by_mono[mono] = op.int_image(mono, int_terms,
@@ -626,110 +599,100 @@ def _point_check(realization, table, max_degree, cap, failures):
         read(monos)
         read({mn for by_mono in images.values() for img in by_mono.values()
               for mn, _ in img})
-        return table.residuals(images, monos, scale * space.square_den)
+        return table.residuals(images, monos, scale)
 
+    return residuals
+
+
+def _point_check(realization, table, max_degree, cap, failures):
+    """The residual pass of ``verify_relations`` at one point: appends at
+    most ``cap`` failures."""
+    space = next(iter(realization.values())).space
+    scale = lcm(*(realization[g].denominator() for g in table.names))
+    residuals = _residual_pass(
+        table, realization,
+        {g: realization[g].int_terms(scale) for g in table.names}, {},
+        scale * space.square_den)
     bound = 2 * max(op.order() for op in realization.values())
     if max_degree > bound and next(
             residuals(enumerate_polyspace(space, bound)), None) is None:
-        return bound
+        return
     for x, y, mono, acc, den in islice(
             residuals(enumerate_polyspace(space, max_degree)), cap):
         residual = SuperPoly(space, {mn: Fraction(v, den)
                                      for mn, v in acc.items() if v})
         failures.append((x, y, mono, str(residual)))
-    return bound
 
 
-class RealizationCertificate:
-    """The points where the point check of one kind's paper realization
-    passed, kept while their rows (d^i m^j), i + j <= ``degree``, raise
-    the rank; ``certified`` once the rank is (n + 1)(n + 2)/2, and then
-    every bracket holds at every degree and every (d, m) (see
-    ``verify_relations``).  Fed only by ``verify_relations``.
-
-    ``echelon`` spans the kept rows: one integer row per kept row, as
-    (pivot column, row), each zero at the pivots of the rows before it."""
-
-    def __init__(self, kind):
-        squares = SuperSpace.for_kind(kind, 1).squares.values()
-        # the squares are linear in m, so nonzero at m = 1 unless always 0
-        self.degree = n = 2 * (1 + sum(1 for sq in squares if sq))
-        self.exponents = [(i, j) for i in range(n + 1)
-                          for j in range(n + 1 - i)]
-        self.points = set()
-        self.rows = []
-        self.echelon = []
-
-    @property
-    def certified(self) -> bool:
-        return len(self.rows) == len(self.exponents)
-
-    def record(self, d, m):
-        """Record a passing point (d, m); keep its row if it raises the
-        rank of the rows kept, that is if its integer multiple does not
-        reduce to zero against ``echelon``."""
-        if (d, m) in self.points:
-            return
-        self.points.add((d, m))
-        # the row d^i m^j times (den d den m)^n, in ints
-        n, (p, q), (r, s) = (self.degree, d.as_integer_ratio(),
-                             m.as_integer_ratio())
-        row = [p ** i * q ** (n - i) * r ** j * s ** (n - j)
-               for i, j in self.exponents]
-        reduced = row
-        for col, kept in self.echelon:
-            c = reduced[col]
-            if c:
-                k = kept[col]
-                reduced = [k * v - c * w for v, w in zip(reduced, kept)]
-        pivot = next((j for j, v in enumerate(reduced) if v), None)
-        if pivot is not None:
-            g = gcd(*reduced)
-            self.echelon.append((pivot, [v // g for v in reduced]))
-            den = (q * s) ** n
-            self.rows.append([Fraction(v, den) for v in row])
+def _symbolic_residuals(compiled, table):
+    """The nonzero residuals of a compiled table (``_compile``) on the
+    monomials of degree <= twice its largest order, as
+    ``StructureTable.residuals`` yields them, over Z[d, m]."""
+    triples, generators = compiled
+    scale = lcm(*(c.denominator for c0, parts in triples
+                  for c in (c0, *(c for c, _ in parts))))
+    d_m = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+    values = [_affine(_exact_int(c0 * scale),
+                      [(_exact_int(c * scale), i) for c, i in parts], d_m)
+              for c0, parts in triples]
+    terms = {gen: [(dt, dx, odds, tuple((t, x, w, values[i])
+                                        for (t, x, w), i in entries))
+                   for entries, dt, dx, odds in gen_terms]
+             for gen, gen_terms in generators}
+    # a square is linear in m: its value at m = 1, times m per contraction
+    space = SuperSpace.for_kind(table.kind, 1)
+    words = {w for _, _, w in enumerate_polyspace(space, len(space.names))}
+    products = {}
+    for w1 in words:
+        for w in words:
+            sign, word = mul_odd_words(w1, w, space.order, space.squares)
+            products[w1, w] = prod([d_m[1]] * len(set(w1) & set(w)), start=(
+                _exact_int(sign * space.square_den))), word
+    bound = 2 * max(dt + dx + len(odds) for _, gen_terms in generators
+                    for _, dt, dx, odds in gen_terms)
+    residuals = _residual_pass(table, dict.fromkeys(terms, SuperDiffOp(space)),
+                               terms, products, scale * space.square_den)
+    return residuals(enumerate_polyspace(space, bound))
 
 
-# (kind, build_realization) -> RealizationCertificate, filled on first use
+# id(compiled table) -> (the table, whether it certifies its kind, {indices
+# of the triples that vanish: (parity per generator, degree raise)})
 _CERTIFICATES = {}
 
 
-def _guarded_certificate(realization, table, d, m):
-    """The certificate that may answer for or learn from a call of
-    ``verify_relations`` at the Fractions d and m, or None when the guard
-    fails."""
-    kind = table.kind
-    if kind not in ("ssch1", "ssch2"):
+def _paper_operators(realization, table, d, m):
+    """(the ``_CERTIFICATES`` entry of the compiled table, made on first
+    use, and the indices of its triples that vanish at (d, m)) when a call
+    of ``verify_relations`` at the Fractions d and m is guarded, else
+    None."""
+    compiled = _COMPILED.get(table.kind)
+    if compiled is None:
         return None
-    algebra = _shared_table(kind)  # what build_algebra(kind) copies
-    if table is not algebra and (table.generators != algebra.generators
-                                 or table.constants != algebra.constants):
+    algebra = _shared_table(table.kind)  # what build_algebra(kind) copies
+    triples, generators = compiled
+    if len(realization) != len(generators) or table is not algebra and (
+            table.generators != algebra.generators
+            or table.constants != algebra.constants):
         return None
-    build = build_realization
-    reference = build(kind, d, m)
-    if realization.keys() != reference.keys():
-        return None
-    checked = None, None  # the last space and reference space found equal
-    for gen, expected in reference.items():
-        op = realization[gen]
-        space, space0 = op.space, expected.space
-        if type(op) is not SuperDiffOp or len(op.terms) != len(expected.terms):
+    values = [_affine(c0, parts, (d, m)) for c0, parts in triples]
+    space = SuperSpace.for_kind(table.kind, m)
+    for gen, terms in generators:
+        op = realization.get(gen)
+        if type(op) is not SuperDiffOp or type(op.space) is not SuperSpace \
+                or (op.space.names, op.space.squares) != (space.names,
+                                                          space.squares):
             return None
-        if space is not checked[0] or space0 is not checked[1]:
-            if (type(space) is not SuperSpace or space.names != space0.names
-                    or space.squares != space0.squares):
-                return None
-            checked = space, space0
-        for (coeff, dt, dx, odds), (c0, dt0, dx0, odds0) in zip(
-                op.terms, expected.terms):
-            if (dt != dt0 or dx != dx0 or odds != odds0
-                    or coeff.terms != c0.terms):
-                return None
-    key = (kind, build)
-    certificate = _CERTIFICATES.get(key)
-    if certificate is None:
-        certificate = _CERTIFICATES[key] = RealizationCertificate(kind)
-    return certificate
+        expected = [(live, dt, dx, odds) for entries, dt, dx, odds in terms
+                    if (live := {mono: values[i] for mono, i in entries
+                                 if values[i]})]
+        if [(c.terms, dt, dx, odds) for c, dt, dx, odds in op.terms] \
+                != expected:
+            return None
+    entry = _CERTIFICATES.get(id(compiled))
+    if entry is None or entry[0] is not compiled:
+        entry = _CERTIFICATES[id(compiled)] = compiled, next(
+            _symbolic_residuals(compiled, algebra), None) is None, {}
+    return entry, tuple(i for i, value in enumerate(values) if not value)
 
 
 # ---------------------------------------------------------------------------

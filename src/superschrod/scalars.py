@@ -13,12 +13,15 @@ Everything is built on ``fractions.Fraction`` (no floating point anywhere):
   ``SuperPoly`` elements.
 * ``QI`` -- Gaussian rationals a + b*i, needed only by the omega2/sigma1/
   sigma2 adjoint images in ``superalgebra``.
+* ``Poly`` -- sparse polynomials with int coefficients, for identities
+  that hold at every lowest weight (``realization.verify_relations``).
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from operator import add
 
 
 def as_fraction(value) -> Fraction:
@@ -361,3 +364,50 @@ def mul_odd_words(word1, word2, order, squares):
             else:
                 i += 1
     return coeff, tuple(seq)
+
+
+class Poly(dict):
+    """Sparse polynomial with int coefficients: a dict from exponent tuples
+    (one entry per variable) to nonzero ints.  Sums and products mix with
+    ints, and a constant result comes back as an int (0 when every
+    coefficient cancels), so a ``Poly`` is never constant and is truthy."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = {(0,) * len(next(iter(self))): other}
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        terms = Poly(self)
+        for e, c in other.items():
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        if len(terms) == 1 and not any(*terms):  # a constant
+            return terms.popitem()[1]
+        return terms or 0
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 1:  # a third of the products of verify_relations
+                return self
+            return Poly({e: c * other for e, c in self.items()}) if other \
+                else 0
+        if not isinstance(other, Poly):
+            return NotImplemented
+        terms = {}
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        # a product of two polynomials of positive degree has one
+        return Poly({e: c for e, c in terms.items() if c})
+
+    __rmul__ = __mul__

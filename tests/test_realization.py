@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import random
 import re
@@ -12,12 +13,11 @@ from golden.record import order_three_case, term_mutants
 from oracles import (derive_odd, realization_oracle, reference_apply,
                      verify_relations_oracle)
 from superschrod import realization
-from superschrod.realization import (RealizationCertificate, SuperDiffOp,
-                                     SuperPoly, SuperSpace, build_realization,
-                                     chi_eta_ops, enumerate_polyspace,
-                                     poly_mono, verify_chi_eta,
-                                     verify_relations)
-from superschrod.singular import rank
+from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
+                                     build_realization, chi_eta_ops,
+                                     enumerate_polyspace, poly_mono,
+                                     verify_chi_eta, verify_relations)
+from superschrod.scalars import Poly
 from superschrod.superalgebra import StructureTable, build_algebra
 
 
@@ -122,7 +122,7 @@ def test_build_realization_results_are_independent(kind):
 @pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
 def test_constant_coefficients_are_shared_fractions(kind):
     # a coefficient free of d and m is the table's own Fraction in every
-    # result, so the certificate's guard compares it by identity
+    # result, not a fresh copy per call
     at, other = build_realization(kind, F(3, 4), F(5, 2)), \
         build_realization(kind, F(-2, 7), 3)
     shared = 0
@@ -455,39 +455,44 @@ def counting_point_checks():
         realization._point_check = original
 
 
-def _grid(kind):
-    """The integer points (i, j), i + j <= n, of the kind's bound n."""
-    n = RealizationCertificate(kind).degree
-    return [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+def _verdicts(live):
+    """id(compiled table) -> (the table, whether it certifies its kind)."""
+    return {key: entry[:2] for key, entry in live.items()}
+
+
+def _verdict(kind, certified=True):
+    """The ``_verdicts`` of the kind's compiled table alone."""
+    compiled = realization._COMPILED[kind]
+    return {id(compiled): (compiled, certified)}
 
 
 @functools.cache
-def grid_certificates():
-    """Both kinds' certificates, fed only by the passing point checks at
-    their ``_grid`` points."""
-    with certificates() as live:
+def symbolic_certificates():
+    """Both kinds' certificates, each formed by one guarded call."""
+    with certificates() as live, counting_point_checks() as calls:
         for kind in ("ssch1", "ssch2"):
-            table = build_algebra(kind)
-            for d, m in _grid(kind):
-                assert verify_relations(build_realization(kind, d, m), table,
-                                        2, d=d, m=m).ok
-            assert live[(kind, build_realization)].certified, kind
+            assert verify_relations(build_realization(kind, 1, 1),
+                                    build_algebra(kind), 2, d=1, m=1).ok
+        assert calls == []
+        assert _verdicts(live) == {**_verdict("ssch1"), **_verdict("ssch2")}
         return dict(live)
 
 
 def certified_and_point_reports(kind, d, m, degree, max_failures):
     """verify_relations on the paper's realization at (d, m), first with
-    the certified ``grid_certificates`` (no residual pass may run), then
-    with none (one residual pass must run)."""
+    the ``symbolic_certificates`` (no residual pass may run), then without
+    d and m, which takes the point path (one residual pass must run), its
+    report given the same d and m."""
     table = build_algebra(kind)
     ops = build_realization(kind, d, m)
-    with certificates(grid_certificates()), counting_point_checks() as calls:
+    with certificates(symbolic_certificates()), \
+            counting_point_checks() as calls:
         certified = verify_relations(ops, table, degree, max_failures, d, m)
     assert calls == []
     with certificates(), counting_point_checks() as calls:
-        point = verify_relations(ops, table, degree, max_failures, d, m)
+        point = verify_relations(ops, table, degree, max_failures)
     assert calls == [degree]
-    return certified, point
+    return certified, dataclasses.replace(point, d=F(d), m=F(m))
 
 
 def assert_certified_reports(points, seed=0):
@@ -518,7 +523,7 @@ def _coefficients(ops):
 
 @pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
 def test_realization_is_affine_in_the_lowest_weight(kind):
-    # the premise of the degree bound: coefficients affine in (d, m),
+    # the premise of the symbolic pass: coefficients affine in (d, m),
     # Clifford squares linear in m
     at_0, along_d, along_m = (_coefficients(build_realization(kind, d, m))
                               for d, m in ((0, 0), (1, 0), (0, 1)))
@@ -531,8 +536,6 @@ def test_realization_is_affine_in_the_lowest_weight(kind):
                 + m * (along_m.get(key, 0) - c0), (key, d, m)
         assert SuperSpace.for_kind(kind, m).squares == {
             name: m * sq for name, sq in unit.items()}
-    assert RealizationCertificate(kind).degree == \
-        {"ssch1": 4, "ssch2": 2}[kind]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -551,97 +554,148 @@ def test_seeded_certified_reports():
 
 
 @pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
-def test_points_on_one_line_never_certify(kind):
-    n = RealizationCertificate(kind).degree
+@pytest.mark.parametrize("line", ["origin", "d = 2/3", "m = 0"])
+def test_the_first_guarded_call_certifies_the_kind(kind, line):
+    # a point where the point check could not tell a residual that
+    # vanishes on the line from zero certifies the kind all the same, and
+    # then no guarded call runs a residual pass, on the line or off it
     table = build_algebra(kind)
-    for line in ([(i, 0) for i in range(3 * n)],
-                 [(F(2, 3), j) for j in range(3 * n)]):
-        with certificates() as live:
-            for d, m in line:
-                verify_relations(build_realization(kind, d, m), table, 3,
-                                 d=d, m=m)
-            certificate = live[(kind, build_realization)]
-            assert len(certificate.points) == 3 * n
-            assert len(certificate.rows) == n + 1
-            assert not certificate.certified
-
-
-def _rank_rule(kind, points):
-    """The rows a certificate keeps from ``points`` when a new point's row
-    is kept iff it raises ``singular.rank`` of the rows kept, and the
-    index of the point at which they reach full rank (None if never)."""
-    exponents = RealizationCertificate(kind).exponents
-    seen, rows, full = set(), [], None
-    for i, (d, m) in enumerate(points):
-        if (d, m) not in seen:
-            seen.add((d, m))
-            row = [d ** a * m ** b for a, b in exponents]
-            if rank(rows + [row]) > len(rows):
-                rows.append(row)
-        if full is None and len(rows) == len(exponents):
-            full = i
-    return rows, full
-
-
-def _point_sequence(rng, length):
-    """Seeded points drawn from a small pool, so that points repeat, and
-    from lines d = c, m = c and d = m, on which rows are dependent."""
-    pool = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
-    points = []
-    for _ in range(length):
-        c, e = rng.choice(pool), rng.choice(pool)
-        points.append(rng.choice([(c, e), (c, c), (c, pool[0]),
-                                  (pool[1], e), (c, 0), (0, e)]))
-    return points
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_certificate_keeps_the_rows_of_the_rank_rule(seed):
-    rng = random.Random(seed)
-    for kind in ("ssch1", "ssch2"):
-        points = _point_sequence(rng, 60)
-        points[5:5] = points[:5]  # repeated points
-        rows, full = _rank_rule(kind, points)
-        certificate = RealizationCertificate(kind)
-        certified_at = None
+    points = {"origin": [(0, 0)],
+              "d = 2/3": [(F(2, 3), j) for j in range(1, 7)],
+              "m = 0": [(i, 0) for i in range(1, 7)]}[line]
+    rng = random.Random(line)
+    points += [(F(rng.randint(-12, 12), rng.randint(1, 9)),
+                F(rng.randint(-12, 12), rng.randint(1, 9)))
+               for _ in range(10)]
+    with certificates() as live, counting_point_checks() as calls:
         for i, (d, m) in enumerate(points):
-            certificate.record(d, m)
-            if certified_at is None and certificate.certified:
-                certified_at = i
-        assert certificate.rows == rows, (seed, kind)
-        assert certified_at == full, (seed, kind)
-        assert certificate.points == set(points)
+            report = verify_relations(build_realization(kind, d, m), table,
+                                      rng.randint(0, 5), d=d, m=m)
+            assert report.ok and _verdicts(live) == _verdict(kind), (d, m)
+            if not i:
+                first = live[id(realization._COMPILED[kind])]
+            assert live[id(realization._COMPILED[kind])] is first
+    assert calls == []
 
 
-def test_certificate_is_fed_only_by_guarded_passing_checks():
-    table = build_algebra("ssch2")
-    with certificates() as live:
-        ops = build_realization("ssch2", 1, 2)
-        verify_relations(ops, table, 1, d=1, m=2)  # below 2k
-        verify_relations(ops, table, 3)  # no point given
-        ops["G"] = SuperDiffOp(ops["G"].space, ops["G"].terms[1:])
-        verify_relations(ops, table, 3, d=1, m=2)  # an edited operator
-        assert not any(c.points for c in live.values())
-        verify_relations(build_realization("ssch2", 1, 2), table, 2, d=1, m=2)
-        verify_relations(build_realization("ssch2", 1, 2), table, 5, d=1, m=2)
-        assert live[("ssch2", build_realization)].points == {(1, 2)}
-        # d and m are read as Fractions, as the report reads them
-        report = verify_relations(build_realization("ssch2", F(1, 3), 2),
-                                  table, 2, d="1/3", m=2.0)
-        assert report.ok and (report.d, report.m) == (F(1, 3), 2)
-        assert live[("ssch2", build_realization)].points == {(1, 2),
-                                                            (F(1, 3), 2)}
+def _compiled_mutants(kind):
+    """(gen, term index, how, compiled table) for every term of the kind's
+    ``_OPERATORS`` dropped, doubled or times 2/3."""
+    operators = realization._OPERATORS[kind]
+    for gen, terms in operators.items():
+        for j, (coeff, dt, dx, odds) in enumerate(terms):
+            for how, factor in (("drop", None), ("double", 2),
+                                ("two thirds", F(2, 3))):
+                mutated = list(terms)
+                if factor is None:
+                    del mutated[j]
+                else:
+                    mutated[j] = ({mono: tuple(factor * c for c in triple)
+                                   for mono, triple in coeff.items()},
+                                  dt, dx, odds)
+                yield gen, j, how, realization._compile(
+                    dict(operators, **{gen: mutated}))
 
 
-def test_replaced_builder_starts_from_an_empty_certificate(monkeypatch):
-    with certificates(grid_certificates()) as live:
-        monkeypatch.setattr(realization, "build_realization",
-                            lambda kind, d, m: build_realization(kind, d, m))
-        with counting_point_checks() as calls:
-            assert verify_relations(build_realization("ssch1", 1, 1),
-                                    build_algebra("ssch1"), 2, d=1, m=1).ok
-        assert calls == [2]
-        assert len(live) == 3
+def _at(value, point):
+    """An int or a ``Poly`` in (d, m) at the point (d, m)."""
+    if not isinstance(value, Poly):
+        return value
+    return sum(c * point[0] ** i * point[1] ** j for (i, j), c in value.items())
+
+
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_no_compiled_term_mutant_certifies(kind, monkeypatch):
+    # each mutant leaves a nonzero symbolic residual, and at seeded points
+    # the residuals that stay nonzero there name the brackets and
+    # monomials that the point check on the mutant's operators names
+    table = build_algebra(kind)
+    rng = random.Random(kind)
+    points = [tuple(F(rng.choice([-1, 1]) * rng.randint(1, 12),
+                      rng.randint(1, 9)) for _ in "dm") for _ in range(3)]
+    for gen, j, how, compiled in _compiled_mutants(kind):
+        residuals = list(realization._symbolic_residuals(compiled, table))
+        monkeypatch.setitem(realization._COMPILED, kind, compiled)
+        with certificates() as live, counting_point_checks() as calls:
+            for point in points:
+                named = [(x, y, mono) for x, y, mono, acc, _ in residuals
+                         if any(_at(v, point) for v in acc.values())]
+                report = verify_relations(build_realization(kind, *point),
+                                          table, 2, 10 ** 6, *point)
+                assert [f[:3] for f in report.failures] == named, (
+                    gen, j, how, point)
+                assert named, (gen, j, how, point)
+            assert _verdicts(live) == {id(compiled): (compiled, False)}
+        assert calls == [2] * len(points)
+
+
+def test_a_replaced_builder_takes_the_point_path(monkeypatch):
+    # a double of build_realization whose operators differ from the
+    # compiled table fails the guard on a certified kind: the point path
+    # runs and reports what it reports with no certificate
+    def doubled_g(kind, d, m):
+        ops = build_realization(kind, d, m)
+        g = ops["G"]
+        ops["G"] = SuperDiffOp(g.space, [(coeff.scale(2), dt, dx, odds)
+                                         for coeff, dt, dx, odds in g.terms])
+        return ops
+
+    monkeypatch.setattr(realization, "build_realization", doubled_g)
+    for kind, d, m in (("ssch1", F(3, 4), 1), ("ssch2", 1, F(5, 2))):
+        table = build_algebra(kind)
+        ops = realization.build_realization(kind, d, m)
+        with certificates() as live:
+            without = verify_relations(ops, table, 3, 10, d, m)
+            assert live == {}
+        with certificates(symbolic_certificates()), \
+                counting_point_checks() as calls:
+            assert verify_relations(ops, table, 3, 10, d, m) == without
+        assert calls == [3] and not without.ok
+
+
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_guarded_parity_and_degree_raise_equal_the_operators(kind):
+    # read once per pattern of vanishing triples, also where d = 0 or m = 0
+    # drops terms, and equal to the operators' own at every point
+    table = build_algebra(kind)
+    rng = random.Random(kind)
+    points = [(0, F(5, 2)), (F(-3, 4), 0), (0, 0)] + [
+        (F(rng.randint(-12, 12), rng.randint(1, 9)),
+         F(rng.randint(-12, 12), rng.randint(1, 9))) for _ in range(50)]
+    with certificates():
+        for d, m in points:
+            ops = build_realization(kind, d, m)
+            guarded = verify_relations(ops, table, 2, 10, d, m)
+            point = verify_relations(ops, table, 2, 10)
+            assert (guarded.parity_ok, guarded.degree_raise) == (
+                point.parity_ok, point.degree_raise), (d, m)
+            (_, _, shapes), zeros = realization._paper_operators(
+                ops, table, F(d), F(m))
+            parities, degree_raise = shapes[zeros]
+            assert parities == {g: op.parity() for g, op in ops.items()}
+            assert degree_raise == max(0, *(op.max_degree_raise()
+                                            for op in ops.values()))
+        # d = 0, m = 0, both, and every other point
+        assert len(shapes) == 4
+
+
+def test_degree_raise_follows_the_triples_that_vanish(monkeypatch):
+    # a table whose largest raise, K's x theta eta, has coefficient d: at
+    # d = 0 the raise is that of m/2 x^2, on the guarded path as well
+    operators = dict(realization._OPERATORS["ssch1"])
+    operators["K"] = [({mono: (0, 1, 0) if mono == (0, 1, ("theta", "eta"))
+                        else triple for mono, triple in coeff.items()},
+                       dt, dx, odds)
+                      for coeff, dt, dx, odds in operators["K"]]
+    monkeypatch.setitem(realization._COMPILED, "ssch1",
+                        realization._compile(operators))
+    table = build_algebra("ssch1")
+    with certificates():
+        for d, raised in ((1, 3), (0, 2), (2, 3), (0, 2)):
+            ops = build_realization("ssch1", d, 1)
+            guarded = verify_relations(ops, table, 2, 1, d, 1)
+            assert guarded.degree_raise == raised == verify_relations(
+                ops, table, 2, 1).degree_raise, d
 
 
 def _corrupted_table(kind):
@@ -669,10 +723,12 @@ def test_certified_kind_still_checks_edited_inputs(kind, d, m):
         theta_eta = poly_mono(g.space, word=("theta", "eta"))
         cases.append((dict(base, G=SuperDiffOp(g.space, [
             t for t in g.terms if t[0] != theta_eta])), table))
-    with certificates():
+    with certificates() as live:
         before = [verify_relations(ops, tab, 3, 1, d, m)
                   for ops, tab in cases]
-    with certificates(grid_certificates()), counting_point_checks() as calls:
+        assert live == {}
+    with certificates(symbolic_certificates()), \
+            counting_point_checks() as calls:
         after = [verify_relations(ops, tab, 3, 1, d, m) for ops, tab in cases]
         # a parity mismatch that fills the cap returns before either path
         assert len(calls) == sum(report.parity_ok for report in after)
