@@ -578,6 +578,54 @@ def test_the_first_guarded_call_certifies_the_kind(kind, line):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
+def test_points_on_one_line_never_certify(kind, monkeypatch):
+    # a table that adds d - 2/3 or m to one triple of K equals the paper's
+    # operators on the line d = 2/3 or m = 0: every point check on the
+    # line passes, and the symbolic pass still refuses the table
+    table = build_algebra(kind)
+    operators = realization._OPERATORS[kind]
+    (coeff, dt, dx, odds), *rest = operators["K"]
+    (mono, triple), = coeff.items()
+    for shift, line in (((F(-2, 3), 1, 0), [(F(2, 3), j) for j in range(12)]),
+                        ((0, 0, 1), [(i, 0) for i in range(12)])):
+        shifted = {mono: tuple(a + b for a, b in zip(triple, shift))}
+        compiled = realization._compile(
+            dict(operators, K=[(shifted, dt, dx, odds), *rest]))
+        monkeypatch.setitem(realization._COMPILED, kind, compiled)
+        with certificates() as live, counting_point_checks() as calls:
+            for d, m in line:
+                assert verify_relations(build_realization(kind, d, m), table,
+                                        3, d=d, m=m).ok, (d, m)
+            assert _verdicts(live) == {id(compiled): (compiled, False)}
+            assert calls == [3] * len(line)
+            # off both lines the same table fails its point check
+            assert not verify_relations(build_realization(kind, 1, 1), table,
+                                        3, d=1, m=1).ok
+
+
+def test_certificate_is_fed_only_by_guarded_passing_checks():
+    # no certificate is formed by a call without a point, at a point the
+    # operators are not taken at, with an edited operator or with an
+    # edited table; the first call that passes the guard forms it, at any
+    # degree
+    table = build_algebra("ssch2")
+    with certificates() as live, counting_point_checks() as calls:
+        ops = build_realization("ssch2", 1, 2)
+        verify_relations(ops, table, 3)  # no point given
+        verify_relations(ops, table, 3, d=1)  # no m given
+        verify_relations(ops, table, 3, d=2, m=2)  # another point
+        verify_relations(ops, _corrupted_table("ssch2"), 3, d=1, m=2)
+        ops["G"] = SuperDiffOp(ops["G"].space, ops["G"].terms[1:])
+        verify_relations(ops, table, 3, d=1, m=2)  # an edited operator
+        assert live == {} and calls == [3] * 5
+        # d and m are read as Fractions, as the report reads them
+        report = verify_relations(build_realization("ssch2", F(1, 3), 2),
+                                  table, 1, d="1/3", m=2.0)
+        assert report.ok and (report.d, report.m) == (F(1, 3), 2)
+        assert _verdicts(live) == _verdict("ssch2") and len(calls) == 5
+
+
 def _compiled_mutants(kind):
     """(gen, term index, how, compiled table) for every term of the kind's
     ``_OPERATORS`` dropped, doubled or times 2/3."""
