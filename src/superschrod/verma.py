@@ -27,8 +27,9 @@ as (e', c') over one denominator, making one ``Fraction`` per output part.
 Closure is decided once per algebra kind and chi seed, not per module.  An
 entry of a parametric row is linear in (1, d, m, r, chi^2) on the doubled
 basis, so every bracket residual x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f is
-a quadratic form in them: the ``ClosureCertificate``, grown by degree and
-shared by the modules of the kind and seed.  A module's
+a quadratic form in them: the ``ClosureCertificate``, grown by degree,
+shared by the modules of the kind and seed, and read off one int pass of
+``StructureTable.residuals`` at a Kronecker point.  A module's
 ``closure_failures`` evaluates those forms at its lowest weight; as
 evaluation is a ring homomorphism, its list is the one a check over the
 module's own rows gives (the check ``FactorModule`` still runs).
@@ -512,15 +513,8 @@ class VermaModule:
         otherwise.  Cached per module."""
         row = self._cache_engine.get((gen, mono))
         if row is None:
-            D, dD, mD, rD, xD = self._point
-            out = []
-            for mn, a0, ad, am, ar, x in self._parametric_row(gen, mono):
-                e = a0 * D + ad * dD + am * mD + ar * rD
-                if e:
-                    out.append(((mn, 0), e))
-                if x and xD:
-                    out.append(((mn, 1), x * xD))
-            row = self._cache_engine[(gen, mono)] = tuple(out)
+            row = self._cache_engine[(gen, mono)] = _evaluate(
+                self._parametric_row(gen, mono), self._point)
         return row
 
     def _parametric_row(self, gen, mono):
@@ -622,12 +616,13 @@ class VermaModule:
 
         The check is decided once per kind and chi seed, by the residuals
         of ``closure_certificate``: quadratic forms in v = (1, d, m, r,
-        chi^2), evaluated here at the module's point over D, (D, dD, mD,
-        rD, chi^2 D) (the last a checked conversion).  Evaluation at a
-        point is a ring homomorphism from the polynomials to the
-        rationals, and the module's rows are the parametric rows evaluated
-        at its point, so a form's value is D^2 times the residual that
-        sums the module's own rows.  A residual therefore fails here
+        chi^2) read exactly off a Kronecker point above the coefficient
+        bound (``ClosureCertificate``), evaluated here at the module's point
+        over D, (D, dD, mD, rD, chi^2 D) (the last a checked conversion).
+        Evaluation at a point is a ring homomorphism from the polynomials
+        to the rationals, and the module's rows are the parametric rows
+        evaluated at its point, so a form's value is D^2 times the residual
+        that sums the module's own rows.  A residual therefore fails here
         exactly when the point check over the rows finds it, and the list,
         order included, is the same.  A factor module, whose rows are not
         parametric, runs that point check (``FactorModule.closure_failures``).
@@ -637,6 +632,21 @@ class VermaModule:
         point = (D, dD, mD, rD, _times(self.ring.chi_square, D))
         return self._certificate().failures(self, max_degree, point,
                                             max_report)
+
+
+def _evaluate(row, point):
+    """A parametric row at point = (p0, p_d, p_m, p_r, p_chi), values of 1,
+    d, m, r and the chi seed, as nonzero ((monomial, flag), int) pairs: a0
+    p0 + a_d p_d + a_m p_m + a_r p_r at flag 0, x p_chi at flag 1."""
+    p0, pd, pm, pr, px = point
+    out = []
+    for mn, a0, ad, am, ar, x in row:
+        e = a0 * p0 + ad * pd + am * pm + ar * pr
+        if e:
+            out.append(((mn, 0), e))
+        if x and px:
+            out.append(((mn, 1), x * px))
+    return tuple(out)
 
 
 def chi_entries(entries, odd, chi_square):
@@ -661,10 +671,26 @@ def closure_arguments(max_degree, max_report):
 # (rows' source, kind, chi seed) -> ClosureCertificate, filled on first use
 _CERTIFICATES = {}
 # the terms v_i v_j (i <= j) of a quadratic form in v = (1, d, m, r, chi^2),
-# in order, and _PAIR_INDEX[i][j] = _PAIR_INDEX[j][i], the place of v_i v_j
+# in order, and the power of B each is at v = (1, B, B^3, B^7, B^12)
 _PAIRS = tuple((i, j) for i in range(5) for j in range(i, 5))
-_PAIR_INDEX = tuple(tuple(_PAIRS.index((min(i, j), max(i, j)))
-                          for j in range(5)) for i in range(5))
+_POWERS = tuple((0, 1, 3, 7, 12)[i] + (0, 1, 3, 7, 12)[j] for i, j in _PAIRS)
+
+
+def _kronecker(bound):
+    """(B, decode), B = 2^b > 2 bound + 1: decode maps the value at v = (1,
+    B, B^3, B^7, B^12) of a form with coefficients in [-bound, bound] to
+    its nonzero ((i, j), c) terms in ``_PAIRS`` order, the balanced base-B
+    digits (B/2 added at every digit makes each a b-bit field c + B/2)."""
+    bits = (2 * bound + 1).bit_length()
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = sum(half << (bits * p) for p in range(25))
+    shifts = tuple(zip(_PAIRS, [bits * p for p in _POWERS]))
+
+    def decode(value):
+        value += offset
+        return tuple((ij, c) for ij, s in shifts
+                     if (c := (value >> s & mask) - half))
+    return 1 << bits, decode
 
 
 class ClosureCertificate:
@@ -676,18 +702,23 @@ class ClosureCertificate:
     at flag 0 the even entry a0 + a_d d + a_m m + a_r r and the chi entry
     x (seed on); at flag 1 (chi times the monomial), with s = (-1)^{|g|},
     the even entry s x q and the chi entry s (a0 + a_d d + a_m m + a_r r).
-    For x <= y in table order and f over the monomials, in the order of
-    ``StructureTable.residuals``, x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f is
-    summed with each composite term a product of two linear forms and the
-    bracket part times v_0 = 1: per key, a quadratic form in v with int
-    coefficients (``VermaModule`` requires integral structure
-    constants).  A residual that is zero as a polynomial vanishes at every
-    lowest weight; the rest are kept, each form as an int multiple of a
-    primitive form (coefficient gcd 1, first coefficient positive) in
-    ``forms``, which is nonzero at the same points, so a module evaluates
-    each primitive form once.  Up to degree 16 (N=1) and 8 (N=2), every
-    N=1 residual vanishes at chi^2 = m/2 (seed on) or at m = 0 (seed off)
-    and N=2 has none.
+    So for x <= y in table order and f over the monomials, each residual
+    x(y f) - (-1)^{|x||y|} y(x f) - [x,y} f is, per key, a quadratic form
+    in v with int coefficients (the structure constants are integral).
+    One int pass of ``StructureTable.residuals`` finds them all, on those
+    rows at the Kronecker point v = (1, B, B^3, B^7, B^12), D = 1, where
+    the 15 products v_i v_j are distinct powers of B ({0, 1, 3, 7, 12} is
+    a Sidon set).  With A the largest L1 norm of a row read (its |a0| +
+    |a_d| + |a_m| + |a_r| + |x| summed) and N that of a bracket, no
+    coefficient exceeds M = (2A + N) A (two composites of norm <= A^2, the
+    bracket part <= N A), so with B = 2^b > 2M + 1 a residual's balanced
+    base-B digits are its coefficients.  A residual that is zero as a
+    polynomial vanishes at every lowest weight; the rest are kept, each
+    form as an int multiple of a primitive form (coefficient gcd 1, first
+    coefficient positive) in ``forms``, which is nonzero at the same
+    points, so a module evaluates each primitive form once.  Up to degree
+    16 (N=1) and 8 (N=2), every N=1 residual vanishes at chi^2 = m/2 (seed
+    on) or at m = 0 (seed off) and N=2 has none.
     """
 
     def __init__(self):
@@ -744,90 +775,58 @@ class ClosureCertificate:
 
     def _grow(self, module, max_degree):
         """Add the residuals at the monomials of degree in (``degree``,
-        max_degree]."""
+        max_degree], decoded from one int pass at the Kronecker point."""
         if max_degree <= self.degree:
             return
-        table = module.table
-        names = table.names
+        table, names = module.table, module.table.names
         basis = [(mono, 0) for mono in module.enumerate_monomials(max_degree)
                  if _first_degree(module, mono) > self.degree]
+        # rows are read at the new monomials and the keys their rows reach:
+        # A bounds the L1 norm of each, N that of each bracket
+        def parametric(mono):
+            return [module._parametric_row(g, mono) for g in names]
+
+        rows_at = {mono: parametric(mono) for mono, _ in basis}
+        reached = dict.fromkeys(entry[0] for by_gen in rows_at.values()
+                                for row in by_gen for entry in row)
+        rows_at.update((mono, parametric(mono)) for mono in reached
+                       if mono not in rows_at)
+        A = max(sum(sum(map(abs, entry[1:])) for entry in row)
+                for by_gen in rows_at.values() for row in by_gen)
+        N = max(sum(abs(c) for _, c in bracket)
+                for by_y in table.ad.values() for bracket in by_y.values())
+        B, decode = _kronecker((2 * A + N) * A)
+        point = (1, B, B ** 3, B ** 7, 1 if module.uses_chi else 0)
+        q = B ** 12  # chi^2 there
         # keys are numbered in the order they are met, the new monomials
         # first; rows[g][n] is the row of g at key n, entries numbered too,
         # for the new monomials and every key their rows reach
         index = {key: n for n, key in enumerate(basis)}
         rows = {g: [] for g in names}
 
-        def read(key):
-            for g in names:
-                rows[g].append(tuple(
-                    (index.setdefault(key2, len(index)), form)
-                    for key2, form in _form_row(module, g, key)))
+        def read(mono, flag):
+            for g, row in zip(names, rows_at[mono]):
+                entries = _evaluate(row, point)
+                if flag:
+                    entries = chi_entries(entries, module._parity[g], q)
+                rows[g].append(tuple((index.setdefault(key2, len(index)), v)
+                                     for key2, v in entries))
 
         for key in basis:
-            read(key)
+            read(*key)
         for key in list(index)[len(basis):]:
-            read(key)
+            read(*key)
         keys = list(index)
-        pairs = [(x, y) for i, x in enumerate(names) for y in names[i:]]
-        for n, (x, y) in enumerate(pairs):
-            rx, ry = rows[x], rows[y]
-            if y != x:
-                swap = 1 if (table.parity(x) and table.parity(y)) else -1
-                composites = ((ry, rx, 1), (rx, ry, swap))
-            elif table.parity(x):
-                composites = ((rx, rx, 2),)
-            else:
-                composites = ()
-            minus_bracket = [(rows[h], -c) for h, c in table.ad[x][y]]
-            for f in range(len(basis)):
-                acc = {}  # key -> coefficients of the v_i v_j by _PAIRS
-                for first, second, factor in composites:
-                    for key, form in first[f]:
-                        for key2, form2 in second[key]:
-                            terms = acc.get(key2)
-                            if terms is None:
-                                terms = acc[key2] = [0] * len(_PAIRS)
-                            for i, a in form:
-                                a *= factor
-                                place = _PAIR_INDEX[i]
-                                for j, b in form2:
-                                    terms[place[j]] += a * b
-                for rh, c in minus_bracket:
-                    for key2, form in rh[f]:
-                        terms = acc.get(key2)
-                        if terms is None:
-                            terms = acc[key2] = [0] * len(_PAIRS)
-                        for j, b in form:
-                            terms[j] += c * b  # v_0 v_j is in place j
-                nonzero = [(keys[k], terms) for k, terms in acc.items()
-                           if any(terms)]
-                if nonzero:
-                    mono = basis[f][0]
-                    self._records.append((
-                        n, _first_degree(module, mono), x, y, mono,
-                        tuple((key, *self._split(tuple(
-                            (ij, v) for ij, v in zip(_PAIRS, terms) if v)))
-                            for key, terms in sorted(nonzero))))
-        order_key = module.order_key
-        self._records.sort(key=lambda record: (record[0],
-                                               order_key(record[4])))
+        pairs = {xy: n for n, xy in enumerate(
+            (x, y) for i, x in enumerate(names) for y in names[i:])}
+        for x, y, f, acc, _ in table.residuals(rows, range(len(basis)), 1):
+            mono = basis[f][0]
+            self._records.append((
+                pairs[x, y], _first_degree(module, mono), x, y, mono,
+                tuple((key, *self._split(decode(v))) for key, v in
+                      sorted((keys[k], v) for k, v in acc.items() if v))))
+        self._records.sort(key=lambda r: (r[0], module.order_key(r[4])))
         self.degree = max_degree
-
-
-def _form_row(module, gen, key):
-    """Row of ``gen`` at a doubled-basis key of ``module`` as (key, linear
-    form) pairs, a linear form being ((variable, int), ...) with nonzero
-    ints, over the variables (1, d, m, r, chi^2) by index."""
-    mono, flag = key
-    seed = module.uses_chi
-    sign = -1 if flag and module._parity[gen] else 1
-    row = []
-    for mn, a0, ad, am, ar, x in module._parametric_row(gen, mono):
-        even = tuple((i, sign * a) for i, a in enumerate((a0, ad, am, ar)) if a)
-        chi = ((4 if flag else 0, sign * x),) if x and seed else ()
-        row += [((mn, f), form) for f, form in
-                enumerate((chi, even) if flag else (even, chi)) if form]
-    return tuple(row)
 
 
 def _degree(weight):

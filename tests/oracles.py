@@ -13,6 +13,12 @@ of ``int_row``, and ``act_oracle`` keeps the Fraction row sums it replaced:
   in the same order.  A module subclass that overrides ``_parametric_row``
   changes both sides alike; one that overrides ``_act_mono_engine`` changes
   only the oracle's rows, not the certificate.
+* ``closure_certificate_oracle`` -- the closure certificate's residuals
+  as the library summed them before it read them off one int pass at a
+  Kronecker point: every row entry a linear form in (1, d, m, r, chi^2),
+  every composite a product of two of them, summed per key into the 15
+  coefficients of a quadratic form; ``ClosureCertificate.residuals`` must
+  equal it form by form, in the same order.
 * ``gram_pair`` -- one pairing value of the bilinear form, applying the
   whole omega1 word of the left label to the right one; ``quotient.gram``,
   which builds each row from memoised one-letter-shorter functionals, must
@@ -374,6 +380,97 @@ def closure_failures_oracle(space, max_degree, max_report=5):
                     if len(failures) >= max_report:
                         return failures
     return failures
+
+
+# the terms v_i v_j (i <= j) of a quadratic form in v = (1, d, m, r, chi^2),
+# in order, and _PAIR_INDEX[i][j] = _PAIR_INDEX[j][i], the place of v_i v_j
+_PAIRS = tuple((i, j) for i in range(5) for j in range(i, 5))
+_PAIR_INDEX = tuple(tuple(_PAIRS.index((min(i, j), max(i, j)))
+                          for j in range(5)) for i in range(5))
+
+
+def _form_row(module, gen, key):
+    """Row of ``gen`` at a doubled-basis key of ``module`` as (key, linear
+    form) pairs, a linear form being ((variable, int), ...) with nonzero
+    ints, over the variables (1, d, m, r, chi^2) by index."""
+    mono, flag = key
+    seed = module.uses_chi
+    sign = -1 if flag and module._parity[gen] else 1
+    row = []
+    for mn, a0, ad, am, ar, x in module._parametric_row(gen, mono):
+        even = tuple((i, sign * a) for i, a in enumerate((a0, ad, am, ar)) if a)
+        chi = ((4 if flag else 0, sign * x),) if x and seed else ()
+        row += [((mn, f), form) for f, form in
+                enumerate((chi, even) if flag else (even, chi)) if form]
+    return tuple(row)
+
+
+def closure_certificate_oracle(module, max_degree):
+    """``ClosureCertificate().residuals(module, max_degree)`` summed as
+    polynomials: every composite term a product of two linear forms and
+    the bracket part times v_0 = 1, each residual a list of the 15
+    coefficients of v_i v_j per key; same residuals, in the same order."""
+    table = module.table
+    names = table.names
+    basis = [(mono, 0) for mono in module.enumerate_monomials(max_degree)]
+    # keys are numbered in the order they are met, the monomials first;
+    # rows[g][n] is the row of g at key n, entries numbered too, for the
+    # monomials and every key their rows reach
+    index = {key: n for n, key in enumerate(basis)}
+    rows = {g: [] for g in names}
+
+    def read(key):
+        for g in names:
+            rows[g].append(tuple(
+                (index.setdefault(key2, len(index)), form)
+                for key2, form in _form_row(module, g, key)))
+
+    for key in basis:
+        read(key)
+    for key in list(index)[len(basis):]:
+        read(key)
+    keys = list(index)
+    records = []
+    pairs = [(x, y) for i, x in enumerate(names) for y in names[i:]]
+    for n, (x, y) in enumerate(pairs):
+        rx, ry = rows[x], rows[y]
+        if y != x:
+            swap = 1 if (table.parity(x) and table.parity(y)) else -1
+            composites = ((ry, rx, 1), (rx, ry, swap))
+        elif table.parity(x):
+            composites = ((rx, rx, 2),)
+        else:
+            composites = ()
+        minus_bracket = [(rows[h], -c) for h, c in table.ad[x][y]]
+        for f in range(len(basis)):
+            acc = {}  # key -> coefficients of the v_i v_j by _PAIRS
+            for first, second, factor in composites:
+                for key, form in first[f]:
+                    for key2, form2 in second[key]:
+                        terms = acc.get(key2)
+                        if terms is None:
+                            terms = acc[key2] = [0] * len(_PAIRS)
+                        for i, a in form:
+                            a *= factor
+                            place = _PAIR_INDEX[i]
+                            for j, b in form2:
+                                terms[place[j]] += a * b
+            for rh, c in minus_bracket:
+                for key2, form in rh[f]:
+                    terms = acc.get(key2)
+                    if terms is None:
+                        terms = acc[key2] = [0] * len(_PAIRS)
+                    for j, b in form:
+                        terms[j] += c * b  # v_0 v_j is in place j
+            nonzero = [(keys[k], terms) for k, terms in acc.items()
+                       if any(terms)]
+            if nonzero:
+                mono = basis[f][0]
+                records.append((n, module.order_key(mono), x, y, mono, tuple(
+                    (key, tuple((ij, v) for ij, v in zip(_PAIRS, terms) if v))
+                    for key, terms in sorted(nonzero))))
+    records.sort(key=lambda record: record[:2])
+    return [(x, y, f, residual) for _, _, x, y, f, residual in records]
 
 
 def derive_even(which: str, poly: SuperPoly) -> SuperPoly:

@@ -11,14 +11,15 @@ import golden.record as golden
 from golden.record import DoubledH as _DoubledH
 from golden.record import MutatedTable as _MutatedTable
 from oracles import (act_oracle, chi_rule, closed_form_rows_oracle,
-                     closure_failures_oracle, engine_rows_oracle,
-                     normal_order, raise_oracle)
+                     closure_certificate_oracle, closure_failures_oracle,
+                     engine_rows_oracle, normal_order, raise_oracle)
 from superschrod.quotient import FactorModule, classify, quotient_by_singular
 from superschrod.scalars import QI
 from superschrod.singular import closed_form_n1
 from superschrod.superalgebra import build_algebra
-from superschrod.verma import (ClosureCertificate, LowestWeight,
-                               ModuleVector, VermaModule, _times)
+from superschrod.verma import (_PAIRS, ClosureCertificate, LowestWeight,
+                               ModuleVector, VermaModule, _first_degree,
+                               _kronecker, _times)
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +322,116 @@ def test_certificate_growth_does_not_depend_on_request_order():
             certificate = ClosureCertificate()
             for n in order:
                 assert certificate.residuals(mod, n) == fresh[n], (order, n)
+
+
+class _ScaledRow(VermaModule):
+    """Q's (N=2: Q+'s) rows times 10^30 with 1 added at the monomial acted
+    on: residual coefficients far above any the kind's rows give."""
+
+    def _parametric_row(self, gen, mono):
+        row = super()._parametric_row(gen, mono)
+        if gen not in ("Q", "Q+"):
+            return row
+        scaled = tuple((mn, *(10 ** 30 * v for v in coeffs))
+                       for mn, *coeffs in row)
+        return golden.add_one(scaled, mono)
+
+
+class _BigRow(VermaModule):
+    """Q's (N=2: Q+'s) rows at the monomials of degree above ``above``
+    with 10^30 added at the first ``spread`` of v0, G v0 and K v0."""
+
+    spread, above = 3, -1
+
+    def _parametric_row(self, gen, mono):
+        row = super()._parametric_row(gen, mono)
+        if gen not in ("Q", "Q+") or _first_degree(self, mono) <= self.above:
+            return row
+        v0 = (0,) * len(mono)
+        big = dict.fromkeys((v0, (1,) + v0[1:], (0, 1) + v0[2:])[:self.spread],
+                            10 ** 30)
+        return tuple((mn, a0 + big.pop(mn, 0), *rest)
+                     for mn, a0, *rest in row) + tuple(
+                         (mn, c, 0, 0, 0, 0) for mn, c in big.items())
+
+
+class _PeakRow(_BigRow):
+    spread = 1
+
+
+class _FarRow(_BigRow):
+    spread, above = 1, 3
+
+
+def assert_certificate_equals_the_oracle(degree_n1, degree_n2):
+    """A fresh certificate's residuals equal ``closure_certificate_oracle``
+    to degree_n1 on N=1 and degree_n2 on N=2, on the modules of every kind
+    and chi seed, the two closure mutants and chi^2 = -1/2; returns the
+    number of residuals per module."""
+    modules = _certificate_modules() + [
+        _DoubledH(LowestWeight("ssch1", F(3, 4), 1)),
+        _MutatedTable(LowestWeight("ssch1", F(1, 2), 1)),
+        _MutatedTable(LowestWeight("ssch1", F(1, 2), 0)),
+        VermaModule(LowestWeight("ssch1", 1, 1), chi_square=F(-1, 2))]
+    counts = []
+    for mod in modules:
+        degree = degree_n1 if mod.kind == "ssch1" else degree_n2
+        residuals = ClosureCertificate().residuals(mod, degree)
+        assert residuals == closure_certificate_oracle(mod, degree), \
+            (type(mod).__name__, mod.lw, mod.ring.chi_square)
+        counts.append(len(residuals))
+    return counts
+
+
+def test_certificate_equals_the_oracle():
+    assert assert_certificate_equals_the_oracle(9, 6) == [
+        217, 217, 0, 396, 319, 319, 217]
+
+
+# (mutant, N=1 degree, largest coefficient the certificate must read
+# exactly on N=1 and on N=2, at degree 3).  Each _BigRow variant reaches
+# it through a different term of the bound M = (2A + N) A: _BigRow makes
+# Q(Q f) sum three products of 10^30 (above twice the square of the largest
+# entry), _PeakRow makes it 2 10^60 (above A^2), and _FarRow puts 10^30
+# only in rows beyond the degree asked for, which the composites still read
+_BOUND_CASES = [(_ScaledRow, 5, 10 ** 60, 10 ** 30),
+                (_BigRow, 5, 5 * 10 ** 60, 5 * 10 ** 60),
+                (_PeakRow, 5, 10 ** 60, 10 ** 60),
+                (_FarRow, 3, 10 ** 29, 10 ** 29)]
+
+
+def test_certificate_reads_coefficients_above_the_rows_exactly():
+    for cls, degree_n1, largest_n1, largest_n2 in _BOUND_CASES:
+        for mod in _certificate_modules(cls):
+            degree, largest = ((degree_n1, largest_n1) if mod.kind == "ssch1"
+                               else (3, largest_n2))
+            residuals = ClosureCertificate().residuals(mod, degree)
+            assert residuals == closure_certificate_oracle(mod, degree), cls
+            assert max(abs(c) for *_, residual in residuals
+                       for _, form in residual for _, c in form) > largest
+
+
+@st.composite
+def _bounded_forms(draw):
+    bound = draw(st.sampled_from([0, 1, 2, 2 ** 20 - 1, 2 ** 20])
+                 | st.integers(0, 10 ** 70))
+    coeff = st.sampled_from([-bound, bound]) | st.integers(-bound, bound)
+    return bound, draw(st.lists(coeff, min_size=15, max_size=15))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_bounded_forms())
+@example((5, [5] * 15))
+@example((5, [-5] * 15))
+@example((1, [1, -1] * 7 + [1]))
+def test_kronecker_digits_round_trip(case):
+    bound, coeffs = case
+    B, decode = _kronecker(bound)
+    assert B > 2 * bound + 1 and B & (B - 1) == 0
+    v = (1, B, B ** 3, B ** 7, B ** 12)
+    value = sum(c * v[i] * v[j] for (i, j), c in zip(_PAIRS, coeffs))
+    assert decode(value) == tuple(
+        (ij, c) for ij, c in zip(_PAIRS, coeffs) if c)
 
 
 def test_closure_rejects_a_negative_degree():
