@@ -14,9 +14,10 @@ monomials up to twice the operators' order, which decides them at every
 degree.  The paper's realization is certified once per kind for every
 (d, m): the first call on the paper's operators forms every bracket
 residual of the kind's table once, with coefficients that are polynomials
-in (d, m), and the kind is certified when each is the zero polynomial.
-After that a call on the paper's operators at any (d, m) is answered
-without a residual pass.
+in (d, m) read off one int pass at the Kronecker point d = B, m = B^3, and
+the kind is certified when each is the zero polynomial.  After that a call
+on the paper's operators at any (d, m) is answered without a residual
+pass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
 
-from .scalars import Poly, as_fraction, mul_odd_words
+from .scalars import _kronecker, as_fraction, mul_odd_words
 from .superalgebra import StructureTable, _shared_table
 
 _ZERO = Fraction(0)
@@ -515,16 +516,22 @@ def verify_relations(realization, table: StructureTable, max_degree: int,
     Certificate.  ``build_realization(kind, d, m)`` evaluates the compiled
     table ``_COMPILED[kind]``, whose every coefficient is an affine triple
     (c0, c_d, c_m), and every Clifford square is -m/2.  So the same pass
-    runs once per table over Z[d, m] (``_symbolic_residuals``), each triple
-    times the lcm L of the table's denominators a ``scalars.Poly`` and each
-    Clifford contraction times ``square_den`` an int times m.  The order
-    bound holds over the integral domain Z[d, m], and evaluation at (d, m)
-    is a ring homomorphism taking each image of the pass to L
-    ``square_den`` times the image under the operators at (d, m), whose
-    vanishing terms are dropped.  So if every residual on the monomials of
-    degree <= 2k is the zero polynomial, every bracket holds at every
-    degree and every (d, m), and the table certifies its kind.  The first
-    guarded call forms that verdict, kept per table in ``_CERTIFICATES``.
+    has a meaning over Z[d, m], each triple times the lcm L of the table's
+    denominators a polynomial and each Clifford contraction times
+    ``square_den`` an int times m.  The order bound holds over the
+    integral domain Z[d, m], and evaluation at (d, m) is a ring
+    homomorphism taking each image of the pass to L ``square_den`` times
+    the image under the operators at (d, m), whose vanishing terms are
+    dropped.  So if every residual on the monomials of degree <= 2k is the
+    zero polynomial, every bracket holds at every degree and every (d, m),
+    and the table certifies its kind.  ``_symbolic_residuals`` reads those
+    polynomials off the same int pass, run once per table at the Kronecker
+    point d = B, m = B^3.  A residual is a sum of c d^i m^j with i <= 2 and
+    j <= 4 (d enters only through the triples, at most two per composite,
+    and m also through at most one contraction per image), so its terms
+    sit at the distinct powers B^(i + 3j), and with B = 2^b > 2M + 1 for a
+    bound M on |c| each c is a balanced base-B digit.  The first guarded
+    call forms the verdict, kept per table in ``_CERTIFICATES``.
     A call is guarded when d and m are given (read as Fractions, as the
     report reads them), ``table`` has the generators and constants of
     ``build_algebra(kind)`` for a kind with a compiled table, and the
@@ -624,35 +631,59 @@ def _point_check(realization, table, max_degree, cap, failures):
         failures.append((x, y, mono, str(residual)))
 
 
+# the terms d^i m^j of a residual (i <= 2 and j <= 4, see
+# ``verify_relations``) and the power of B each is at d = B, m = B^3
+_DM_LAYOUT = tuple(((i, j), i + 3 * j) for i in range(3) for j in range(5))
+
+
 def _symbolic_residuals(compiled, table):
     """The nonzero residuals of a compiled table (``_compile``) on the
     monomials of degree <= twice its largest order, as
-    ``StructureTable.residuals`` yields them, over Z[d, m]."""
+    ``StructureTable.residuals`` yields them, over Z[d, m]: each residual
+    a dict from monomial to its nonzero ((i, j), c) terms, the sum of c
+    d^i m^j, read off one int pass at d = B, m = B^3.  Over the scale L
+    ``square_den``, no image has an L1 norm above A, the largest sum over
+    a generator's terms of top^(dt + dx) ``square_den`` times the L1 norms
+    of their triples times L, top the largest degree of a monomial whose
+    image the pass reads; M is ``StructureTable._residual_bound``."""
     triples, generators = compiled
     scale = lcm(*(c.denominator for c0, parts in triples
                   for c in (c0, *(c for c, _ in parts))))
-    d_m = Poly({(1, 0): 1}), Poly({(0, 1): 1})
-    values = [_affine(_exact_int(c0 * scale),
-                      [(_exact_int(c * scale), i) for c, i in parts], d_m)
-              for c0, parts in triples]
+    space = SuperSpace.for_kind(table.kind, 1)
+    bound = 2 * max(dt + dx + len(odds) for _, gen_terms in generators
+                    for _, dt, dx, odds in gen_terms)
+    top = bound + max([0] + [t + x + len(w) - dt - dx - len(odds)
+                             for _, gen_terms in generators
+                             for entries, dt, dx, odds in gen_terms
+                             for (t, x, w), _ in entries])
+    scaled = [(_exact_int(c0 * scale),
+               [(_exact_int(c * scale), i) for c, i in parts])
+              for c0, parts in triples]  # each triple times L
+    norms = [abs(c0) + sum(abs(c) for c, _ in parts) for c0, parts in scaled]
+    A = max(sum(top ** (dt + dx) * space.square_den
+                * sum(norms[i] for _, i in entries)
+                for entries, dt, dx, _ in gen_terms)
+            for _, gen_terms in generators)
+    B, decode = _kronecker(
+        table._residual_bound(A, scale * space.square_den), _DM_LAYOUT)
+    d_m = B, B ** 3
+    values = [_affine(c0, parts, d_m) for c0, parts in scaled]
     terms = {gen: [(dt, dx, odds, tuple((t, x, w, values[i])
                                         for (t, x, w), i in entries))
                    for entries, dt, dx, odds in gen_terms]
              for gen, gen_terms in generators}
     # a square is linear in m: its value at m = 1, times m per contraction
-    space = SuperSpace.for_kind(table.kind, 1)
     words = {w for _, _, w in enumerate_polyspace(space, len(space.names))}
     products = {}
     for w1 in words:
         for w in words:
             sign, word = mul_odd_words(w1, w, space.order, space.squares)
-            products[w1, w] = prod([d_m[1]] * len(set(w1) & set(w)), start=(
-                _exact_int(sign * space.square_den))), word
-    bound = 2 * max(dt + dx + len(odds) for _, gen_terms in generators
-                    for _, dt, dx, odds in gen_terms)
+            products[w1, w] = _exact_int(sign * space.square_den) * d_m[1] \
+                ** len(set(w1) & set(w)), word
     residuals = _residual_pass(table, dict.fromkeys(terms, SuperDiffOp(space)),
                                terms, products, scale * space.square_den)
-    return residuals(enumerate_polyspace(space, bound))
+    for x, y, mono, acc, den in residuals(enumerate_polyspace(space, bound)):
+        yield x, y, mono, {mn: decode(v) for mn, v in acc.items() if v}, den
 
 
 # id(compiled table) -> (the table, whether it certifies its kind, {indices

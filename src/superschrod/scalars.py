@@ -13,15 +13,16 @@ Everything is built on ``fractions.Fraction`` (no floating point anywhere):
   ``SuperPoly`` elements.
 * ``QI`` -- Gaussian rationals a + b*i, needed only by the omega2/sigma1/
   sigma2 adjoint images in ``superalgebra``.
-* ``Poly`` -- sparse polynomials with int coefficients, for identities
-  that hold at every lowest weight (``realization.verify_relations``).
+* ``_kronecker`` -- the decoder of a polynomial identity read at one
+  large integer point: the closure certificate (``verma``) and the
+  realization certificate (``realization``) evaluate their residuals at
+  powers of B = 2^b and read the coefficients off balanced base-B digits.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from operator import add
 
 
 def as_fraction(value) -> Fraction:
@@ -366,48 +367,21 @@ def mul_odd_words(word1, word2, order, squares):
     return coeff, tuple(seq)
 
 
-class Poly(dict):
-    """Sparse polynomial with int coefficients: a dict from exponent tuples
-    (one entry per variable) to nonzero ints.  Sums and products mix with
-    ints, and a constant result comes back as an int (0 when every
-    coefficient cancels), so a ``Poly`` is never constant and is truthy."""
+def _kronecker(bound, layout):
+    """(B, decode), B = 2^b > 2 bound + 1: ``layout`` pairs each label of
+    a polynomial's monomials with the power of B the monomial takes at the
+    point read (distinct powers), and decode maps the value there of a
+    polynomial with coefficients in [-bound, bound] to its nonzero (label,
+    c) terms in ``layout`` order, the balanced base-B digits (B/2 added at
+    every digit makes each a b-bit field c + B/2)."""
+    bits = (2 * bound + 1).bit_length()
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = sum(half << (bits * p)
+                 for p in range(max(p for _, p in layout) + 1))
+    shifts = tuple((label, bits * p) for label, p in layout)
 
-    __slots__ = ()
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self
-            other = {(0,) * len(next(iter(self))): other}
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        terms = Poly(self)
-        for e, c in other.items():
-            c += terms.get(e, 0)
-            if c:
-                terms[e] = c
-            else:
-                del terms[e]
-        if len(terms) == 1 and not any(*terms):  # a constant
-            return terms.popitem()[1]
-        return terms or 0
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 1:  # a third of the products of verify_relations
-                return self
-            return Poly({e: c * other for e, c in self.items()}) if other \
-                else 0
-        if not isinstance(other, Poly):
-            return NotImplemented
-        terms = {}
-        for e1, c1 in self.items():
-            for e2, c2 in other.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        # a product of two polynomials of positive degree has one
-        return Poly({e: c for e, c in terms.items() if c})
-
-    __rmul__ = __mul__
+    def decode(value):
+        value += offset
+        return tuple((label, c) for label, s in shifts
+                     if (c := (value >> s & mask) - half))
+    return 1 << bits, decode

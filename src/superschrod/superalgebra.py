@@ -135,6 +135,15 @@ class StructureTable:
                     if any(acc.values()):
                         yield x, y, f, acc, B * scale * scale
 
+    def _residual_bound(self, norm, scale):
+        """A bound on the coefficients of a residual of ``residuals`` read
+        as a polynomial, on rows of L1 norm <= ``norm``: two composites of
+        norm <= B norm^2, the bracket part <= N scale norm (N the largest
+        L1 norm of a bracket)."""
+        N = max(sum(abs(n) for _, n in bracket)
+                for by_y in self.ad.values() for bracket in by_y.values())
+        return (2 * self.denominator * norm + N * scale) * norm
+
     def to_json_dict(self) -> dict:
         gens = [
             {"name": g.name, "parity": "odd" if g.parity else "even",

@@ -45,7 +45,8 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Optional
 
-from .scalars import GradedScalar, ScalarRing, _mk_gs, as_fraction, gs_str
+from .scalars import (GradedScalar, ScalarRing, _kronecker, _mk_gs,
+                      as_fraction, gs_str)
 from .superalgebra import _shared_table, triangular_decompose
 
 _F0 = Fraction(0)
@@ -673,24 +674,8 @@ _CERTIFICATES = {}
 # the terms v_i v_j (i <= j) of a quadratic form in v = (1, d, m, r, chi^2),
 # in order, and the power of B each is at v = (1, B, B^3, B^7, B^12)
 _PAIRS = tuple((i, j) for i in range(5) for j in range(i, 5))
-_POWERS = tuple((0, 1, 3, 7, 12)[i] + (0, 1, 3, 7, 12)[j] for i, j in _PAIRS)
-
-
-def _kronecker(bound):
-    """(B, decode), B = 2^b > 2 bound + 1: decode maps the value at v = (1,
-    B, B^3, B^7, B^12) of a form with coefficients in [-bound, bound] to
-    its nonzero ((i, j), c) terms in ``_PAIRS`` order, the balanced base-B
-    digits (B/2 added at every digit makes each a b-bit field c + B/2)."""
-    bits = (2 * bound + 1).bit_length()
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    offset = sum(half << (bits * p) for p in range(25))
-    shifts = tuple(zip(_PAIRS, [bits * p for p in _POWERS]))
-
-    def decode(value):
-        value += offset
-        return tuple((ij, c) for ij, s in shifts
-                     if (c := (value >> s & mask) - half))
-    return 1 << bits, decode
+_LAYOUT = tuple(((i, j), (0, 1, 3, 7, 12)[i] + (0, 1, 3, 7, 12)[j])
+                for i, j in _PAIRS)
 
 
 class ClosureCertificate:
@@ -711,7 +696,8 @@ class ClosureCertificate:
     a Sidon set).  With A the largest L1 norm of a row read (its |a0| +
     |a_d| + |a_m| + |a_r| + |x| summed) and N that of a bracket, no
     coefficient exceeds M = (2A + N) A (two composites of norm <= A^2, the
-    bracket part <= N A), so with B = 2^b > 2M + 1 a residual's balanced
+    bracket part <= N A; ``StructureTable._residual_bound``), so with B =
+    2^b > 2M + 1 (``scalars._kronecker``) a residual's balanced
     base-B digits are its coefficients.  A residual that is zero as a
     polynomial vanishes at every lowest weight; the rest are kept, each
     form as an int multiple of a primitive form (coefficient gcd 1, first
@@ -782,7 +768,7 @@ class ClosureCertificate:
         basis = [(mono, 0) for mono in module.enumerate_monomials(max_degree)
                  if _first_degree(module, mono) > self.degree]
         # rows are read at the new monomials and the keys their rows reach:
-        # A bounds the L1 norm of each, N that of each bracket
+        # A bounds the L1 norm of each
         def parametric(mono):
             return [module._parametric_row(g, mono) for g in names]
 
@@ -793,9 +779,7 @@ class ClosureCertificate:
                        if mono not in rows_at)
         A = max(sum(sum(map(abs, entry[1:])) for entry in row)
                 for by_gen in rows_at.values() for row in by_gen)
-        N = max(sum(abs(c) for _, c in bracket)
-                for by_y in table.ad.values() for bracket in by_y.values())
-        B, decode = _kronecker((2 * A + N) * A)
+        B, decode = _kronecker(table._residual_bound(A, 1), _LAYOUT)
         point = (1, B, B ** 3, B ** 7, 1 if module.uses_chi else 0)
         q = B ** 12  # chi^2 there
         # keys are numbered in the order they are met, the new monomials

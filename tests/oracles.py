@@ -63,6 +63,11 @@ of ``int_row``, and ``act_oracle`` keeps the Fraction row sums it replaced:
   of degree <= 2 (operator order); same report, failure strings included.
   Images are kept per operator object across calls, so a mutant
   recomputes only its own.
+* ``Poly`` / ``realization_certificate_oracle`` -- sparse polynomials with
+  int coefficients, and the realization certificate's residuals summed as
+  ``Poly`` values in (d, m), the way the library formed them before it
+  read them off one int pass at a Kronecker point; the decoded residuals
+  of ``realization._symbolic_residuals`` must equal them key by key.
 * ``verify_structure_oracle`` / ``verify_adjoint_oracle`` -- the Fraction
   and ``QI`` dict loops that ``superalgebra.verify_structure`` and
   ``verify_adjoint`` replaced: Jacobi over every ordered triple, and both
@@ -71,13 +76,16 @@ of ``int_row``, and ``act_oracle`` keeps the Fraction row sums it replaced:
 """
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import add
 from weakref import WeakKeyDictionary
 
 from superschrod.quotient import _omega1_word
-from superschrod.realization import (RealizationReport, SuperPoly,
-                                     SuperSpace, _op, enumerate_polyspace,
-                                     poly_mono)
-from superschrod.scalars import QI, QI_ONE, QI_ZERO, as_fraction
+from superschrod.realization import (RealizationReport, SuperDiffOp,
+                                     SuperPoly, SuperSpace, _affine,
+                                     _exact_int, _op, _residual_pass,
+                                     enumerate_polyspace, poly_mono)
+from superschrod.scalars import QI, QI_ONE, QI_ZERO, as_fraction, mul_odd_words
 from superschrod.singular import WeightCoords, _space_module
 from superschrod.superalgebra import AdjointReport, StructureReport
 from superschrod.verma import ModuleVector
@@ -654,6 +662,86 @@ def verify_relations_oracle(realization, table, max_degree, max_failures=10,
                     if len(report.failures) >= max_failures:
                         return report
     return report
+
+
+class Poly(dict):
+    """Sparse polynomial with int coefficients: a dict from exponent tuples
+    (one entry per variable) to nonzero ints.  Sums and products mix with
+    ints, and a constant result comes back as an int (0 when every
+    coefficient cancels), so a ``Poly`` is never constant and is truthy."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = {(0,) * len(next(iter(self))): other}
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        terms = Poly(self)
+        for e, c in other.items():
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        if len(terms) == 1 and not any(*terms):  # a constant
+            return terms.popitem()[1]
+        return terms or 0
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            return Poly({e: c * other for e, c in self.items()}) if other \
+                else 0
+        if not isinstance(other, Poly):
+            return NotImplemented
+        terms = {}
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        # a product of two polynomials of positive degree has one
+        return Poly({e: c for e, c in terms.items() if c})
+
+    __rmul__ = __mul__
+
+
+def realization_certificate_oracle(compiled, table):
+    """``realization._symbolic_residuals`` summed over Z[d, m] as ``Poly``
+    values: each triple times the lcm L of the table's denominators a
+    polynomial and each Clifford contraction times ``square_den`` an int
+    times m, fed to the same ``StructureTable.residuals`` pass; yields
+    (x, y, monomial, {monomial: int or Poly}, denominator) in the same
+    order, zero values kept."""
+    triples, generators = compiled
+    scale = lcm(*(c.denominator for c0, parts in triples
+                  for c in (c0, *(c for c, _ in parts))))
+    d_m = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+    values = [_affine(_exact_int(c0 * scale),
+                      [(_exact_int(c * scale), i) for c, i in parts], d_m)
+              for c0, parts in triples]
+    terms = {gen: [(dt, dx, odds, tuple((t, x, w, values[i])
+                                        for (t, x, w), i in entries))
+                   for entries, dt, dx, odds in gen_terms]
+             for gen, gen_terms in generators}
+    space = SuperSpace.for_kind(table.kind, 1)
+    words = {w for _, _, w in enumerate_polyspace(space, len(space.names))}
+    products = {}
+    for w1 in words:
+        for w in words:
+            sign, word = mul_odd_words(w1, w, space.order, space.squares)
+            products[w1, w] = prod([d_m[1]] * len(set(w1) & set(w)), start=(
+                _exact_int(sign * space.square_den))), word
+    bound = 2 * max(dt + dx + len(odds) for _, gen_terms in generators
+                    for _, dt, dx, odds in gen_terms)
+    residuals = _residual_pass(table, dict.fromkeys(terms, SuperDiffOp(space)),
+                               terms, products, scale * space.square_den)
+    return residuals(enumerate_polyspace(space, bound))
 
 
 def _elem_sub(a: dict, b: dict) -> dict:

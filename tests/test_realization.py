@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golden.record import order_three_case, term_mutants
-from oracles import (derive_odd, realization_oracle, reference_apply,
+from oracles import (Poly, derive_odd, realization_certificate_oracle,
+                     realization_oracle, reference_apply,
                      verify_relations_oracle)
 from superschrod import realization
 from superschrod.realization import (SuperDiffOp, SuperPoly, SuperSpace,
                                      build_realization, chi_eta_ops,
                                      enumerate_polyspace, poly_mono,
                                      verify_chi_eta, verify_relations)
-from superschrod.scalars import Poly
 from superschrod.superalgebra import StructureTable, build_algebra
 
 
@@ -626,30 +626,37 @@ def test_certificate_is_fed_only_by_guarded_passing_checks():
         assert _verdicts(live) == _verdict("ssch2") and len(calls) == 5
 
 
+def _scaled(kind, edits):
+    """The kind's compiled table with, for each (gen, term index, factor,
+    dt) of ``edits``, that term's triples times factor and, unless dt is
+    None, its d_t order set to dt."""
+    operators = dict(realization._OPERATORS[kind])
+    for gen, j, factor, dt in edits:
+        terms = list(operators[gen])
+        coeff, dt0, dx, odds = terms[j]
+        terms[j] = ({mono: tuple(factor * c for c in triple)
+                     for mono, triple in coeff.items()},
+                    dt0 if dt is None else dt, dx, odds)
+        operators[gen] = terms
+    return realization._compile(operators)
+
+
 def _compiled_mutants(kind):
     """(gen, term index, how, compiled table) for every term of the kind's
     ``_OPERATORS`` dropped, doubled or times 2/3."""
     operators = realization._OPERATORS[kind]
     for gen, terms in operators.items():
-        for j, (coeff, dt, dx, odds) in enumerate(terms):
-            for how, factor in (("drop", None), ("double", 2),
-                                ("two thirds", F(2, 3))):
-                mutated = list(terms)
-                if factor is None:
-                    del mutated[j]
-                else:
-                    mutated[j] = ({mono: tuple(factor * c for c in triple)
-                                   for mono, triple in coeff.items()},
-                                  dt, dx, odds)
-                yield gen, j, how, realization._compile(
-                    dict(operators, **{gen: mutated}))
+        for j in range(len(terms)):
+            yield gen, j, "drop", realization._compile(
+                dict(operators, **{gen: terms[:j] + terms[j + 1:]}))
+            for how, factor in (("double", 2), ("two thirds", F(2, 3))):
+                yield gen, j, how, _scaled(kind, [(gen, j, factor, None)])
 
 
-def _at(value, point):
-    """An int or a ``Poly`` in (d, m) at the point (d, m)."""
-    if not isinstance(value, Poly):
-        return value
-    return sum(c * point[0] ** i * point[1] ** j for (i, j), c in value.items())
+def _at(terms, point):
+    """The ((i, j), c) terms of a polynomial sum c d^i m^j at the point
+    (d, m)."""
+    return sum(c * point[0] ** i * point[1] ** j for (i, j), c in terms)
 
 
 @pytest.mark.parametrize("kind", ["ssch1", "ssch2"])
@@ -675,6 +682,148 @@ def test_no_compiled_term_mutant_certifies(kind, monkeypatch):
                 assert named, (gen, j, how, point)
             assert _verdicts(live) == {id(compiled): (compiled, False)}
         assert calls == [2] * len(points)
+
+
+def _big_mutants():
+    """(kind, compiled table) for mutants whose residual coefficients
+    reach each part of the Kronecker bound of ``_symbolic_residuals``:
+    one triple times 10^30; Q = 10^30 (-theta d_t^3 + d_theta), whose
+    square -10^60 d_t^3 is a falling factorial of three factors; the ssch1
+    Clifford term eta of X times 10^30, whose square is a contraction; and
+    every triple over 10^30, where the bracket part, N times the scale,
+    outweighs the composites."""
+    big = 10 ** 30
+    yield "ssch2", _scaled("ssch2", [("G", 1, big, None)])
+    yield "ssch1", _scaled("ssch1", [("Q", 0, big, 3), ("Q", 1, big, None)])
+    yield "ssch1", _scaled("ssch1", [("X", 1, big, None)])
+    yield "ssch2", _scaled("ssch2", [
+        (gen, j, F(1, big), None)
+        for gen, terms in realization._OPERATORS["ssch2"].items()
+        for j in range(len(terms))])
+
+
+def _decoded(residuals):
+    """Residuals with each nonzero value, decoded terms, an int or a
+    ``Poly``, as a {(i, j): c} dict."""
+    def terms(value):
+        return {(0, 0): value} if isinstance(value, int) else dict(value)
+
+    return [(x, y, mono, {mn: terms(v) for mn, v in acc.items() if v}, den)
+            for x, y, mono, acc, den in residuals]
+
+
+def assert_certificate_equals_the_oracle():
+    """``_symbolic_residuals`` on both kinds' tables, every compiled term
+    mutant and the ``_big_mutants`` against
+    ``realization_certificate_oracle``; returns how many tables."""
+    tables = [(kind, realization._COMPILED[kind])
+              for kind in ("ssch1", "ssch2")]
+    tables += [(kind, compiled) for kind in ("ssch1", "ssch2")
+               for *_, compiled in _compiled_mutants(kind)]
+    tables += list(_big_mutants())
+    for kind, compiled in tables:
+        table = build_algebra(kind)
+        residuals = _decoded(realization._symbolic_residuals(compiled, table))
+        assert residuals == _decoded(realization_certificate_oracle(
+            compiled, table)), kind
+        assert bool(residuals) != (compiled is realization._COMPILED[kind])
+    return len(tables)
+
+
+def test_realization_certificate_equals_the_oracle():
+    # the decoded polynomials equal the Poly pass's key by key, also where
+    # coefficients pass 10^60 and on each part of the bound
+    assert assert_certificate_equals_the_oracle() == 2 + 210 + 4
+
+
+# the oracle's sparse polynomials in (d, m)
+
+def _leaf(terms):
+    """A polynomial given by ``terms`` as the sum of its monomials, each
+    built from the variables with Poly and int operations."""
+    d, m = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+    total = 0
+    for (i, j), c in terms.items():
+        mono = c
+        for _ in range(i):
+            mono = mono * d
+        for _ in range(j):
+            mono = m * mono
+        total = mono + total
+    return total
+
+
+_coefficient_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool), max_size=3)
+_expressions = st.recursive(
+    st.one_of(st.integers(-4, 4), _coefficient_dicts),
+    lambda inner: st.tuples(st.sampled_from(["+", "*", "cancel"]), inner,
+                            inner),
+    max_leaves=6)
+
+
+def _build(expr):
+    """(value, coefficient dict) of an expression: the value from Poly
+    and int operations, the dict from a dense oracle."""
+    if isinstance(expr, int):
+        return expr, {(0, 0): expr} if expr else {}
+    if isinstance(expr, dict):
+        return _leaf(expr), dict(expr)
+    op, left, right = expr
+    (a, da), (b, db) = _build(left), _build(right)
+    if op == "cancel":  # (a + b) + (-1)a is b, a constant when b is one
+        return (a + b) + a * -1, db
+    out = defaultdict(int)
+    if op == "+":
+        for coeffs in (da, db):
+            for e, c in coeffs.items():
+                out[e] += c
+        value = a + b
+    else:
+        for (i, j), c in da.items():
+            for (k, l), c2 in db.items():
+                out[i + k, j + l] += c * c2
+        value = a * b
+    return value, {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(expr=_expressions,
+       point=st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+                         for _ in "dm"]))
+def test_poly_sums_and_products_evaluate_as_numbers(expr, point):
+    # evaluation is a ring homomorphism; a result is falsy iff every
+    # coefficient cancels, and a constant comes back as an int
+    value, coeffs = _build(expr)
+
+    def evaluate(e):
+        if isinstance(e, int):
+            return e
+        if isinstance(e, dict):
+            return sum(c * point[0] ** i * point[1] ** j
+                       for (i, j), c in e.items())
+        op, left, right = e
+        a, b = evaluate(left), evaluate(right)
+        return b if op == "cancel" else a + b if op == "+" else a * b
+
+    at = value if type(value) is int else sum(
+        c * point[0] ** i * point[1] ** j for (i, j), c in value.items())
+    assert at == evaluate(expr)
+    assert bool(value) == bool(coeffs)
+    if set(coeffs) <= {(0, 0)}:
+        assert type(value) is int and value == coeffs.get((0, 0), 0)
+    else:
+        assert type(value) is Poly and value == coeffs
+
+
+def test_poly_rejects_fractions():
+    d = Poly({(1, 0): 1})
+    for bad in (F(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            d * bad
+        with pytest.raises(TypeError):
+            bad + d
 
 
 def test_a_replaced_builder_takes_the_point_path(monkeypatch):

@@ -1,16 +1,14 @@
 import gc
 import random
-from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from superschrod.quotient import gram
 from superschrod.realization import (SuperPoly, SuperSpace, build_realization,
                                      enumerate_polyspace, poly_mono)
-from superschrod.scalars import (QI, Poly, ScalarRing, gs_str, parse_gs,
-                                 parse_qi, parse_rational, qi_str)
+from superschrod.scalars import (QI, ScalarRing, gs_str, parse_gs, parse_qi,
+                                 parse_rational, qi_str)
 from superschrod.singular import bareiss_echelon, find_singular
 from superschrod.verma import LowestWeight, ModuleVector, VermaModule
 
@@ -249,93 +247,3 @@ def test_a_dropped_module_frees_its_ring_without_the_cycle_collector():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert rings == []
-
-
-# sparse polynomials in (d, m)
-
-def _leaf(terms):
-    """A polynomial given by ``terms`` as the sum of its monomials, each
-    built from the variables with Poly and int operations."""
-    d, m = Poly({(1, 0): 1}), Poly({(0, 1): 1})
-    total = 0
-    for (i, j), c in terms.items():
-        mono = c
-        for _ in range(i):
-            mono = mono * d
-        for _ in range(j):
-            mono = m * mono
-        total = mono + total
-    return total
-
-
-_coefficient_dicts = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 3).filter(bool), max_size=3)
-_expressions = st.recursive(
-    st.one_of(st.integers(-4, 4), _coefficient_dicts),
-    lambda inner: st.tuples(st.sampled_from(["+", "*", "cancel"]), inner,
-                            inner),
-    max_leaves=6)
-
-
-def _build(expr):
-    """(value, coefficient dict) of an expression: the value from Poly
-    and int operations, the dict from a dense oracle."""
-    if isinstance(expr, int):
-        return expr, {(0, 0): expr} if expr else {}
-    if isinstance(expr, dict):
-        return _leaf(expr), dict(expr)
-    op, left, right = expr
-    (a, da), (b, db) = _build(left), _build(right)
-    if op == "cancel":  # (a + b) + (-1)a is b, a constant when b is one
-        return (a + b) + a * -1, db
-    out = defaultdict(int)
-    if op == "+":
-        for coeffs in (da, db):
-            for e, c in coeffs.items():
-                out[e] += c
-        value = a + b
-    else:
-        for (i, j), c in da.items():
-            for (k, l), c2 in db.items():
-                out[i + k, j + l] += c * c2
-        value = a * b
-    return value, {e: c for e, c in out.items() if c}
-
-
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(expr=_expressions,
-       point=st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 9))
-                         for _ in "dm"]))
-def test_poly_sums_and_products_evaluate_as_numbers(expr, point):
-    # evaluation is a ring homomorphism; a result is falsy iff every
-    # coefficient cancels, and a constant comes back as an int
-    value, coeffs = _build(expr)
-
-    def evaluate(e):
-        if isinstance(e, int):
-            return e
-        if isinstance(e, dict):
-            return sum(c * point[0] ** i * point[1] ** j
-                       for (i, j), c in e.items())
-        op, left, right = e
-        a, b = evaluate(left), evaluate(right)
-        return b if op == "cancel" else a + b if op == "+" else a * b
-
-    at = value if type(value) is int else sum(
-        c * point[0] ** i * point[1] ** j for (i, j), c in value.items())
-    assert at == evaluate(expr)
-    assert bool(value) == bool(coeffs)
-    if set(coeffs) <= {(0, 0)}:
-        assert type(value) is int and value == coeffs.get((0, 0), 0)
-    else:
-        assert type(value) is Poly and value == coeffs
-
-
-def test_poly_rejects_fractions():
-    d = Poly({(1, 0): 1})
-    for bad in (F(1, 2), 0.5):
-        with pytest.raises(TypeError):
-            d * bad
-        with pytest.raises(TypeError):
-            bad + d

@@ -14,12 +14,13 @@ from oracles import (act_oracle, chi_rule, closed_form_rows_oracle,
                      closure_certificate_oracle, closure_failures_oracle,
                      engine_rows_oracle, normal_order, raise_oracle)
 from superschrod.quotient import FactorModule, classify, quotient_by_singular
-from superschrod.scalars import QI
+from superschrod.realization import _DM_LAYOUT
+from superschrod.scalars import QI, _kronecker
 from superschrod.singular import closed_form_n1
 from superschrod.superalgebra import build_algebra
-from superschrod.verma import (_PAIRS, ClosureCertificate, LowestWeight,
+from superschrod.verma import (_LAYOUT, ClosureCertificate, LowestWeight,
                                ModuleVector, VermaModule, _first_degree,
-                               _kronecker, _times)
+                               _times)
 
 
 @pytest.fixture(scope="module")
@@ -419,19 +420,32 @@ def _bounded_forms(draw):
     return bound, draw(st.lists(coeff, min_size=15, max_size=15))
 
 
+# each certificate's digit layout, and the value of its term with label
+# (i, j) at its Kronecker point, written out here as the certificate reads it
+_LAYOUTS = {
+    # v_i v_j at v = (1, d, m, r, chi^2) = (1, B, B^3, B^7, B^12)
+    "closure": (_LAYOUT, lambda B, i, j: (1, B, B ** 3, B ** 7, B ** 12)[i]
+                * (1, B, B ** 3, B ** 7, B ** 12)[j]),
+    # d^i m^j at d = B, m = B^3
+    "realization": (_DM_LAYOUT, lambda B, i, j: B ** i * (B ** 3) ** j),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_bounded_forms())
 @example((5, [5] * 15))
 @example((5, [-5] * 15))
 @example((1, [1, -1] * 7 + [1]))
-def test_kronecker_digits_round_trip(case):
+def test_kronecker_digits_round_trip(layout, case):
+    layout, term = _LAYOUTS[layout]
+    labels = [label for label, _ in layout]
     bound, coeffs = case
-    B, decode = _kronecker(bound)
+    B, decode = _kronecker(bound, layout)
     assert B > 2 * bound + 1 and B & (B - 1) == 0
-    v = (1, B, B ** 3, B ** 7, B ** 12)
-    value = sum(c * v[i] * v[j] for (i, j), c in zip(_PAIRS, coeffs))
+    value = sum(c * term(B, *label) for label, c in zip(labels, coeffs))
     assert decode(value) == tuple(
-        (ij, c) for ij, c in zip(_PAIRS, coeffs) if c)
+        (label, c) for label, c in zip(labels, coeffs) if c)
 
 
 def test_closure_rejects_a_negative_degree():
