@@ -3,7 +3,7 @@
 Subcommands: ``algebra verify|dump``, ``singular find|check``, ``classify``,
 ``gram`` and ``realization verify``.  All numeric inputs are exact rationals
 in p/q form.  Exit codes: 0 success / all checks passed, 1 a verification
-failed or the quotient rewriting broke down, 2 usage error.
+failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .quotient import RewritingError, classify, gram
+from .quotient import classify, gram
 from .realization import build_realization, verify_chi_eta, verify_relations
 from .scalars import parse_rational
 from .singular import (check_recurrences, closed_form_n1, closed_form_n2,
@@ -455,9 +455,6 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except RewritingError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,49 +1,88 @@
 """Factor modules, the irreducibility classification, and the bilinear form.
 
-A factor module is the base module together with rewriting rules extracted
-from singular vectors: each rule orients its vector so the leading monomial
-(largest in the k-then-fermion-count order) rewrites to strictly smaller
-monomials.  Reduction of a monomial divisible by a rule's lead applies the
-appropriate raising prefix to the rule vector, so submodule membership is
-decided by confluent rewriting instead of per-weight linear algebra.  New
-rules appear during completion only when an odd raising generator collapses
-a lead into a new shape (S S -> -K and friends).
+A factor module is the base module modulo the submodule N that singular
+vectors generate, kept as one integer echelon per weight and built lazily
+from the base's ``int_row`` rows.  Columns follow the base's weight
+coordinates, so the pivots sit at the largest monomials under
+``order_key``: they are the monomials that do not survive, and a vector is
+reduced by clearing them, by exact linear algebra as in the other layers.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 from operator import sub
 from typing import List, Optional
 from weakref import WeakKeyDictionary
 
-from .singular import (ANNIHILATORS, determinant, weight_coords,
-                       find_singular, closed_form_n1, closed_form_n2)
+from .scalars import _mk_gs
+from .singular import (ANNIHILATORS, _integer_rows, determinant,
+                       weight_coords, find_singular, closed_form_n1,
+                       closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
-from .verma import (LowestWeight, ModuleVector, VermaModule, chi_entries,
-                    closure_arguments)
+from .verma import (LowestWeight, ModuleVector, VermaModule, _degree,
+                    chi_entries, closure_arguments)
 
-_COMPLETION_CAP = 60
 _ZERO = Fraction(0)
 
 
-class RewritingError(RuntimeError):
-    """The quotient's rule rewriting broke down: a shifted rule lost its
-    expected lead, or completion did not stabilise."""
+class _Echelon:
+    """N_w over the columns of ``weight_coords(base, w)``: the sorted pivot
+    columns and, by pivot, a sparse int row {column: value}, divided by its
+    content and zero at the pivot columns of the rows before it."""
 
+    def __init__(self, coords, units):
+        self.labels, self.index = coords.labels, coords.index
+        self.pivots, self.rows = units, {p: {p: 1} for p in units}
+        self.dead = {self.labels[p][0] for p in units}  # pivot monomials
 
-def _divides(lead, mono) -> bool:
-    return all(l <= m for l, m in zip(lead, mono))
+    def full(self) -> bool:
+        return len(self.pivots) == len(self.labels)
+
+    def clear(self, entries):
+        """(f, e') for int ((key, value), ...) entries e: e' = f e less a
+        combination of the rows has no pivot key, so e' / f is e mod N_w."""
+        v = [0] * len(self.labels)
+        for key, x in entries:
+            v[self.index[key]] += x
+        factor = 1
+        for p in self.pivots:
+            if v[p]:
+                row = self.rows[p]
+                g = gcd(row[p], v[p])
+                a, b = row[p] // g, v[p] // g
+                if a != 1:
+                    v = [a * x for x in v]
+                    factor *= a
+                for col, x in row.items():
+                    v[col] -= b * x
+        return factor, tuple((key, x) for key, x in zip(self.labels, v) if x)
+
+    def add(self, entries):
+        """Insert int entries at their pivot unless they clear to zero."""
+        entries = self.clear(entries)[1]
+        if entries:
+            (lead, first), g = entries[0], gcd(*(x for _, x in entries))
+            p = self.index[lead]
+            self.rows[p] = {self.index[key]: x // (g if first > 0 else -g)
+                            for key, x in entries}
+            insort(self.pivots, p)
+            self.dead.add(lead[0])
 
 
 class FactorModule:
-    """Quotient of a Verma module by the submodule a set of singular
-    vectors generates."""
+    """Quotient of a Verma module by N = U(n+) (homogeneous generators).
+    N_w is spanned by the generators of weight w, with their chi multiples
+    on chi-doubled coordinates, and by g n for each raising g and row n of
+    N_{w - deg g}, summed in ints from ``base.int_row``.  On chi-doubled
+    coordinates a pivot without its chi partner raises ValueError: N would
+    not be spanned by monomials and their chi multiples."""
 
-    def __init__(self, base: VermaModule, rule_vectors, chain=None,
+    def __init__(self, base: VermaModule, generators, chain=None,
                  verify_singular=True):
         self.base = base
         self.ring = base.ring
@@ -51,17 +90,12 @@ class FactorModule:
         self.table = base.table
         self.lw = base.lw
         self.chain = list(chain or [])
-        self.rules = []  # list of (lead monomial, monic ModuleVector)
-        self._ints = {}
-        self._coords = {}  # weight -> WeightCoords, see singular.weight_coords
-        # weight -> surviving basis, max degree -> surviving monomials;
-        # cleared with the other caches whenever a rule is added
-        self._bases = {}
-        self._monomials = {}
-        for vec in rule_vectors:
+        self.generators = []
+        # the _Echelon of every weight to degree _top, the int rows and the
+        # WeightCoords (singular.weight_coords) until a generator is added
+        self._echelons, self._top, self._ints, self._coords = {}, -1, {}, {}
+        for vec in generators:
             self._install(vec, verify=verify_singular)
-
-    # -- rule machinery ------------------------------------------------------
 
     def _install(self, vec: ModuleVector, verify=True):
         if verify:
@@ -70,66 +104,75 @@ class FactorModule:
             if residuals:
                 raise ValueError(
                     "quotient generator is not singular (fails %s)" % residuals)
-        queue = [self.reduce(vec)]
-        steps = 0
-        while queue:
-            steps += 1
-            if steps > _COMPLETION_CAP:
-                raise RewritingError("rule completion did not stabilise")
-            f = self.reduce(queue.pop(0))
-            if not f:
-                continue
-            f = self._monic(f)
-            self.rules.append((f.leading_monomial(), f))
-            self._ints.clear()
-            self._coords.clear()
-            self._bases.clear()
-            self._monomials.clear()
-            for gen in self.base.plus_set:
-                queue.append(self.base.act(gen, f))
+        self.generators.append(vec)
+        self._echelons, self._top, self._ints, self._coords = {}, -1, {}, {}
 
-    def _monic(self, vec: ModuleVector) -> ModuleVector:
-        lead = vec.leading_monomial()
-        coeff = vec.terms[lead]
-        try:
-            return vec.scale(coeff.inverse())
-        except ValueError as exc:
-            raise ValueError("rule with non-invertible leading coefficient "
-                             "%s at %s" % (coeff, lead)) from exc
+    def _echelon(self, weight) -> _Echelon:
+        """N_w, built degree by degree and each degree in sorted order: as
+        raising degrees are lexicographically positive, N_{w - deg g} first."""
+        while self._top < _degree(weight):
+            self._top += 1
+            for w in sorted({self.base.weight(mono) for mono in
+                             self.base._degree_monomials(self._top)}):
+                self._echelons[w] = self._build(w)
+        return self._echelons[weight]
 
-    def _prefix_apply(self, delta, vec: ModuleVector) -> ModuleVector:
-        """Apply the raising word with exponent vector ``delta``."""
-        for gen, count in reversed(tuple(zip(self.base.plus_set, delta))):
-            for _ in range(count):
-                vec = self.base.act(gen, vec)
-        return vec
+    def _build(self, weight) -> _Echelon:
+        """N_w.  A monomial whose first letter leaves a weight where N is
+        everything is that letter times a monomial there, so its unit row
+        comes first; the spanning rows follow until the rank is dim V_w."""
+        base = self.base
+        coords = weight_coords(base, weight)
+        ech = _Echelon(coords, [
+            col for col, (mono, _) in enumerate(coords.labels)
+            if mono != base.vacuum and self._echelons[
+                base.weight(base._leading_factor(mono)[1])].full()])
+        for v in () if ech.full() else self._spanning(weight, coords):
+            ech.add(v)
+            if ech.full():
+                break
+        if coords.doubled and len(ech.pivots) != 2 * len(ech.dead):
+            raise ValueError("the submodule at weight %s is not spanned by "
+                             "monomials and their chi multiples" % (weight,))
+        return ech
+
+    def _spanning(self, weight, coords):
+        base = self.base
+        for row in _integer_rows(coords.with_chi_multiples(
+                coords.to_coords(vec) for vec in self.generators
+                if vec and base.weight(next(iter(vec.terms))) == weight))[0]:
+            yield zip(coords.labels, row)
+        for g in base.plus_set:
+            deg = self.table.degree(g)
+            below = self._echelons.get(weight - deg[0] if len(deg) == 1
+                                       else tuple(map(sub, weight, deg)))
+            for n in below.rows.values() if below else ():
+                yield [(key, c * x) for col, c in n.items()
+                       for key, x in base.int_row(g, below.labels[col])[1]]
 
     def reduce(self, vec: ModuleVector) -> ModuleVector:
-        """Confluent reduction to the quotient's canonical representatives."""
-        if not self.rules:
+        """The vector modulo N, on the surviving monomials."""
+        if not self.generators:
             return vec
-        vec = vec.copy()
-        while True:
-            target = None
-            for mono in sorted(vec.terms, key=self.base.order_key, reverse=True):
-                for lead, rule_vec in self.rules:
-                    if _divides(lead, mono):
-                        target = (mono, lead, rule_vec)
-                        break
-                if target:
-                    break
-            if target is None:
-                return vec
-            mono, lead, rule_vec = target
-            delta = tuple(m - l for m, l in zip(mono, lead))
-            shifted = self._prefix_apply(delta, rule_vec)
-            s_lead = shifted.leading_monomial()
-            if s_lead != mono:
-                raise RewritingError(
-                    "reduction order violated: expected lead %s, got %s"
-                    % (mono, s_lead))
-            factor = vec.terms[mono] * shifted.terms[mono].inverse()
-            vec = vec - shifted.scale(factor)
+        L = lcm(*(v.denominator for c in vec.terms.values()
+                  for v in (c.even, c.odd)))
+        parts = {}  # (weight, part) -> int entries over L
+        for mono, c in vec.terms.items():
+            for f, v in ((0, c.even), (1, c.odd)):
+                if v:  # without chi doubling the chi part is cleared alone
+                    part, key = (0, (mono, f)) if self.uses_chi else \
+                        (f, (mono, 0))
+                    parts.setdefault((self.base.weight(mono), part), []).append(
+                        (key, v.numerator * (L // v.denominator)))
+        acc = {}  # monomial -> [even, chi]
+        for (weight, part), entries in parts.items():
+            factor, entries = self._echelon(weight).clear(entries)
+            for (mono, f), x in entries:
+                acc.setdefault(mono, [_ZERO, _ZERO])[f + part] = \
+                    Fraction(x, L * factor)
+        out = ModuleVector(self.base)
+        out.terms = {mono: _mk_gs(self.ring, *ec) for mono, ec in acc.items()}
+        return out
 
     # -- module protocol (mirrors VermaModule where it matters) ---------------
 
@@ -138,59 +181,47 @@ class FactorModule:
         return self.base.uses_chi
 
     def _survives(self, mono) -> bool:
-        """Whether a base monomial is a basis vector of the quotient."""
-        return not any(_divides(lead, mono) for lead, _ in self.rules)
+        """Whether a base monomial is a basis vector of the quotient: not
+        a pivot of its weight's echelon."""
+        return mono not in self._echelon(self.base.weight(mono)).dead
 
     def subspace_basis(self, weight):
-        """The base module's basis at ``weight`` without the monomials a
-        rule lead divides, memoised per weight; a fresh list per call."""
-        basis = self._bases.get(weight)
-        if basis is None:
-            basis = self._bases[weight] = tuple(filter(
-                self._survives, self.base.subspace_basis(weight)))
-        return list(basis)
+        """The base module's basis at ``weight`` without the pivots."""
+        return list(filter(self._survives, self.base.subspace_basis(weight)))
 
     def enumerate_monomials(self, max_degree: int):
-        """The surviving monomials up to ``max_degree``, memoised as
-        ``subspace_basis``."""
-        monos = self._monomials.get(max_degree)
-        if monos is None:
-            monos = self._monomials[max_degree] = tuple(filter(
-                self._survives, self.base.enumerate_monomials(max_degree)))
-        return list(monos)
+        """The surviving monomials up to ``max_degree``, in order."""
+        return list(filter(self._survives,
+                           self.base.enumerate_monomials(max_degree)))
 
     def enumerate_weights(self, max_degree: int):
-        out = []
-        for weight in self.base.enumerate_weights(max_degree):
-            if self.subspace_basis(weight):
-                out.append(weight)
-        return out
+        return [weight for weight in self.base.enumerate_weights(max_degree)
+                if self.subspace_basis(weight)]
 
     def act(self, gen, target) -> ModuleVector:
         return self.reduce(self.base.act(gen, target))
 
     def int_row(self, gen, key):
         """Row at a doubled-basis key (monomial, flag), as in
-        ``VermaModule.int_row``.  Flag 0 is the reduced image of the
-        monomial under ``base.act``, over L, the lcm of the denominators
-        of its parts; flag 1 is ``chi_entries`` of it over L q, q = den
-        chi^2.  Cached until a rule is added."""
+        ``VermaModule.int_row``: the base row cleared by its echelon, over
+        the base scale times the clearing factor.  Without chi doubling,
+        flag 1 is ``chi_entries`` of the flag-0 row over L q, q = den
+        chi^2.  Cached until a generator is added."""
         cached = self._ints.get((gen, key))
         if cached is None:
             mono, flag = key
-            if flag:
+            if flag and not self.uses_chi:
                 L, entries = self.int_row(gen, (mono, 0))
                 q = self.ring.chi_square.denominator
                 cached = (L * q, chi_entries(
                     [(k, v * q) for k, v in entries],
                     self.table.parity(gen), self.ring.chi_square))
             else:
-                terms = self.reduce(self.base.act(gen, mono)).terms.items()
-                L = lcm(*(v.denominator for _, c in terms
-                          for v in (c.even, c.odd)))
-                cached = (L, tuple(
-                    ((mn, f), v.numerator * (L // v.denominator)) for mn, c
-                    in terms for f, v in ((0, c.even), (1, c.odd)) if v))
+                D, entries = cached = self.base.int_row(gen, key)
+                if entries:
+                    factor, entries = self._echelon(self.base.shift_weight(
+                        self.base.weight(mono), gen)).clear(entries)
+                    cached = (D * factor, entries)
             self._ints[(gen, key)] = cached
         return cached
 
@@ -234,42 +265,39 @@ class FactorModule:
 
     # -- dimensions -----------------------------------------------------------
 
-    def _caps(self):
-        """Pure-G^j / pure-K^j rule leads bound the even exponents; the
-        survivor set is downward closed, so it is finite iff both exist."""
-        k_cap = l_cap = None
-        zeros = self.base.vacuum[1:]
-        for lead, _ in self.rules:
-            if lead[1:] == zeros and (k_cap is None or lead[0] < k_cap):
-                k_cap = lead[0]
-            if (lead[0],) + lead[2:] == zeros and \
-                    (l_cap is None or lead[1] < l_cap):
-                l_cap = lead[1]
-        return k_cap, l_cap
+    def _top_degree(self) -> Optional[int]:
+        """2d when the quotient is finite, else None.  It is infinite if
+        m != 0: [P, G] = M, and a commutator has trace 0 on a finite module.
+        Otherwise D, K and -H span sl2, so on a finite quotient D = n - d at
+        degree n has an integral spectrum symmetric about 0: d is an integer
+        >= 0 and the top degree is 2d.  A monomial of positive degree starts
+        with a raising letter of degree 1 or 2, so if degrees 2d+1 and 2d+2
+        have no survivor, no higher degree has one."""
+        d = None if self.lw.m else _integer_ge(self.lw.d, 0)
+        if d is not None and all(_degree(self.base.weight(mono)) <= 2 * d for
+                                 mono in self.enumerate_monomials(2 * d + 2)):
+            return 2 * d
+        return None
 
     def dimension(self) -> Optional[int]:
         """Total dimension (None when infinite)."""
-        if None in self._caps():
-            return None
-        return len(self.all_basis_monomials())
+        top = self._top_degree()
+        return None if top is None else len(self.enumerate_monomials(top))
 
     def all_basis_monomials(self):
         """Every surviving monomial (finite quotients only)."""
-        k_cap, l_cap = self._caps()
-        if k_cap is None or l_cap is None:
+        top = self._top_degree()
+        if top is None:
             raise ValueError("module is infinite dimensional")
-        odd = [(0, 1)] * (len(self.base.vacuum) - 2)
-        box = product(range(k_cap + 1), range(l_cap + 1), *odd)
-        return sorted(filter(self._survives, box), key=self.base.order_key)
+        return self.enumerate_monomials(top)
 
 
 def quotient_by_singular(space, vec: ModuleVector, label: str) -> FactorModule:
     """Quotient a Verma module or an existing factor by one singular vector."""
     if isinstance(space, VermaModule):
         return FactorModule(space, [vec], chain=[label])
-    fm = FactorModule(space.base, [], chain=space.chain + [label],
-                      verify_singular=False)
-    fm.rules = list(space.rules)
+    fm = FactorModule(space.base, space.generators,
+                      chain=space.chain + [label], verify_singular=False)
     fm._install(vec, verify=True)
     return fm
 
@@ -422,8 +450,7 @@ def classify(lw: LowestWeight, cutoff: int = 8,
     if certify:
         depth = cutoff
         if record.dimension is not None:
-            k_cap, l_cap = terminal._caps()
-            depth = max(cutoff, k_cap + 2 * l_cap + 4)
+            depth = max(cutoff, int(2 * lw.d) + 7)
         reports = find_singular(terminal, depth)
         record.no_singular_up_to = depth if not reports else -1
     record.terminal = terminal

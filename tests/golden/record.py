@@ -120,8 +120,6 @@ MUTANT_POINTS = [("ssch1", "3/4", "1"), ("ssch2", "1", "2")]
 # Known-bad points: case id -> the ROADMAP item that changes its output.
 _ITEM3 = ("ROADMAP item 3: verdict misses the r = d / r = -d-1 branch, "
           "so the certificate fails")
-_ITEM5 = ("ROADMAP item 5: FactorModule.reduce raises when a leading "
-          "coefficient cancels")
 
 
 def _lw(kind, d, m, r):
@@ -394,7 +392,7 @@ def cases():
 
 
 # A subset cheap enough for the tier-1 suite (about a third of the
-# corpus time): the line points (the RuntimeError among them), the chi^2
+# corpus time): the line points (d = r = 1/2 among them), the chi^2
 # variants (the degree-7 closures among them), the closure mutants, the
 # ssch1 realization mutants, the order-3 realization, the algebra
 # requests and one point of each kind of module.
@@ -416,14 +414,7 @@ def digest(value) -> str:
 
 
 def known_bad():
-    out = {}
-    for point in LINES:
-        pid = _point_id(*point[:4])
-        if point[1:4] in (("1/2", "1", "1/2"), ("3/2", "1", "3/2")):
-            out["classify %s" % pid] = _ITEM5
-        else:
-            out["classify %s" % pid] = _ITEM3
-    return out
+    return {"classify %s" % _point_id(*point[:4]): _ITEM3 for point in LINES}
 
 
 def load():

@@ -26,6 +26,13 @@ of ``int_row``, and ``act_oracle`` keeps the Fraction row sums it replaced:
   parity violations.
 * ``annihilator_matrix_oracle`` -- the per-label act/to_coords loop that
   ``singular._annihilator_matrix`` replaced.
+* ``rewriting_quotient_oracle`` -- the rule rewriting that
+  ``FactorModule`` used before it kept one integer echelon of the
+  submodule per weight: rules oriented by their leading monomials,
+  completed under the raising generators, and a reduction that assumes a
+  shifted rule keeps its lead (``RewritingError`` where it does not, as at
+  ssch2 d = r = 1/2 and 3/2).  Wherever it does not raise, ``reduce`` must
+  equal ``FactorModule.reduce``.
 * ``normal_order`` -- a generator word applied to v0, rewritten into the
   canonical basis through the engine.
 * ``raise_oracle`` -- the hand-written products of a raising generator
@@ -125,6 +132,96 @@ def annihilator_matrix_oracle(space, coords, annihilators):
                 if value:
                     block[row_idx][col] = value
     return [row for block in blocks for row in block]
+
+
+class RewritingError(RuntimeError):
+    """The rule rewriting broke down: a shifted rule lost its expected
+    lead, or completion did not stabilise."""
+
+
+_COMPLETION_CAP = 60
+
+
+def _divides(lead, mono) -> bool:
+    return all(l <= m for l, m in zip(lead, mono))
+
+
+class RewritingQuotient:
+    """The rule-rewriting quotient that ``FactorModule`` was before it kept
+    one echelon of the submodule per weight.  Each generator, reduced and
+    made monic, becomes a rule whose leading monomial (largest under
+    ``order_key``) rewrites to smaller ones; completion adds the rules that
+    the raising generators make of it, at most ``_COMPLETION_CAP`` of them.
+    Reducing a monomial that a rule's lead divides applies the raising
+    word of the difference to the rule and assumes that its lead is the
+    monomial: where a leading coefficient cancels, that fails and
+    ``RewritingError`` is raised."""
+
+    def __init__(self, base, generators):
+        self.base = base
+        self.rules = []  # list of (lead monomial, monic ModuleVector)
+        for vec in generators:
+            self._install(vec)
+
+    def _install(self, vec):
+        queue = [self.reduce(vec)]
+        steps = 0
+        while queue:
+            steps += 1
+            if steps > _COMPLETION_CAP:
+                raise RewritingError("rule completion did not stabilise")
+            f = self.reduce(queue.pop(0))
+            if not f:
+                continue
+            lead = f.leading_monomial()
+            f = f.scale(f.terms[lead].inverse())
+            self.rules.append((lead, f))
+            for gen in self.base.plus_set:
+                queue.append(self.base.act(gen, f))
+
+    def prefix_apply(self, delta, vec):
+        """Apply the raising word with exponent vector ``delta``."""
+        for gen, count in reversed(tuple(zip(self.base.plus_set, delta))):
+            for _ in range(count):
+                vec = self.base.act(gen, vec)
+        return vec
+
+    def reduce(self, vec):
+        """Confluent reduction to the quotient's canonical representatives."""
+        if not self.rules:
+            return vec
+        vec = vec.copy()
+        while True:
+            target = None
+            for mono in sorted(vec.terms, key=self.base.order_key,
+                               reverse=True):
+                for lead, rule_vec in self.rules:
+                    if _divides(lead, mono):
+                        target = (mono, lead, rule_vec)
+                        break
+                if target:
+                    break
+            if target is None:
+                return vec
+            mono, lead, rule_vec = target
+            delta = tuple(m - l for m, l in zip(mono, lead))
+            shifted = self.prefix_apply(delta, rule_vec)
+            s_lead = shifted.leading_monomial()
+            if s_lead != mono:
+                raise RewritingError(
+                    "reduction order violated: expected lead %s, got %s"
+                    % (mono, s_lead))
+            factor = vec.terms[mono] * shifted.terms[mono].inverse()
+            vec = vec - shifted.scale(factor)
+
+    def survives(self, mono) -> bool:
+        return not any(_divides(lead, mono) for lead, _ in self.rules)
+
+
+def rewriting_quotient_oracle(base, generators):
+    """The rewriting quotient of ``base`` by ``generators``, installed in
+    order (``RewritingQuotient``); RewritingError where rewriting breaks."""
+    return RewritingQuotient(base, generators)
 
 
 def normal_order(module, word):

@@ -1,10 +1,14 @@
+import functools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import golden.record as golden
 from golden.record import add_one
-from oracles import gram_pair
+from oracles import (RewritingError, gram_pair,
+                     rewriting_quotient_oracle)
 from superschrod.scalars import QI
 from superschrod.singular import (WeightCoords, closed_form_n1,
                                   find_singular, rank)
@@ -12,7 +16,7 @@ from superschrod.quotient import (ClassificationRecord, FactorModule,
                                   build_pm_pair, classify, gram,
                                   intertwiner_failures,
                                   quotient_by_singular, reachable_weight)
-from superschrod.verma import LowestWeight, VermaModule
+from superschrod.verma import LowestWeight, ModuleVector, VermaModule
 
 
 # -- factor modules ------------------------------------------------------------
@@ -28,6 +32,17 @@ def test_quotient_requires_singular():
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
     with pytest.raises(ValueError):
         quotient_by_singular(mod, mod.basis_vector((1, 0, 0)), "bad")
+
+
+def test_a_submodule_without_chi_partners_is_refused():
+    # at chi^2 = 1 the line through (1 + chi) G v0 is closed under chi, so
+    # its pivot G v0 has no chi partner and the survivors would not be
+    # monomials
+    mod = VermaModule(LowestWeight("ssch1", F(1, 3), 2))
+    vec = mod.basis_vector((1, 0, 0), mod.ring.scalar(1, 1))
+    fm = FactorModule(mod, [vec], verify_singular=False)
+    with pytest.raises(ValueError, match="chi multiples"):
+        fm.subspace_basis(1)
 
 
 def test_defining_vector_reduces_to_zero(massive_factor):
@@ -118,10 +133,11 @@ def test_terminal_n1_dimensions_and_trivial_actions():
 
 def test_quotient_dims_match_linear_algebra_oracle():
     # independent route: dim of the weight space of U(plus part) * v_s
-    # computed by spanning, compared against the rewriting survivor count
+    # computed by spanning, compared against the survivor count
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
     vs = closed_form_n1(mod, 1)
     fm = quotient_by_singular(mod, vs, "I^d")
+    oracle = rewriting_quotient_oracle(mod, [vs])
     raising = [(0, 0, 0)] + mod.enumerate_monomials(6)
     for weight in range(1, 7):
         coords = WeightCoords(mod, weight)
@@ -130,7 +146,7 @@ def test_quotient_dims_match_linear_algebra_oracle():
             shift = mod.weight(mono)
             if shift + 3 != weight:  # vs sits at weight 3 (p=1)
                 continue
-            vec = fm._prefix_apply(mono, vs)
+            vec = oracle.prefix_apply(mono, vs)
             rows.append(coords.to_coords(vec))
             rows.append(coords.to_coords(vec.scale(mod.ring.chi)))
         submodule_dim = rank(rows)
@@ -168,6 +184,176 @@ def test_sv_iv_found_exactly_at_integer_d():
             expected = mod.basis_vector((0, 1, 1, 1, 0)) \
                 + mod.basis_vector((0, 2, 0, 0, 0)).scale(QI((d - r) / d))
             assert rep.vectors[0] == expected.normalized()
+
+
+# -- the echelon quotient against the rewriting oracle and the Gram rank ---------
+
+
+# (kind, d, m, r) of every golden classify point, as texts
+_GOLDEN_POINTS = tuple(dict.fromkeys(
+    point[:4] for point in golden.SHAPOVALOV + golden.SHAPOVALOV_GRAM
+    + golden.LINES + golden.CHI_POINTS))
+# the two golden points where rule rewriting breaks down (ROADMAP item 5)
+_REWRITING_BREAKS = (("ssch2", "1/2", "1", "1/2"), ("ssch2", "3/2", "1", "3/2"))
+# the classify requests of perfbench/cli_catalogue.json
+_CATALOGUE_POINTS = (("ssch1", "2", "0", None), ("ssch1", "1/2", "1", None),
+                     ("ssch2", "3", "0", "-3"), ("ssch2", "2", "0", "1/3"),
+                     ("ssch2", "5/2", "1", "1/3"))
+
+
+@functools.cache
+def _terminal_and_oracle(point, cutoff=4):
+    """classify's terminal at a (kind, d, m, r) point and the rewriting
+    oracle of its generators, or the RewritingError that building it
+    raises (None for a Verma terminal)."""
+    terminal = classify(golden._lw(*point), cutoff=cutoff).terminal
+    if not isinstance(terminal, FactorModule):
+        return terminal, None
+    try:
+        return terminal, rewriting_quotient_oracle(terminal.base,
+                                                   terminal.generators)
+    except RewritingError as exc:
+        return terminal, exc
+
+
+def assert_reduce_matches_the_rewriting_oracle(point, max_degree, seed=0):
+    """``reduce`` of classify's terminal at ``point`` against the rewriting
+    oracle: on every monomial up to max_degree, on chi times it and on a
+    seeded combination of each weight's basis.  Returns (comparisons,
+    vectors on which the oracle raised); the oracle raises only at the
+    ``_REWRITING_BREAKS`` points."""
+    terminal, oracle = _terminal_and_oracle(point, max_degree)
+    mod = terminal.base
+    rng = random.Random(seed)
+    monos = mod.enumerate_monomials(max_degree)
+    vectors = [mod.basis_vector(mono, c) for mono in monos
+               for c in (mod.ring.one, mod.ring.chi)]
+    vectors += [ModuleVector(mod, {mono: mod.ring.scalar(
+        F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7))
+        for mono in mod.subspace_basis(weight)})
+        for weight in mod.enumerate_weights(max_degree)]
+    compared = raised = 0
+    for vec in vectors:
+        try:
+            if isinstance(oracle, RewritingError):
+                raise oracle
+            want = oracle.reduce(vec)
+        except RewritingError:
+            assert point in _REWRITING_BREAKS, (point, vec)
+            raised += 1
+            continue
+        assert terminal.reduce(vec) == want, (point, vec)
+        compared += 1
+    return compared, raised
+
+
+def _golden_factor_points():
+    return [point for point in _GOLDEN_POINTS
+            if isinstance(_terminal_and_oracle(point)[0], FactorModule)]
+
+
+@st.composite
+def _oracle_cases(draw):
+    if draw(st.booleans()):
+        point = draw(st.sampled_from(_golden_factor_points()))
+    else:
+        # a massless point with integer d, on or off the lines r = +-d
+        kind = draw(st.sampled_from(["ssch1", "ssch2"]))
+        d = draw(st.integers(-2, 4))
+        r = None if kind == "ssch1" else str(draw(
+            st.sampled_from([d, -d, d - 1, d - 2]) | st.fractions(
+                min_value=-4, max_value=4, max_denominator=5)))
+        point = (kind, str(d), "0", r)
+    terminal, _ = _terminal_and_oracle(point)
+    mod = terminal.base
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    monos = draw(st.lists(st.sampled_from(mod.enumerate_monomials(4)),
+                          min_size=1, max_size=5, unique=True))
+    return point, ModuleVector(mod, {
+        mono: mod.ring.scalar(draw(coeff), draw(coeff)) for mono in monos})
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_oracle_cases())
+def test_reduce_equals_the_rewriting_oracle(case):
+    # wherever rule rewriting does not break down, the echelon quotient
+    # reduces every vector to the rewriting's canonical representative
+    point, vec = case
+    terminal, oracle = _terminal_and_oracle(point)
+    try:
+        if isinstance(oracle, RewritingError):
+            raise oracle
+        want = oracle.reduce(vec)
+    except RewritingError:
+        assert point in _REWRITING_BREAKS, point
+        return
+    assert terminal.reduce(vec) == want
+
+
+def test_reduce_equals_the_rewriting_oracle_on_the_golden_chains():
+    counts = {point: assert_reduce_matches_the_rewriting_oracle(point, 4)
+              for point in _golden_factor_points()}
+    assert sum(compared for compared, _ in counts.values()) > 3000
+    assert [point for point, (_, raised) in counts.items() if raised] == \
+        list(_REWRITING_BREAKS)
+
+
+@pytest.mark.parametrize("d, lead", [(F(1, 2), (1, 0, 1, 0, 1)),
+                                     (F(3, 2), (3, 0, 1, 0, 1))])
+def test_the_rewriting_oracle_breaks_at_the_item_5_points(d, lead):
+    # a rule's lead divides the monomial, but the rule shifted there loses
+    # its lead: the monomial is not in the submodule, and it survives in
+    # the echelon quotient
+    terminal = classify(LowestWeight("ssch2", d, 1, d)).terminal
+    oracle = rewriting_quotient_oracle(terminal.base, terminal.generators)
+    vec = terminal.base.basis_vector(lead)
+    assert not oracle.survives(lead)
+    with pytest.raises(RewritingError, match="reduction order violated"):
+        oracle.reduce(vec)
+    assert terminal.reduce(vec) == vec
+
+
+# (d, m) on the line r = d, and the weights find_singular reports up to
+# degree 6 in V / <S- v0>: at d = p + 1/2, probe (e)'s subsingular (2p+3, 1)
+LINE_QUOTIENTS = ((0, 1, []), (F(2, 3), 2, []), (F(1, 2), 1, [(3, 1)]),
+                  (F(3, 2), 1, [(5, 1)]), (-1, 1, []))
+
+
+@pytest.mark.parametrize("d, m, reported", LINE_QUOTIENTS)
+def test_line_quotients_build(d, m, reported):
+    # V / <S- v0> on r = d, where rule rewriting broke down
+    module = VermaModule(LowestWeight("ssch2", d, m, d))
+    s_minus = module.basis_vector((0, 0, 0, 1, 0))
+    with pytest.raises(RewritingError):
+        rewriting_quotient_oracle(module, [s_minus])
+    fm = quotient_by_singular(module, s_minus, "<S- v0>")
+    reports = find_singular(fm, 6)
+    assert [rep.weight for rep in reports] == reported
+    assert all(rep.kernel_dim == 1 for rep in reports)
+
+
+def _gram_rank_points():
+    lines = {point[:4] for point in golden.LINES}
+    for point in dict.fromkeys(_GOLDEN_POINTS + _CATALOGUE_POINTS):
+        marks = [pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 3: classify takes no r = d / r = -d-1 branch, "
+            "so the terminal is not irreducible"))] if point in lines else []
+        yield pytest.param(point, marks=marks, id=golden._point_id(*point))
+
+
+@pytest.mark.parametrize("point", _gram_rank_points())
+def test_gram_rank_equals_the_terminal_dimension(point):
+    # the radical of the contravariant form is the maximal submodule, so
+    # at each weight the Gram rank is the irreducible quotient's dimension
+    lw = golden._lw(*point)
+    terminal = classify(lw).terminal
+    module = VermaModule(lw)
+    double = 2 if module.uses_chi else 1
+    for weight in [module.weight(module.vacuum)] + \
+            module.enumerate_weights(6):
+        gm = gram(module, weight, check_adjoint=False)
+        assert rank(gm.matrix) == \
+            double * len(terminal.subspace_basis(weight)), weight
 
 
 # -- classification -------------------------------------------------------------

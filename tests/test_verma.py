@@ -718,7 +718,7 @@ def assert_act_matches_the_oracle(space, max_degree, seed=0):
 
 def test_golden_terminal_actions_equal_the_oracle():
     terminals = golden_classify_terminals()
-    assert len(terminals) == 54 and any(
+    assert len(terminals) == 56 and any(
         isinstance(space, VermaModule) for _, space in terminals)
     assert sum(assert_act_matches_the_oracle(space, 2)
                for _, space in terminals[::5]) > 0
