@@ -4,18 +4,17 @@ lowest-weight (Verma) modules with PBW normal ordering, singular vector
 search, factor-module classification, the invariant bilinear form, and
 vector-field realizations on polynomial superspace."""
 
-from .scalars import GradedScalar, QI, ScalarRing, parse_qi, parse_rational
+from .scalars import GradedScalar, QI, ScalarRing, parse_rational
 from .superalgebra import (AdjointMap, StructureTable, build_adjoint,
-                           build_algebra, closes_under_bracket,
-                           identity_adjoint, triangular_decompose,
-                           verify_adjoint, verify_structure)
+                           build_algebra, identity_adjoint,
+                           triangular_decompose, verify_adjoint,
+                           verify_structure)
 from .verma import LowestWeight, ModuleVector, VermaModule
 from .singular import (SingularVectorReport, check_recurrences,
                        closed_form_n1, closed_form_n2, closed_form_n2_extra,
                        expected_closed_forms, find_singular, in_span)
 from .quotient import (ClassificationRecord, FactorModule, GramMatrix,
-                       classify, gram, intertwiner_failures,
-                       quotient_by_singular, reachable_weight)
+                       classify, gram, quotient_by_singular)
 from .realization import (SuperDiffOp, SuperPoly, SuperSpace,
                           build_realization, chi_eta_ops, verify_chi_eta,
                           verify_relations)
@@ -29,10 +28,9 @@ __all__ = [
     "SuperSpace", "VermaModule", "build_adjoint", "build_algebra",
     "build_realization", "check_recurrences", "chi_eta_ops", "classify",
     "closed_form_n1", "closed_form_n2", "closed_form_n2_extra",
-    "closes_under_bracket", "expected_closed_forms", "find_singular",
-    "gram", "identity_adjoint",
-    "in_span", "intertwiner_failures", "parse_qi", "parse_rational",
-    "quotient_by_singular", "reachable_weight", "triangular_decompose",
+    "expected_closed_forms", "find_singular", "gram", "identity_adjoint",
+    "in_span", "parse_rational", "quotient_by_singular",
+    "triangular_decompose",
     "verify_adjoint", "verify_chi_eta", "verify_relations",
     "verify_structure",
 ]

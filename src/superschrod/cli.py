@@ -29,8 +29,9 @@ from .verma import LowestWeight, VermaModule
 
 ENV_CUTOFF = "SUPERSCHROD_CUTOFF"
 
-# Largest accepted degree, cutoff, --p or --weight: a bound on the size of
-# one request (the action engine builds its rows without recursion).
+# Largest accepted degree, cutoff, --p or --weight, and of the degree 2d + 7
+# that classify reaches when 2d is an integer: a bound on the size of one
+# request (the action engine builds its rows without recursion).
 MAX_DEGREE = 500
 
 
@@ -256,6 +257,11 @@ def cmd_singular_check(args) -> int:
 
 def cmd_classify(args) -> int:
     lw = _lowest_weight(args)
+    if (2 * lw.d).denominator == 1 and 2 * lw.d + 7 > MAX_DEGREE:
+        # the chain reaches degree 2d + 2, and --certify searches to 2d + 7
+        raise UsageError("classify reaches degree 2d + 7 = %s at d = %s; "
+                         "the largest accepted degree is %d"
+                         % (2 * lw.d + 7, lw.d, MAX_DEGREE))
     record = classify(lw, cutoff=args.max_degree, certify=args.certify)
     payload = record.to_json_dict()
     dim = "infinite" if record.dimension is None else str(record.dimension)

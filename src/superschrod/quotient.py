@@ -6,6 +6,8 @@ from the base's ``int_row`` rows.  Columns follow the base's weight
 coordinates, so the pivots sit at the largest monomials under
 ``order_key``: they are the monomials that do not survive, and a vector is
 reduced by clearing them, by exact linear algebra as in the other layers.
+A factor module keeps the generators it is built with; a chain step is a
+new quotient, built by ``quotient_by_singular``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import List, Optional
 from weakref import WeakKeyDictionary
 
 from .scalars import _mk_gs
-from .singular import (ANNIHILATORS, _integer_rows, determinant,
-                       weight_coords, find_singular, closed_form_n1,
-                       closed_form_n2)
+from .singular import (ANNIHILATORS, _integer_rows, _space_module,
+                       determinant, weight_coords, find_singular,
+                       closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
 from .verma import (LowestWeight, ModuleVector, VermaModule, _degree,
                     chi_entries, closure_arguments)
@@ -80,31 +82,21 @@ class FactorModule:
     on chi-doubled coordinates, and by g n for each raising g and row n of
     N_{w - deg g}, summed in ints from ``base.int_row``.  On chi-doubled
     coordinates a pivot without its chi partner raises ValueError: N would
-    not be spanned by monomials and their chi multiples."""
+    not be spanned by monomials and their chi multiples.
 
-    def __init__(self, base: VermaModule, generators, chain=None,
-                 verify_singular=True):
+    The generators are fixed at construction.  The constructor does not
+    check that N is a submodule, that is, closed under the lowering
+    generators too; only ``quotient_by_singular`` checks singularity."""
+
+    def __init__(self, base: VermaModule, generators):
         self.base = base
         self.ring = base.ring
         self.kind = base.kind
         self.table = base.table
         self.lw = base.lw
-        self.chain = list(chain or [])
-        self.generators = []
+        self.generators = list(generators)
         # the _Echelon of every weight to degree _top, the int rows and the
-        # WeightCoords (singular.weight_coords) until a generator is added
-        self._echelons, self._top, self._ints, self._coords = {}, -1, {}, {}
-        for vec in generators:
-            self._install(vec, verify=verify_singular)
-
-    def _install(self, vec: ModuleVector, verify=True):
-        if verify:
-            residuals = [ann for ann in ANNIHILATORS[self.kind]
-                         if self.reduce(self.base.act(ann, vec))]
-            if residuals:
-                raise ValueError(
-                    "quotient generator is not singular (fails %s)" % residuals)
-        self.generators.append(vec)
+        # WeightCoords (singular.weight_coords)
         self._echelons, self._top, self._ints, self._coords = {}, -1, {}, {}
 
     def _echelon(self, weight) -> _Echelon:
@@ -206,7 +198,7 @@ class FactorModule:
         ``VermaModule.int_row``: the base row cleared by its echelon, over
         the base scale times the clearing factor.  Without chi doubling,
         flag 1 is ``chi_entries`` of the flag-0 row over L q, q = den
-        chi^2.  Cached until a generator is added."""
+        chi^2.  Cached."""
         cached = self._ints.get((gen, key))
         if cached is None:
             mono, flag = key
@@ -292,13 +284,22 @@ class FactorModule:
         return self.enumerate_monomials(top)
 
 
-def quotient_by_singular(space, vec: ModuleVector, label: str) -> FactorModule:
-    """Quotient a Verma module or an existing factor by one singular vector."""
-    if isinstance(space, VermaModule):
-        return FactorModule(space, [vec], chain=[label])
-    fm = FactorModule(space.base, space.generators,
-                      chain=space.chain + [label], verify_singular=False)
-    fm._install(vec, verify=True)
+def quotient_by_singular(space, vec: ModuleVector) -> FactorModule:
+    """Quotient a Verma module or an existing factor by one more vector,
+    which must be singular in ``space``: ``ValueError`` unless the new
+    quotient sends ann vec to zero for every annihilator.
+
+    That is the check in ``space`` itself.  ann vec has weight
+    wt(vec) + deg(ann), lexicographically below wt(vec), while U(n+) vec
+    only has weights wt(vec) + (a sum of raising degrees); so at the
+    weight of ann vec the new submodule N equals the old one.
+    """
+    fm = FactorModule(_space_module(space),
+                      getattr(space, "generators", []) + [vec])
+    residuals = [ann for ann in ANNIHILATORS[fm.kind] if fm.act(ann, vec)]
+    if residuals:
+        raise ValueError(
+            "quotient generator is not singular (fails %s)" % residuals)
     return fm
 
 
@@ -370,14 +371,13 @@ def classify(lw: LowestWeight, cutoff: int = 8,
             if p is None:
                 record.verdict, record.chain = "V^d", ["V^d"]
             else:
-                fm = quotient_by_singular(module, closed_form_n1(module, p),
-                                          "I^d")
+                fm = quotient_by_singular(module, closed_form_n1(module, p))
                 record.verdict = "V^d/I^d"
                 record.chain = ["V^d", "I^d = <(G^2-2mK)^%d (G-2chi S) v0>" % p,
                                 "V^d/I^d"]
                 terminal = fm
         else:
-            fm1 = quotient_by_singular(module, closed_form_n1(module, 1), "I^1")
+            fm1 = quotient_by_singular(module, closed_form_n1(module, 1))
             p = _integer_ge(lw.d, 0)
             if p is None:
                 record.verdict = "V^d/I^1"
@@ -385,7 +385,7 @@ def classify(lw: LowestWeight, cutoff: int = 8,
                 terminal = fm1
             else:
                 omega_p = fm1.base.basis_vector((0, p, 1))
-                fm2 = quotient_by_singular(fm1, omega_p, "I^p")
+                fm2 = quotient_by_singular(fm1, omega_p)
                 record.verdict = "(V^p/I^1)/I^p"
                 record.chain = ["V^d", "I^1 = <G v0>", "V^d/I^1",
                                 "I^p = <K^%d S w0>" % p, "(V^p/I^1)/I^p"]
@@ -396,27 +396,23 @@ def classify(lw: LowestWeight, cutoff: int = 8,
             if p is None:
                 record.verdict, record.chain = "V^{d,r}", ["V^{d,r}"]
             else:
-                fm = quotient_by_singular(module, closed_form_n2(module, p),
-                                          "I^{d,r}")
+                fm = quotient_by_singular(module, closed_form_n2(module, p))
                 record.verdict = "V^{d,r}/I^{d,r}"
                 record.chain = ["V^{d,r}", "I^{d,r} = <(G^2-2mK)^%d u0>" % p,
                                 "V^{d,r}/I^{d,r}"]
                 terminal = fm
         else:
             fm = quotient_by_singular(module,
-                                      module.basis_vector((0, 0, 0, 0, 1)),
-                                      "I^0")
+                                      module.basis_vector((0, 0, 0, 0, 1)))
             fm = quotient_by_singular(fm,
-                                      module.basis_vector((1, 0, 0, 0, 0)),
-                                      "II^1")
+                                      module.basis_vector((1, 0, 0, 0, 0)))
             record.chain = ["V^{d,r}", "I^0 = <X+ v0>", "V^{d,r}/I^0",
                             "II^1 = <G w0>", "L^{d,r}"]
             d, r = lw.d, lw.r
             if r == -d or r == d:
                 sign = "+" if r == -d else "-"
                 mono = (0, 0, 1, 0, 0) if sign == "+" else (0, 0, 0, 1, 0)
-                fm = quotient_by_singular(fm, module.basis_vector(mono),
-                                          "<S%s z0>" % sign)
+                fm = quotient_by_singular(fm, module.basis_vector(mono))
                 record.chain += ["<S%s z0>" % sign, "L%s^d" % sign]
                 ell = _integer_ge(d, 0)
                 if ell is None:
@@ -424,8 +420,7 @@ def classify(lw: LowestWeight, cutoff: int = 8,
                 else:
                     other = (0, ell, 0, 1, 0) if sign == "+" else \
                         (0, ell, 1, 0, 0)
-                    fm = quotient_by_singular(fm, module.basis_vector(other),
-                                              "II^l")
+                    fm = quotient_by_singular(fm, module.basis_vector(other))
                     record.verdict = "L%s^l/II^l" % sign
                     record.chain += ["II^l = <K^%d S%s |0>>" % (ell,
                                      "-" if sign == "+" else "+"),
@@ -439,7 +434,7 @@ def classify(lw: LowestWeight, cutoff: int = 8,
                         (0, p - 1, 1, 1, 0): module.ring.one,
                         (0, p, 0, 0, 0): module.coerce_scalar((d - r) / d),
                     })
-                    fm = quotient_by_singular(fm, zvec, "<z_s^{p-1}>")
+                    fm = quotient_by_singular(fm, zvec)
                     record.verdict = "L^{p,r}"
                     record.chain += ["<z_s^%d>" % (p - 1), "L^{p,r}"]
             terminal = fm
@@ -455,63 +450,6 @@ def classify(lw: LowestWeight, cutoff: int = 8,
         record.no_singular_up_to = depth if not reports else -1
     record.terminal = terminal
     return record
-
-
-# ---------------------------------------------------------------------------
-# the plus/minus isomorphism for the massless N=2 chain
-
-
-_RHO_SWAP = {"Q+": "Q-", "Q-": "Q+", "S+": "S-", "S-": "S+",
-             "X+": "X-", "X-": "X+"}
-
-
-def rho_relabel(gen: str):
-    """The +/- swapping automorphism: A+- -> A-+, R -> -R, rest fixed."""
-    if gen in _RHO_SWAP:
-        return _RHO_SWAP[gen], 1
-    if gen == "R":
-        return "R", -1
-    return gen, 1
-
-
-def build_pm_pair(d, cutoff=8):
-    """The massless factor pair (L+^d from r=-d, L-^d from r=+d)."""
-    d = Fraction(d)
-    rec_plus = classify(LowestWeight("ssch2", d, 0, -d), cutoff=cutoff)
-    rec_minus = classify(LowestWeight("ssch2", d, 0, d), cutoff=cutoff)
-    return rec_plus.terminal, rec_minus.terminal
-
-
-def intertwiner_failures(d, max_weight=8):
-    """Check that relabelling +<->- carries the L+^d action onto L-^d.
-
-    The map T sends K^l S-^a |0> in L+^d to K^l S+^a |0> in L-^d and must
-    satisfy act(g, T v) = T act(rho(g), v) for every generator.
-    """
-    plus, minus = build_pm_pair(d, cutoff=max_weight)
-
-    def t_map(vec: ModuleVector) -> ModuleVector:
-        out = ModuleVector(minus.base)
-        for (k, l, a, b, c), coeff in vec.terms.items():
-            if a or c:
-                raise ValueError("unexpected monomial in L+^d")
-            out.add_term((k, l, b, 0, c),
-                         minus.base.ring.scalar(coeff.even, coeff.odd))
-        return out
-
-    failures = []
-    monos = []
-    for weight in [(0, 0)] + plus.enumerate_weights(max_weight):
-        monos.extend(plus.subspace_basis(weight) if weight != (0, 0)
-                     else [plus.base.vacuum])
-    for gen in plus.base.table.names:
-        image, sign = rho_relabel(gen)
-        for mono in monos:
-            lhs = minus.act(gen, t_map(plus.base.basis_vector(mono)))
-            rhs = t_map(plus.act(image, mono)).scale(sign)
-            if lhs != rhs:
-                failures.append((gen, mono))
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +605,3 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     return GramMatrix(weight, labels, parities, matrix,
                       determinant(int_matrix, scale=scale),
                       parity_violations=violations)
-
-
-def reachable_weight(module: VermaModule, source, target) -> bool:
-    """Whether target lies in source + (weight monoid of the raising part):
-    whether the subspace at target - source is nonempty."""
-    if isinstance(target, tuple):
-        return bool(module.subspace_basis(tuple(map(sub, target, source))))
-    return bool(module.subspace_basis(target - source))

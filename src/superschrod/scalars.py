@@ -172,27 +172,6 @@ def qi_str(value: QI) -> str:
     return "%s%s" % (value.re, imag)
 
 
-def parse_qi(text: str) -> QI:
-    """Parse the Gaussian literal syntax "p/q", "r/si" or "p/q+r/si"."""
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty Gaussian rational literal")
-    if not text.endswith("i"):
-        return QI(parse_rational(text))
-    body = text[:-1]
-    # split "a+bi" / "a-bi" / "bi": scan for the sign introducing the i-part
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/":
-            re_text, im_text = body[:pos], body[pos:]
-            if _RATIONAL_RE.match(re_text) and _RATIONAL_RE.match(im_text):
-                return QI(parse_rational(re_text), parse_rational(im_text))
-    if body in ("", "+"):
-        return QI(0, 1)
-    if body == "-":
-        return QI(0, -1)
-    return QI(0, parse_rational(body))
-
-
 class ScalarRing:
     """The coefficient ring Q[chi] with chi*chi folded to ``chi_square``.
 

@@ -355,18 +355,6 @@ def triangular_decompose(table: StructureTable):
     return plus, zero, minus
 
 
-def closes_under_bracket(table: StructureTable, subset):
-    """Return (closed, escapes) for a generator subset."""
-    subset = set(subset)
-    escapes = []
-    for x in sorted(subset, key=lambda n: table._index[n]):
-        for y in sorted(subset, key=lambda n: table._index[n]):
-            for g in table.bracket_gens(x, y):
-                if g not in subset:
-                    escapes.append((x, y, g))
-    return not escapes, escapes
-
-
 # ---------------------------------------------------------------------------
 # adjoint maps
 

@@ -290,7 +290,7 @@ def _not_singular_quotient(kind, d, m, r):
     """The quotient by G v0, which is not singular when m != 0."""
     module = VermaModule(_lw(kind, d, m, r))
     g_v0 = module.basis_vector((1,) + module.vacuum[1:])
-    return FactorModule(module, [g_v0], verify_singular=False)
+    return FactorModule(module, [g_v0])
 
 
 def _closure_cases():

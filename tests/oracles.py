@@ -80,22 +80,36 @@ of ``int_row``, and ``act_oracle`` keeps the Fraction row sums it replaced:
   ``verify_adjoint`` replaced: Jacobi over every ordered triple, and both
   adjoint laws through ``adjoint_apply``; same reports.
 * ``adjoint_apply`` -- an adjoint map on a whole ``QI`` element dict.
+
+After them come helpers that only the tests call, kept out of the package:
+
+* ``parse_qi`` -- the Gaussian literal syntax that ``scalars.qi_str``
+  renders, read back.
+* ``closes_under_bracket`` -- (closed, escapes) for a generator subset of
+  a structure table.
+* ``reachable_weight`` -- whether a weight lies above another by a weight
+  of the raising part, as the Gram-determinant tests ask.
+* ``rho_relabel`` / ``build_pm_pair`` / ``intertwiner_failures`` -- the
+  +/- swapping automorphism of ssch2, the massless factor pair L+^d, L-^d
+  that ``classify`` builds on r = -d and r = d, and the check that the
+  relabelling carries one action onto the other.
 """
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
+from operator import add, sub
 from weakref import WeakKeyDictionary
 
-from superschrod.quotient import _omega1_word
+from superschrod.quotient import _omega1_word, classify
 from superschrod.realization import (RealizationReport, SuperDiffOp,
                                      SuperPoly, SuperSpace, _affine,
                                      _exact_int, _op, _residual_pass,
                                      enumerate_polyspace, poly_mono)
-from superschrod.scalars import QI, QI_ONE, QI_ZERO, as_fraction, mul_odd_words
+from superschrod.scalars import (QI, QI_ONE, QI_ZERO, _RATIONAL_RE,
+                                 as_fraction, mul_odd_words, parse_rational)
 from superschrod.singular import WeightCoords, _space_module
 from superschrod.superalgebra import AdjointReport, StructureReport
-from superschrod.verma import ModuleVector
+from superschrod.verma import LowestWeight, ModuleVector
 
 
 def _label_vector(module, label):
@@ -966,3 +980,100 @@ def verify_adjoint_oracle(table, amap):
     else:
         report.convention = "none"
     return report
+
+
+# -- helpers that only the tests call ---------------------------------------
+
+
+def parse_qi(text: str) -> QI:
+    """Parse the Gaussian literal syntax "p/q", "r/si" or "p/q+r/si"."""
+    text = text.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty Gaussian rational literal")
+    if not text.endswith("i"):
+        return QI(parse_rational(text))
+    body = text[:-1]
+    # split "a+bi" / "a-bi" / "bi": scan for the sign introducing the i-part
+    for pos in range(len(body) - 1, 0, -1):
+        if body[pos] in "+-" and body[pos - 1] not in "+-/":
+            re_text, im_text = body[:pos], body[pos:]
+            if _RATIONAL_RE.match(re_text) and _RATIONAL_RE.match(im_text):
+                return QI(parse_rational(re_text), parse_rational(im_text))
+    if body in ("", "+"):
+        return QI(0, 1)
+    if body == "-":
+        return QI(0, -1)
+    return QI(0, parse_rational(body))
+
+
+def closes_under_bracket(table, subset):
+    """Return (closed, escapes) for a generator subset."""
+    subset = set(subset)
+    escapes = []
+    for x in sorted(subset, key=lambda n: table._index[n]):
+        for y in sorted(subset, key=lambda n: table._index[n]):
+            for g in table.bracket_gens(x, y):
+                if g not in subset:
+                    escapes.append((x, y, g))
+    return not escapes, escapes
+
+
+_RHO_SWAP = {"Q+": "Q-", "Q-": "Q+", "S+": "S-", "S-": "S+",
+             "X+": "X-", "X-": "X+"}
+
+
+def rho_relabel(gen: str):
+    """The +/- swapping automorphism: A+- -> A-+, R -> -R, rest fixed."""
+    if gen in _RHO_SWAP:
+        return _RHO_SWAP[gen], 1
+    if gen == "R":
+        return "R", -1
+    return gen, 1
+
+
+def build_pm_pair(d, cutoff=8):
+    """The massless factor pair (L+^d from r=-d, L-^d from r=+d)."""
+    d = Fraction(d)
+    rec_plus = classify(LowestWeight("ssch2", d, 0, -d), cutoff=cutoff)
+    rec_minus = classify(LowestWeight("ssch2", d, 0, d), cutoff=cutoff)
+    return rec_plus.terminal, rec_minus.terminal
+
+
+def intertwiner_failures(d, max_weight=8):
+    """Check that relabelling +<->- carries the L+^d action onto L-^d.
+
+    The map T sends K^l S-^a |0> in L+^d to K^l S+^a |0> in L-^d and must
+    satisfy act(g, T v) = T act(rho(g), v) for every generator.
+    """
+    plus, minus = build_pm_pair(d, cutoff=max_weight)
+
+    def t_map(vec: ModuleVector) -> ModuleVector:
+        out = ModuleVector(minus.base)
+        for (k, l, a, b, c), coeff in vec.terms.items():
+            if a or c:
+                raise ValueError("unexpected monomial in L+^d")
+            out.add_term((k, l, b, 0, c),
+                         minus.base.ring.scalar(coeff.even, coeff.odd))
+        return out
+
+    failures = []
+    monos = []
+    for weight in [(0, 0)] + plus.enumerate_weights(max_weight):
+        monos.extend(plus.subspace_basis(weight) if weight != (0, 0)
+                     else [plus.base.vacuum])
+    for gen in plus.base.table.names:
+        image, sign = rho_relabel(gen)
+        for mono in monos:
+            lhs = minus.act(gen, t_map(plus.base.basis_vector(mono)))
+            rhs = t_map(plus.act(image, mono)).scale(sign)
+            if lhs != rhs:
+                failures.append((gen, mono))
+    return failures
+
+
+def reachable_weight(module, source, target) -> bool:
+    """Whether target lies in source + (weight monoid of the raising part):
+    whether the subspace at target - source is nonempty."""
+    if isinstance(target, tuple):
+        return bool(module.subspace_basis(tuple(map(sub, target, source))))
+    return bool(module.subspace_basis(target - source))

@@ -10,9 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import intertwiner_failures, reachable_weight
 from superschrod.cli import main as cli_main
-from superschrod.quotient import (classify, gram, intertwiner_failures,
-                                  quotient_by_singular, reachable_weight)
+from superschrod.quotient import classify, gram, quotient_by_singular
 from superschrod.realization import (build_realization, verify_chi_eta,
                                      verify_relations)
 from superschrod.scalars import QI
@@ -179,7 +179,7 @@ def test_criterion_06_n1_classification():
                 assert not terminal.act(gen, mono), (p, gen, mono)
     # the massive factor module carries no singular vectors up to degree 8
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
-    fm = quotient_by_singular(mod, closed_form_n1(mod, 1), "I^d")
+    fm = quotient_by_singular(mod, closed_form_n1(mod, 1))
     assert find_singular(fm, 8) == []
     _report(6, "N=1 classification: all four branches, dims 3/5/7 by "
                "explicit basis count, trivial P/G/M/X in the massless "
@@ -208,10 +208,8 @@ def test_criterion_07_n2_classification():
     # SV-iv appears exactly when d = l + 1
     for d, expect in ((F(2), True), (F(5, 2), False), (F(3), True)):
         mod = VermaModule(LowestWeight("ssch2", d, 0, F(1, 3)))
-        fm = quotient_by_singular(mod, mod.basis_vector((0, 0, 0, 0, 1)),
-                                  "I^0")
-        fm = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)),
-                                  "II^1")
+        fm = quotient_by_singular(mod, mod.basis_vector((0, 0, 0, 0, 1)))
+        fm = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)))
         reports = find_singular(fm, 8)
         if expect:
             ell = int(d) - 1

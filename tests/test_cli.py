@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction as F
+
+import pytest
 
 from superschrod.cli import MAX_DEGREE, build_parser, main
 from superschrod.singular import SingularVectorReport
@@ -153,6 +156,31 @@ def test_usage_errors(capsys):
         assert code == 2, argv
         assert out == ""
         assert "weight %s" % weight in err, argv
+
+
+@pytest.mark.parametrize("d", ["247", "495/2", str(10 ** 6)])
+@pytest.mark.parametrize("point", [("ssch1", "1", None), ("ssch1", "0", None),
+                                   ("ssch2", "1", "0"), ("ssch2", "0", "1/3")],
+                         ids=["ssch1-massive", "ssch1-massless",
+                              "ssch2-massive", "ssch2-massless"])
+def test_classify_beyond_the_degree_bound_is_a_usage_error(capsys, d, point):
+    # with 2d an integer, the chain reaches degree 2d + 2 and --certify
+    # searches to 2d + 7, so that degree is held to MAX_DEGREE
+    kind, m, r = point
+    argv = ["classify", "--algebra", kind, "--d", d, "--m", m, "--certify"]
+    code, out, err = run(capsys, *argv + (["--r", r] if r else []))
+    assert (code, out) == (2, "")
+    assert err == ("error: classify reaches degree 2d + 7 = %s at d = %s; "
+                   "the largest accepted degree is %d\n"
+                   % (2 * F(d) + 7, d, MAX_DEGREE))
+
+
+def test_classify_at_the_degree_bound_runs(capsys):
+    # 2d + 7 = MAX_DEGREE is accepted (the massless N=1 chain stops at I^1
+    # when d is not an integer)
+    code, out, _ = run(capsys, "classify", "--algebra", "ssch1", "--d",
+                       "%d/2" % (MAX_DEGREE - 7), "--m", "0", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "V^d/I^1"
 
 
 def test_a_missing_line_branch_is_a_failed_certificate(capsys):

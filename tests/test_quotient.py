@@ -7,15 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import golden.record as golden
 from golden.record import add_one
-from oracles import (RewritingError, gram_pair,
+from oracles import (RewritingError, build_pm_pair, gram_pair,
+                     intertwiner_failures, reachable_weight,
                      rewriting_quotient_oracle)
 from superschrod.scalars import QI
-from superschrod.singular import (WeightCoords, closed_form_n1,
-                                  find_singular, rank)
+from superschrod.singular import (ANNIHILATORS, WeightCoords,
+                                  closed_form_n1, find_singular, rank)
 from superschrod.quotient import (ClassificationRecord, FactorModule,
-                                  build_pm_pair, classify, gram,
-                                  intertwiner_failures,
-                                  quotient_by_singular, reachable_weight)
+                                  classify, gram, quotient_by_singular)
 from superschrod.verma import LowestWeight, ModuleVector, VermaModule
 
 
@@ -25,13 +24,13 @@ from superschrod.verma import LowestWeight, ModuleVector, VermaModule
 @pytest.fixture(scope="module")
 def massive_factor():
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
-    return quotient_by_singular(mod, closed_form_n1(mod, 1), "I^d")
+    return quotient_by_singular(mod, closed_form_n1(mod, 1))
 
 
 def test_quotient_requires_singular():
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
     with pytest.raises(ValueError):
-        quotient_by_singular(mod, mod.basis_vector((1, 0, 0)), "bad")
+        quotient_by_singular(mod, mod.basis_vector((1, 0, 0)))
 
 
 def test_a_submodule_without_chi_partners_is_refused():
@@ -40,7 +39,7 @@ def test_a_submodule_without_chi_partners_is_refused():
     # monomials
     mod = VermaModule(LowestWeight("ssch1", F(1, 3), 2))
     vec = mod.basis_vector((1, 0, 0), mod.ring.scalar(1, 1))
-    fm = FactorModule(mod, [vec], verify_singular=False)
+    fm = FactorModule(mod, [vec])
     with pytest.raises(ValueError, match="chi multiples"):
         fm.subspace_basis(1)
 
@@ -83,8 +82,7 @@ def test_factor_closure_fails_for_a_non_singular_quotient():
     # G v0 is not singular (P G v0 = m v0), so dividing it out breaks
     # [P, G] = M on v0: both sides of P G - G P vanish, M v0 does not.
     mod = VermaModule(LowestWeight("ssch1", F(7, 3), 1))
-    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))],
-                      verify_singular=False)
+    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))])
     failures = fm.closure_failures(2, max_report=50)
     assert ("P", "G", (0, 0, 0)) in failures
     assert all(mono[0] == 0 for _, _, mono in failures)
@@ -93,7 +91,7 @@ def test_factor_closure_fails_for_a_non_singular_quotient():
 
 def test_massless_factor_n1():
     mod = VermaModule(LowestWeight("ssch1", F(7, 3), 0))
-    fm = quotient_by_singular(mod, closed_form_n1(mod, 1), "I^1")
+    fm = quotient_by_singular(mod, closed_form_n1(mod, 1))
     # basis K^l w0, K^l S w0
     for weight in range(1, 7):
         for mono in fm.subspace_basis(weight):
@@ -107,7 +105,7 @@ def test_massless_factor_n1():
 
 def test_massless_factor_singular_vector_at_integer_d():
     mod = VermaModule(LowestWeight("ssch1", 2, 0))
-    fm = quotient_by_singular(mod, closed_form_n1(mod, 1), "I^1")
+    fm = quotient_by_singular(mod, closed_form_n1(mod, 1))
     reports = find_singular(fm, 6)
     assert len(reports) == 1
     rep = reports[0]
@@ -115,7 +113,7 @@ def test_massless_factor_singular_vector_at_integer_d():
     assert rep.vectors[0] == mod.basis_vector((0, 2, 1))
     # non-integer d: no singular vectors in the factor
     mod2 = VermaModule(LowestWeight("ssch1", F(7, 3), 0))
-    fm2 = quotient_by_singular(mod2, closed_form_n1(mod2, 1), "I^1")
+    fm2 = quotient_by_singular(mod2, closed_form_n1(mod2, 1))
     assert find_singular(fm2, 6) == []
 
 
@@ -136,7 +134,7 @@ def test_quotient_dims_match_linear_algebra_oracle():
     # computed by spanning, compared against the survivor count
     mod = VermaModule(LowestWeight("ssch1", F(1, 2), 1))
     vs = closed_form_n1(mod, 1)
-    fm = quotient_by_singular(mod, vs, "I^d")
+    fm = quotient_by_singular(mod, vs)
     oracle = rewriting_quotient_oracle(mod, [vs])
     raising = [(0, 0, 0)] + mod.enumerate_monomials(6)
     for weight in range(1, 7):
@@ -157,11 +155,11 @@ def test_quotient_dims_match_linear_algebra_oracle():
 
 def test_n2_massless_chain_bases():
     mod = VermaModule(LowestWeight("ssch2", F(5, 2), 0, F(1, 3)))
-    fm = quotient_by_singular(mod, mod.basis_vector((0, 0, 0, 0, 1)), "I^0")
+    fm = quotient_by_singular(mod, mod.basis_vector((0, 0, 0, 0, 1)))
     # basis G^k K^l S+^a S-^b w0 (no X+)
     for mono in fm.subspace_basis((2, 1)):
         assert mono[4] == 0
-    fm2 = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)), "II^1")
+    fm2 = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)))
     for weight in [(2, 0), (3, 1), (4, 0)]:
         for mono in fm2.subspace_basis(weight):
             assert mono[0] == 0 and mono[4] == 0
@@ -172,8 +170,8 @@ def test_sv_iv_found_exactly_at_integer_d():
     # L^{d,r} has K^l S+ S- z0 + ((d-r)/d) K^{l+1} z0 iff d = l+1
     for d, r, expect in ((2, F(1, 3), True), (F(5, 2), F(1, 3), False)):
         mod = VermaModule(LowestWeight("ssch2", d, 0, r))
-        fm = quotient_by_singular(mod, mod.basis_vector((0, 0, 0, 0, 1)), "I^0")
-        fm = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)), "II^1")
+        fm = quotient_by_singular(mod, mod.basis_vector((0, 0, 0, 0, 1)))
+        fm = quotient_by_singular(fm, mod.basis_vector((1, 0, 0, 0, 0)))
         reports = find_singular(fm, 6)
         if not expect:
             assert reports == []
@@ -326,7 +324,7 @@ def test_line_quotients_build(d, m, reported):
     s_minus = module.basis_vector((0, 0, 0, 1, 0))
     with pytest.raises(RewritingError):
         rewriting_quotient_oracle(module, [s_minus])
-    fm = quotient_by_singular(module, s_minus, "<S- v0>")
+    fm = quotient_by_singular(module, s_minus)
     reports = find_singular(fm, 6)
     assert [rep.weight for rep in reports] == reported
     assert all(rep.kernel_dim == 1 for rep in reports)
@@ -435,7 +433,7 @@ def test_classification_record_roundtrip():
 def test_submodule_inclusion_massless():
     # v_s^p = G^{p-1} v_s^1 puts every I^p inside I^1
     mod = VermaModule(LowestWeight("ssch1", F(1, 3), 0))
-    fm = quotient_by_singular(mod, closed_form_n1(mod, 1), "I^1")
+    fm = quotient_by_singular(mod, closed_form_n1(mod, 1))
     for p in (2, 3, 4):
         assert not fm.reduce(closed_form_n1(mod, p))
 
@@ -645,45 +643,80 @@ def test_det_vanishes_iff_singular_below():
             assert vanish == below, (kind, d, m, r, w)
 
 
-def test_memoised_survivors_follow_every_install(monkeypatch):
-    # along classify's chains of both kinds the memo is filled before each
-    # _install; after it, every memoised basis equals a fresh filter
-    # through _survives of the rules then in force, and callers get lists
-    # of their own
-    install = FactorModule._install
+def _chain(terminal):
+    """The spaces of a classify chain, in order: the base module, the
+    quotient by each shorter prefix of the terminal's generators, and the
+    terminal itself."""
+    return [terminal.base] + [FactorModule(terminal.base,
+                                           terminal.generators[:n])
+                              for n in range(1, len(terminal.generators))] \
+        + [terminal]
+
+
+def test_survivor_lists_are_fresh_filters_along_the_chains():
+    # along classify's chains of both kinds, each quotient's lists equal a
+    # filter through _survives of a fresh quotient by the same generators
+    # (asked in the opposite order), and callers get lists of their own
     shrunk = []
-
-    def fresh(space, weight):
-        return [mono for mono in space.base.subspace_basis(weight)
-                if space._survives(mono)]
-
-    def checked_install(self, vec, verify=True):
-        weights = self.base.enumerate_weights(6)
-        before = {w: self.subspace_basis(w) for w in weights}
-        monos = {n: self.enumerate_monomials(n) for n in range(5)}
-        install(self, vec, verify)
-        for w in weights:
-            basis = self.subspace_basis(w)
-            assert basis == fresh(self, w), w
-            basis.append("edited")
-            assert self.subspace_basis(w) == fresh(self, w), w
-            shrunk.append(len(basis) - 1 < len(before[w]))
-        for n in monos:
-            expected = [mono for mono in self.base.enumerate_monomials(n)
-                        if self._survives(mono)]
-            got = self.enumerate_monomials(n)
-            assert got == expected, n
-            got.clear()
-            assert self.enumerate_monomials(n) == expected, n
-        assert self.enumerate_weights(6) == [
-            w for w in weights if fresh(self, w)]
-
-    monkeypatch.setattr(FactorModule, "_install", checked_install)
     for lw in (LowestWeight("ssch1", F(1, 2), 1), LowestWeight("ssch1", 1, 0),
                LowestWeight("ssch1", 2, 0),
                LowestWeight("ssch2", 3, 0, -3), LowestWeight("ssch2", 2, 0, 2),
                LowestWeight("ssch2", 1, 0, -1),
                LowestWeight("ssch2", F(5, 2), 0, F(1, 3))):
-        classify(lw, cutoff=6)
-    # the installs removed monomials from many memoised bases
+        chain = _chain(classify(lw, cutoff=6).terminal)
+        base = chain[0]
+        weights = base.enumerate_weights(6)
+        for parent, space in zip(chain, chain[1:]):
+            fresh = FactorModule(base, space.generators)
+            expected = {w: list(filter(fresh._survives,
+                                       base.subspace_basis(w)))
+                        for w in reversed(weights)}
+            for w in weights:
+                basis = space.subspace_basis(w)
+                assert basis == expected[w], (lw, w)
+                basis.append("edited")
+                assert space.subspace_basis(w) == expected[w], (lw, w)
+                before = parent.subspace_basis(w)
+                assert set(expected[w]) <= set(before), (lw, w)
+                shrunk.append(len(expected[w]) < len(before))
+            for n in range(5):
+                monos = space.enumerate_monomials(n)
+                assert monos == list(filter(
+                    fresh._survives, base.enumerate_monomials(n))), (lw, n)
+                monos.clear()
+                assert space.enumerate_monomials(n) == list(filter(
+                    fresh._survives, base.enumerate_monomials(n))), (lw, n)
+            found = space.enumerate_weights(6)
+            assert found == [w for w in weights if expected[w]], lw
+            found.clear()
+            assert space.enumerate_weights(6) == [
+                w for w in weights if expected[w]], lw
+    # each step removes monomials from many weights
     assert len(shrunk) > 300 and sum(shrunk) > 100
+
+
+def test_the_singularity_check_is_the_parents():
+    # quotient_by_singular checks ann vec in the quotient it builds; below
+    # wt(vec) that quotient's submodule is the parent's, so it raises
+    # exactly where the parent space's own act leaves a residual
+    passed, raised, steps = [], [], []
+    for point in _golden_factor_points():
+        chain = _chain(_terminal_and_oracle(point)[0])
+        base = chain[0]
+        generators = chain[-1].generators
+        steps += generators
+        for n, space in enumerate(chain):
+            # each basis monomial to degree 4, and the chain's own next step
+            vectors = [base.basis_vector(mono)
+                       for mono in space.enumerate_monomials(4)]
+            for vec in vectors + generators[n:n + 1]:
+                if any(space.act(ann, vec) for ann in ANNIHILATORS[base.kind]):
+                    with pytest.raises(ValueError, match="not singular"):
+                        quotient_by_singular(space, vec)
+                    raised.append(vec)
+                else:
+                    fm = quotient_by_singular(space, vec)
+                    assert fm.generators == generators[:n] + [vec]
+                    passed.append(vec)
+    assert len(passed) > 200 and len(raised) > 2000
+    assert {id(vec) for vec in steps} <= {id(vec) for vec in passed}

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import parse_qi
 from superschrod.quotient import gram
 from superschrod.realization import (SuperPoly, SuperSpace, build_realization,
                                      enumerate_polyspace, poly_mono)
-from superschrod.scalars import (QI, ScalarRing, gs_str, parse_gs, parse_qi,
+from superschrod.scalars import (QI, ScalarRing, gs_str, parse_gs,
                                  parse_rational, qi_str)
 from superschrod.singular import bareiss_echelon, find_singular
 from superschrod.verma import LowestWeight, ModuleVector, VermaModule

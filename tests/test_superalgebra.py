@@ -5,15 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (adjoint_apply, verify_adjoint_oracle,
-                     verify_structure_oracle)
+from oracles import (adjoint_apply, closes_under_bracket,
+                     verify_adjoint_oracle, verify_structure_oracle)
 from superschrod import superalgebra
 from superschrod.scalars import QI
 from superschrod.superalgebra import (AdjointMap, Generator, StructureTable,
                                       build_adjoint, build_algebra,
-                                      closes_under_bracket, identity_adjoint,
-                                      triangular_decompose, verify_adjoint,
-                                      verify_structure)
+                                      identity_adjoint, triangular_decompose,
+                                      verify_adjoint, verify_structure)
 
 
 @pytest.fixture(scope="module")

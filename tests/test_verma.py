@@ -450,8 +450,7 @@ def test_kronecker_digits_round_trip(layout, case):
 
 def test_closure_rejects_a_negative_degree():
     mod = VermaModule(LowestWeight("ssch1", F(7, 3), 1))
-    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))],
-                      verify_singular=False)
+    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))])
     for space in (mod, fm):
         with pytest.raises(ValueError):
             space.closure_failures(-1)
@@ -467,8 +466,7 @@ def test_closure_failure_cap():
     full = mod.closure_failures(2, max_report=10 ** 6)
     assert len(full) > 1
     assert mod.closure_failures(2, max_report=1) == full[:1]
-    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))],
-                      verify_singular=False)
+    fm = FactorModule(mod, [mod.basis_vector((1, 0, 0))])
     for cap in (0, -1):
         with pytest.raises(ValueError):
             mod.closure_failures(2, max_report=cap)
@@ -510,7 +508,7 @@ def test_closure_matches_the_graded_scalar_oracle(case):
         # G v0 is not singular when m != 0 (P G v0 = m v0), so dividing it
         # out breaks [P, G] = M on v0
         g_v0 = mod.basis_vector((1,) + mod.vacuum[1:])
-        space = FactorModule(mod, [g_v0], verify_singular=False)
+        space = FactorModule(mod, [g_v0])
         got = space.closure_failures(degree, max_report=10 ** 6)
     else:
         space = mod
@@ -527,7 +525,7 @@ def _chi_vector_cases(draw):
     if space_kind == "factor":
         p = draw(st.integers(0, 1))
         mod = VermaModule(LowestWeight("ssch1", F(2 * p - 1, 2), m))
-        space = quotient_by_singular(mod, closed_form_n1(mod, p), "I^d")
+        space = quotient_by_singular(mod, closed_form_n1(mod, p))
     else:
         chi_square = None if space_kind == "default" else \
             draw(_RATIONAL.filter(lambda c: c != m / 2))
@@ -559,7 +557,7 @@ def test_act_rejects_a_vector_of_another_module():
     b = VermaModule(LowestWeight("ssch1", F(5, 7), 2))
     vec = b.basis_vector((2, 0, 0))
     assert b.act("P", vec) == b.basis_vector((1, 0, 0), 4)
-    fm = FactorModule(a, [a.basis_vector((0, 0, 1))], verify_singular=False)
+    fm = FactorModule(a, [a.basis_vector((0, 0, 1))])
     for space in (a, fm):
         with pytest.raises(ValueError, match="module mismatch"):
             space.act("P", vec)
