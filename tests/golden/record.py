@@ -10,7 +10,7 @@ case and exits 1 when a digest differs or a case is missing; the tier-1
 suite recomputes the ``QUICK`` subset.
 
 The cases cover ``find_singular`` reports, ``classify(certify=True)``
-records, ``gram`` at every weight for every (epsilon, lambda) and
+records (also on every massless N=2 branch), ``gram`` at every weight for every (epsilon, lambda) and
 ``closure_failures`` lists (``max_report=10**6``) on the seed 0-5
 benchmark strata, on passing and on mutated modules and, to degree 7, on
 massive N=1 modules with chi^2 away from m/2; ``verify_relations``
@@ -88,6 +88,17 @@ LINES = [
     ("ssch2", "1/2", "1", "-3/2", 5), ("ssch2", "3/2", "1", "-5/2", 5),
     ("ssch2", "2/3", "2", "2/3", 5), ("ssch2", "2/3", "2", "-5/3", 5),
     ("ssch2", "-19/5", "4", "14/5", 5),
+]
+
+# Massless N=2 points on the classify branches that no point above
+# reaches: r = d and r = -d with an integer d (L-^l/II^l, L+^l/II^l) and
+# with a non-integer d (L-^d, L+^d), d = r = 0, and an integer d off both
+# lines (L^{p,r}).
+BRANCHES = [
+    ("ssch2", "2", "0", "2", 6), ("ssch2", "1", "0", "-1", 6),
+    ("ssch2", "3/2", "0", "3/2", 6), ("ssch2", "-2/3", "0", "2/3", 6),
+    ("ssch2", "0", "0", "0", 6), ("ssch2", "2", "0", "1/3", 6),
+    ("ssch2", "1", "0", "1/2", 6),
 ]
 
 # Massive N=1 points, each with chi^2 at its default m/2, 1/3 and -3/4.
@@ -376,6 +387,8 @@ def cases():
             if case_id not in seen:
                 seen.add(case_id)
                 out.append((case_id, thunk))
+    out += [("classify %s" % _point_id(*point[:4]),
+             lambda point=point: _classify(point)) for point in BRANCHES]
     out += list(_closure_cases())
     out += list(_realization_cases())
     for point in CHI_POINTS:
@@ -395,12 +408,16 @@ def cases():
 # corpus time): the line points (d = r = 1/2 among them), the chi^2
 # variants (the degree-7 closures among them), the closure mutants, the
 # ssch1 realization mutants, the order-3 realization, the algebra
-# requests and one point of each kind of module.
+# requests, one point of each kind of module and the classify branch
+# points.
 QUICK = ("d=1/2 m=1 r=1/2", "d=0 m=1 r=0", "chi2=", "closure mutant",
          "closure terminal", "verify_relations mutants ssch1",
          "verify_relations order3", "algebra ", "ssch1 d=-4/3 m=2 ",
          "ssch1 d=6 m=0", "ssch1 d=1/2 m=1 ", "ssch2 d=5/2 m=1 r=-19/7",
-         "ssch2 d=3/2 m=1 r=-11/7", "ssch2 d=5/3 m=0 r=2/3")
+         "ssch2 d=3/2 m=1 r=-11/7", "ssch2 d=5/3 m=0 r=2/3",
+         "classify ssch2 d=2 m=0 ", "classify ssch2 d=1 m=0 ",
+         "classify ssch2 d=3/2 m=0 ", "classify ssch2 d=-2/3 m=0 ",
+         "classify ssch2 d=0 m=0 ")
 
 
 def is_quick(case_id):
