@@ -271,7 +271,7 @@ def cmd_classify(args) -> int:
              "  chain: %s" % " -> ".join(record.chain)]
     if record.no_singular_up_to is not None:
         lines.append("  no singular vectors up to degree %d: %s"
-                     % (record.cutoff,
+                     % (record.depth,
                         "confirmed" if record.no_singular_up_to >= 0 else "FAILED"))
     _emit(payload, args.json, lines)
     if record.no_singular_up_to is not None and record.no_singular_up_to < 0:

@@ -7,7 +7,9 @@ coordinates, so the pivots sit at the largest monomials under
 ``order_key``: they are the monomials that do not survive, and a vector is
 reduced by clearing them, by exact linear algebra as in the other layers.
 A factor module keeps the generators it is built with; a chain step is a
-new quotient, built by ``quotient_by_singular``.
+new quotient, built by ``quotient_by_singular``.  ``classify`` lists the
+steps of a lowest weight's chain (singular vector, its label, the
+quotient's label) and walks them; its verdict is the chain's last label.
 """
 
 from __future__ import annotations
@@ -35,12 +37,16 @@ _ZERO = Fraction(0)
 class _Echelon:
     """N_w over the columns of ``weight_coords(base, w)``: the sorted pivot
     columns and, by pivot, a sparse int row {column: value}, divided by its
-    content and zero at the pivot columns of the rows before it."""
+    content and zero at the pivot columns of the rows before it.  ``units``
+    holds the keys whose unit vector lies in N_w: the starting units, each
+    added row with a single entry, and every key once N_w is full."""
 
     def __init__(self, coords, units):
         self.labels, self.index = coords.labels, coords.index
-        self.pivots, self.rows = units, {p: {p: 1} for p in units}
-        self.dead = {self.labels[p][0] for p in units}  # pivot monomials
+        self.pivots = [self.index[key] for key in units]
+        self.rows = {p: {p: 1} for p in self.pivots}
+        self.units = set(units)
+        self.dead = {mono for mono, _ in units}  # pivot monomials
 
     def full(self) -> bool:
         return len(self.pivots) == len(self.labels)
@@ -74,6 +80,10 @@ class _Echelon:
                             for key, x in entries}
             insort(self.pivots, p)
             self.dead.add(lead[0])
+            if self.full():
+                self.units = set(self.labels)
+            elif len(entries) == 1:
+                self.units.add(lead)
 
 
 class FactorModule:
@@ -110,19 +120,28 @@ class FactorModule:
         return self._echelons[weight]
 
     def _build(self, weight) -> _Echelon:
-        """N_w.  A monomial whose first letter leaves a weight where N is
-        everything is that letter times a monomial there, so its unit row
-        comes first; the spanning rows follow until the rank is dim V_w."""
+        """N_w.  A key (mono, f) is a unit row when (rest, f) is a unit of
+        the weight below, for g the first letter of mono and rest the
+        monomial without it: g rest = mono exactly, as g is the first
+        letter of the word (an even letter commutes with every raising
+        generator, and an odd first letter has none before it), and
+        g (chi rest) = +-chi mono; so g (rest, f) = +-(mono, f) lies in N.
+        The spanning rows follow until the rank is dim V_w; a row whose
+        nonzero keys are all units lies in their span and is skipped."""
         base = self.base
         coords = weight_coords(base, weight)
-        ech = _Echelon(coords, [
-            col for col, (mono, _) in enumerate(coords.labels)
-            if mono != base.vacuum and self._echelons[
-                base.weight(base._leading_factor(mono)[1])].full()])
+        units = []
+        for mono, f in coords.labels:
+            if mono != base.vacuum:
+                rest = base._leading_factor(mono)[1]
+                if (rest, f) in self._echelons[base.weight(rest)].units:
+                    units.append((mono, f))
+        ech = _Echelon(coords, units)
         for v in () if ech.full() else self._spanning(weight, coords):
-            ech.add(v)
-            if ech.full():
-                break
+            if any(x and key not in ech.units for key, x in v):
+                ech.add(v)
+                if ech.full():
+                    break
         if coords.doubled and len(ech.pivots) != 2 * len(ech.dead):
             raise ValueError("the submodule at weight %s is not spanned by "
                              "monomials and their chi multiples" % (weight,))
@@ -133,7 +152,7 @@ class FactorModule:
         for row in _integer_rows(coords.with_chi_multiples(
                 coords.to_coords(vec) for vec in self.generators
                 if vec and base.weight(next(iter(vec.terms))) == weight))[0]:
-            yield zip(coords.labels, row)
+            yield list(zip(coords.labels, row))
         for g in base.plus_set:
             deg = self.table.degree(g)
             below = self._echelons.get(weight - deg[0] if len(deg) == 1
@@ -319,6 +338,7 @@ class ClassificationRecord:
     cutoff: int = 0
     no_singular_up_to: Optional[int] = None
     terminal: object = field(default=None, repr=False, compare=False)
+    depth: Optional[int] = None       # the certificate's search degree
 
     def to_json_dict(self) -> dict:
         return {
@@ -360,96 +380,60 @@ def _integer_ge(value, bound) -> Optional[int]:
 
 def classify(lw: LowestWeight, cutoff: int = 8,
              certify: bool = False) -> ClassificationRecord:
-    """Follow the quotient chain to the terminal irreducible module."""
-    module = VermaModule(lw)
-    record = ClassificationRecord(lw.kind, lw.d, lw.m, lw.r, "", None,
-                                  cutoff=cutoff)
+    """Follow the quotient chain to the terminal irreducible module.  Each
+    branch lists its steps (singular vector, its chain label, the label of
+    the quotient by it); one walk takes the quotients in turn, and the
+    verdict is the last chain label.  The certificate searches the
+    terminal to the cutoff, or to 2d + 7 when it is finite."""
+    module, d, r = VermaModule(lw), lw.d, lw.r
+    vec, steps = module.basis_vector, []
+    chain = ["V^d" if lw.kind == "ssch1" else "V^{d,r}"]
+    if lw.kind == "ssch1" and lw.m:
+        p = _integer_ge(d + Fraction(1, 2), 0)
+        if p is not None:
+            steps.append((closed_form_n1(module, p),
+                          "I^d = <(G^2-2mK)^%d (G-2chi S) v0>" % p, "V^d/I^d"))
+    elif lw.kind == "ssch1":
+        steps.append((closed_form_n1(module, 1), "I^1 = <G v0>", "V^d/I^1"))
+        p = _integer_ge(d, 0)
+        if p is not None:
+            steps.append((vec((0, p, 1)), "I^p = <K^%d S w0>" % p,
+                          "(V^p/I^1)/I^p"))
+    elif lw.m:
+        p = _integer_ge(d - Fraction(1, 2), 0)
+        if p is not None:
+            steps.append((closed_form_n2(module, p),
+                          "I^{d,r} = <(G^2-2mK)^%d u0>" % p, "V^{d,r}/I^{d,r}"))
+    else:
+        steps += [(vec((0, 0, 0, 0, 1)), "I^0 = <X+ v0>", "V^{d,r}/I^0"),
+                  (vec((1, 0, 0, 0, 0)), "II^1 = <G w0>", "L^{d,r}")]
+        if r == -d or r == d:
+            s, t = "+-" if r == -d else "-+"
+            ell, exps = _integer_ge(d, 0), {"+": (1, 0), "-": (0, 1)}
+            steps.append((vec((0, 0) + exps[s] + (0,)), "<S%s z0>" % s,
+                          "L%s^d" % s))
+            if ell is not None:
+                steps.append((vec((0, ell) + exps[t] + (0,)),
+                              "II^l = <K^%d S%s |0>>" % (ell, t),
+                              "L%s^l/II^l" % s))
+        else:
+            p = _integer_ge(d, 1)
+            if p is not None:
+                steps.append((ModuleVector(module, {
+                    (0, p - 1, 1, 1, 0): module.ring.one,
+                    (0, p, 0, 0, 0): module.coerce_scalar((d - r) / d)}),
+                    "<z_s^%d>" % (p - 1), "L^{p,r}"))
     terminal = module
-    if lw.kind == "ssch1":
-        if lw.m:
-            p = _integer_ge(lw.d + Fraction(1, 2), 0)
-            if p is None:
-                record.verdict, record.chain = "V^d", ["V^d"]
-            else:
-                fm = quotient_by_singular(module, closed_form_n1(module, p))
-                record.verdict = "V^d/I^d"
-                record.chain = ["V^d", "I^d = <(G^2-2mK)^%d (G-2chi S) v0>" % p,
-                                "V^d/I^d"]
-                terminal = fm
-        else:
-            fm1 = quotient_by_singular(module, closed_form_n1(module, 1))
-            p = _integer_ge(lw.d, 0)
-            if p is None:
-                record.verdict = "V^d/I^1"
-                record.chain = ["V^d", "I^1 = <G v0>", "V^d/I^1"]
-                terminal = fm1
-            else:
-                omega_p = fm1.base.basis_vector((0, p, 1))
-                fm2 = quotient_by_singular(fm1, omega_p)
-                record.verdict = "(V^p/I^1)/I^p"
-                record.chain = ["V^d", "I^1 = <G v0>", "V^d/I^1",
-                                "I^p = <K^%d S w0>" % p, "(V^p/I^1)/I^p"]
-                terminal = fm2
-    else:
-        if lw.m:
-            p = _integer_ge(lw.d - Fraction(1, 2), 0)
-            if p is None:
-                record.verdict, record.chain = "V^{d,r}", ["V^{d,r}"]
-            else:
-                fm = quotient_by_singular(module, closed_form_n2(module, p))
-                record.verdict = "V^{d,r}/I^{d,r}"
-                record.chain = ["V^{d,r}", "I^{d,r} = <(G^2-2mK)^%d u0>" % p,
-                                "V^{d,r}/I^{d,r}"]
-                terminal = fm
-        else:
-            fm = quotient_by_singular(module,
-                                      module.basis_vector((0, 0, 0, 0, 1)))
-            fm = quotient_by_singular(fm,
-                                      module.basis_vector((1, 0, 0, 0, 0)))
-            record.chain = ["V^{d,r}", "I^0 = <X+ v0>", "V^{d,r}/I^0",
-                            "II^1 = <G w0>", "L^{d,r}"]
-            d, r = lw.d, lw.r
-            if r == -d or r == d:
-                sign = "+" if r == -d else "-"
-                mono = (0, 0, 1, 0, 0) if sign == "+" else (0, 0, 0, 1, 0)
-                fm = quotient_by_singular(fm, module.basis_vector(mono))
-                record.chain += ["<S%s z0>" % sign, "L%s^d" % sign]
-                ell = _integer_ge(d, 0)
-                if ell is None:
-                    record.verdict = "L%s^d" % sign
-                else:
-                    other = (0, ell, 0, 1, 0) if sign == "+" else \
-                        (0, ell, 1, 0, 0)
-                    fm = quotient_by_singular(fm, module.basis_vector(other))
-                    record.verdict = "L%s^l/II^l" % sign
-                    record.chain += ["II^l = <K^%d S%s |0>>" % (ell,
-                                     "-" if sign == "+" else "+"),
-                                     record.verdict]
-            else:
-                p = _integer_ge(d, 1)
-                if p is None:
-                    record.verdict = "L^{d,r}"
-                else:
-                    zvec = ModuleVector(module, {
-                        (0, p - 1, 1, 1, 0): module.ring.one,
-                        (0, p, 0, 0, 0): module.coerce_scalar((d - r) / d),
-                    })
-                    fm = quotient_by_singular(fm, zvec)
-                    record.verdict = "L^{p,r}"
-                    record.chain += ["<z_s^%d>" % (p - 1), "L^{p,r}"]
-            terminal = fm
-    if isinstance(terminal, FactorModule):
-        record.dimension = terminal.dimension()
-    else:
-        record.dimension = None
+    for singular, label, quotient in steps:
+        terminal = quotient_by_singular(terminal, singular)
+        chain += [label, quotient]
+    dimension = terminal.dimension() if steps else None
+    depth = found = None
     if certify:
-        depth = cutoff
-        if record.dimension is not None:
-            depth = max(cutoff, int(2 * lw.d) + 7)
-        reports = find_singular(terminal, depth)
-        record.no_singular_up_to = depth if not reports else -1
-    record.terminal = terminal
-    return record
+        depth = cutoff if dimension is None else max(cutoff, int(2 * d) + 7)
+        found = depth if not find_singular(terminal, depth) else -1
+    return ClassificationRecord(lw.kind, d, lw.m, r, chain[-1], dimension,
+                                chain, cutoff, found, terminal, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -703,7 +703,8 @@ def _paper_operators(realization, table, d, m):
     triples, generators = compiled
     if len(realization) != len(generators) or table is not algebra and (
             table.generators != algebra.generators
-            or table.constants != algebra.constants):
+            or table.ad != algebra.ad
+            or table.denominator != algebra.denominator):
         return None
     values = [_affine(c0, parts, (d, m)) for c0, parts in triples]
     space = SuperSpace.for_kind(table.kind, m)

@@ -571,29 +571,23 @@ def binomial_coefficients(p: int, m) -> list:
     return coeffs
 
 
-def check_recurrences(p: int, lw: LowestWeight, coefficients=None,
-                      alpha=Fraction(1), gamma=None, delta=None,
-                      beta=None) -> RecurrenceReport:
+def check_recurrences(p: int, lw: LowestWeight,
+                      delta=None) -> RecurrenceReport:
     """Verify the five recurrences for the degree-(2,0) ansatz coefficients.
 
-    The ansatz vector is (alpha G S- X+ + beta S+ S- + gamma G^2 + delta K) v0
-    spread along sum_l a_l G^{n-2l} K^l with n = 2p; the defaults take the
-    solved values beta = m alpha, gamma = ((d+r+1)/(2d+1)) alpha,
-    delta = 2m(alpha - gamma) and binomial a_l.
+    The ansatz vector is (G S- X+ + beta S+ S- + gamma G^2 + delta K) v0
+    spread along sum_l a_l G^{n-2l} K^l with n = 2p, binomial a_l and the
+    solved values beta = m, gamma = (d+r+1)/(2d+1) and, unless given,
+    delta = 2m(1 - gamma).
     """
     if lw.kind != "ssch2" or not lw.m:
         raise ValueError("recurrence check applies to massive N=2 parameters")
     d, r, m = lw.d, lw.r, lw.m
     n = 2 * p
-    alpha = Fraction(alpha)
-    if gamma is None:
-        gamma = (d + r + 1) / (2 * d + 1) * alpha
+    gamma = (d + r + 1) / (2 * d + 1)
     if delta is None:
-        delta = 2 * m * (alpha - gamma)
-    if beta is None:
-        beta = m * alpha
-    a = list(coefficients) if coefficients is not None else \
-        binomial_coefficients(p, m)
+        delta = 2 * m * (1 - gamma)
+    a = binomial_coefficients(p, m)
 
     def coeff(l):
         return a[l] if 0 <= l < len(a) else Fraction(0)
@@ -602,28 +596,24 @@ def check_recurrences(p: int, lw: LowestWeight, coefficients=None,
     ok1 = ok2 = ok3 = ok4 = ok5 = True
     for l in range(-1, p + 1):
         k = n - 2 * l
-        if ((d - r - n + 2 * l) * alpha + k * gamma) * coeff(l + 1) \
+        if (d - r - n + 2 * l + k * gamma) * coeff(l + 1) \
                 + (n - 2 * l) * delta * coeff(l):
             ok1 = False
         if (l + 1) * gamma * coeff(l + 1) \
-                + ((-d + r + n - 2 * l) * m * alpha + (l + 1) * delta) * coeff(l):
+                + ((-d + r + n - 2 * l) * m + (l + 1) * delta) * coeff(l):
             ok2 = False
         if (l + 1) * coeff(l + 1) + (n - 2 * l) * m * coeff(l):
             ok3 = False
         if (l + 1) * gamma * coeff(l + 1) \
-                + ((d + r - 2 * l - 1) * m * alpha + (l + 1) * delta) * coeff(l):
+                + ((d + r - 2 * l - 1) * m + (l + 1) * delta) * coeff(l):
             ok4 = False
-        if (-2 * m * alpha + (n - 2 * l) * m * gamma + (l + 2) * delta) * coeff(l + 1) \
+        if (-2 * m + (n - 2 * l) * m * gamma + (l + 2) * delta) * coeff(l + 1) \
                 + (n - 2 * l) * m * delta * coeff(l) + (l + 2) * gamma * coeff(l + 2):
             ok5 = False
     report.passed = {"rec1": ok1, "rec2": ok2, "rec3": ok3, "rec4": ok4,
                      "rec5": ok5}
     if d != Fraction(n + 1, 2):
         report.constraint_failures.append("d != (n+1)/2")
-    if gamma != (d + r + 1) / (2 * d + 1) * alpha:
-        report.constraint_failures.append("gamma != ((d+r+1)/(2d+1)) alpha")
-    if delta != 2 * m * (alpha - gamma):
+    if delta != 2 * m * (1 - gamma):  # the ansatz's alpha is 1
         report.constraint_failures.append("delta != 2m(alpha-gamma)")
-    if beta != m * alpha:
-        report.constraint_failures.append("beta != m alpha")
     return report

@@ -39,9 +39,8 @@ class StructureTable:
     lookup direction is fixed by super-(anti)symmetry
     [x,y} = -(-1)^{|x||y|} [y,x}.  Structure constants are Fractions.
 
-    Every ordered pair is compiled once: ``constants[x][y]`` is [x,y} as
-    (h, c) pairs, c an int where integral; ``ad[x][y]`` (the same dict if
-    B = 1) as (h, int) pairs over one ``denominator`` B: ad_x y = [x,y}.
+    Every ordered pair is compiled once: ``ad[x][y]`` is [x,y} as (h, int)
+    pairs over one ``denominator`` B, so ad_x y = [x,y}.
     """
 
     def __init__(self, kind, generators, brackets):
@@ -53,20 +52,14 @@ class StructureTable:
         for (x, y), value in brackets.items():
             self._store(x, y, {g: as_fraction(c) for g, c in value.items()})
         self.names = names = tuple(g.name for g in self.generators)
-        self.constants = {x: dict.fromkeys(names, ()) for x in names}
-        for (x, y), v in self._pairs.items():
-            row = self.constants[x][y] = tuple(
-                (h, int(c) if c.denominator == 1 else c) for h, c in v.items())
-            if x != y:  # [y,x} = -(-1)^{|x||y|} [x,y}
-                odd = self.parity(x) and self.parity(y)
-                self.constants[y][x] = row if odd else tuple(
-                    (h, -c) for h, c in row)
         self.denominator = B = lcm(*(c.denominator for v in self._pairs.values()
                                      for c in v.values()))
-        self.ad = self.constants if B == 1 else {
-            x: {y: tuple((h, int(c * B)) for h, c in row)
-                for y, row in by_y.items()}
-            for x, by_y in self.constants.items()}
+        self.ad = {x: dict.fromkeys(names, ()) for x in names}
+        for (x, y), v in self._pairs.items():
+            row = self.ad[x][y] = tuple((h, int(c * B)) for h, c in v.items())
+            if x != y:  # [y,x} = -(-1)^{|x||y|} [x,y}
+                odd = self.parity(x) and self.parity(y)
+                self.ad[y][x] = row if odd else tuple((h, -c) for h, c in row)
 
     def _store(self, x, y, value):
         if x not in self._by_name or y not in self._by_name:
@@ -94,7 +87,7 @@ class StructureTable:
     def bracket_gens(self, x, y) -> dict:
         """[x,y} for generator names, as a dict name -> Fraction."""
         self.generator(x), self.generator(y)
-        return {h: as_fraction(c) for h, c in self.constants[x][y]}
+        return {h: Fraction(c, self.denominator) for h, c in self.ad[x][y]}
 
     def residuals(self, rows, basis, scale):
         """Nonzero bracket residuals of a representation on integer rows.
@@ -278,7 +271,7 @@ def _shared_table(kind: str) -> StructureTable:
 def build_algebra(kind: str) -> StructureTable:
     """The structure table for ``sch1``, ``ssch1`` or ``ssch2``: a copy of
     the kind's shared table whose containers (``generators``, ``_by_name``,
-    ``_index``, ``_pairs`` and each of its dicts, ``constants`` and ``ad``)
+    ``_index``, ``_pairs`` and each of its dicts, and ``ad``)
     are its own, so a caller may edit them; the immutable entries are
     shared."""
     shared = _shared_table(kind)
@@ -287,9 +280,7 @@ def build_algebra(kind: str) -> StructureTable:
     table._by_name = dict(shared._by_name)
     table._index = dict(shared._index)
     table._pairs = {key: dict(value) for key, value in shared._pairs.items()}
-    table.constants = {x: dict(row) for x, row in shared.constants.items()}
-    table.ad = table.constants if shared.ad is shared.constants else {
-        x: dict(row) for x, row in shared.ad.items()}
+    table.ad = {x: dict(row) for x, row in shared.ad.items()}
     return table
 
 

@@ -254,7 +254,7 @@ class _KindData:
         has it, else joins it, and each letter o it passed leaves a term
         [gen, o} times the word without o (an even raising combination,
         which commutes out to the even exponents)."""
-        n, brackets = self.n_even, self.table.constants
+        n, brackets = self.n_even, self.table.ad
         evens, odds = self.plus_set[:n], self.plus_set[n:]
         if gen in evens:
             terms = [(1, gen, tail)]  # (coefficient, even letter, new tail)
@@ -303,7 +303,7 @@ class VermaModule:
         self.vacuum = shared.vacuum
         self._parity = shared.parity
         self._raising = shared.raising
-        self._brackets = shared.table.constants
+        self._brackets = shared.table.ad
         self._n_even = shared.n_even
         self._degree_columns = shared.degree_columns
         self._products = shared.products

@@ -183,6 +183,20 @@ def test_classify_at_the_degree_bound_runs(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "V^d/I^1"
 
 
+@pytest.mark.parametrize("argv, depth", [
+    (["--algebra", "ssch1", "--d", "20", "--m", "0"], 47),
+    (["--algebra", "ssch2", "--d", "2", "--m", "0", "--r", "1/3",
+      "--max-degree", "12"], 12),
+    (["--algebra", "ssch2", "--d", "2", "--m", "0", "--r", "2"], 11),
+])
+def test_the_certificate_line_gives_the_searched_degree(capsys, argv, depth):
+    # a finite terminal is searched to max(cutoff, 2d + 7), not the cutoff
+    code, out, _ = run(capsys, "classify", *argv, "--certify")
+    assert code == 0
+    assert out.endswith("  no singular vectors up to degree %d: confirmed\n"
+                        % depth)
+
+
 def test_a_missing_line_branch_is_a_failed_certificate(capsys):
     # the massive N=2 quotient by u0 at d = r = 1/2 builds, but classify
     # has no r = d branch yet (ROADMAP item 3): the certificate finds a

@@ -190,7 +190,7 @@ def test_sv_iv_found_exactly_at_integer_d():
 # (kind, d, m, r) of every golden classify point, as texts
 _GOLDEN_POINTS = tuple(dict.fromkeys(
     point[:4] for point in golden.SHAPOVALOV + golden.SHAPOVALOV_GRAM
-    + golden.LINES + golden.CHI_POINTS))
+    + golden.LINES + golden.CHI_POINTS + golden.BRANCHES))
 # the two golden points where rule rewriting breaks down (ROADMAP item 5)
 _REWRITING_BREAKS = (("ssch2", "1/2", "1", "1/2"), ("ssch2", "3/2", "1", "3/2"))
 # the classify requests of perfbench/cli_catalogue.json

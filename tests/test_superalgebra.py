@@ -227,8 +227,8 @@ def test_table_json_roundtrip(tables):
         assert verify_structure(again).ok
 
 
-_COMPILED = ("kind", "names", "constants", "ad", "denominator", "_index",
-             "_by_name", "_pairs", "generators")
+_COMPILED = ("kind", "names", "ad", "denominator", "_index", "_by_name",
+             "_pairs", "generators")
 
 
 def _snapshot(table):
@@ -251,12 +251,11 @@ def test_build_algebra_copies_the_shared_table(kind):
         assert table.to_json() == fresh.to_json()
         for attr in _COMPILED:
             assert getattr(table, attr) == getattr(fresh, attr), attr
-        assert (table.ad is table.constants) == (fresh.ad is fresh.constants)
     # edit every container of the copy
     x, y = next((x, y) for x in table.names for y in table.names
                 if table.ad[x][y])
     table.ad[x][y] = tuple((h, 2 * c) for h, c in table.ad[x][y])
-    table.constants[y][x] = ()
+    table.ad[y][x] = ()
     key = next(iter(table._pairs))
     g = next(iter(table._pairs[key]))
     table._pairs[key][g] *= 3

@@ -671,7 +671,7 @@ def golden_classify_terminals():
     corpus whose recorded call does not raise, in corpus order."""
     points = {golden._point_id(*point[:4]): point for point in
               golden.SHAPOVALOV + golden.LINES + golden.CHI_POINTS
-              + golden.SHAPOVALOV_GRAM}
+              + golden.SHAPOVALOV_GRAM + golden.BRANCHES}
     out = []
     for case_id, thunk in golden.cases():
         if case_id.startswith("classify ") and "raises" not in thunk():
@@ -716,7 +716,7 @@ def assert_act_matches_the_oracle(space, max_degree, seed=0):
 
 def test_golden_terminal_actions_equal_the_oracle():
     terminals = golden_classify_terminals()
-    assert len(terminals) == 56 and any(
+    assert len(terminals) == 63 and any(
         isinstance(space, VermaModule) for _, space in terminals)
     assert sum(assert_act_matches_the_oracle(space, 2)
                for _, space in terminals[::5]) > 0
