@@ -1,11 +1,13 @@
 """Factor modules, the irreducibility classification, and the bilinear form.
 
 A factor module is the base module modulo the submodule N that singular
-vectors generate, kept as one integer echelon per weight and built lazily
-from the base's ``int_row`` rows.  Columns follow the base's weight
-coordinates, so the pivots sit at the largest monomials under
-``order_key``: they are the monomials that do not survive, and a vector is
-reduced by clearing them, by exact linear algebra as in the other layers.
+vectors generate, kept per weight as a ``singular.Echelon``, the integer
+echelon that every elimination in the package uses, and built lazily from
+the base's ``int_row`` rows.  The module adds only the map between keys and
+columns (the base's weight coordinates) and its unit and dead-monomial
+bookkeeping.  Columns run from the largest monomial under ``order_key``,
+so the pivots are the monomials that do not survive, and a vector is
+reduced by clearing them.
 A factor module keeps the generators it is built with; a chain step is a
 new quotient, built by ``quotient_by_singular``.  ``classify`` lists the
 steps of a lowest weight's chain (singular vector, its label, the
@@ -14,17 +16,16 @@ quotient's label) and walks them; its verdict is the chain's last label.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from operator import sub
 from typing import List, Optional
 from weakref import WeakKeyDictionary
 
 from .scalars import _mk_gs
-from .singular import (ANNIHILATORS, _integer_rows, _space_module,
+from .singular import (ANNIHILATORS, Echelon, _integer_row, _space_module,
                        determinant, weight_coords, find_singular,
                        closed_form_n1, closed_form_n2)
 from .superalgebra import build_adjoint, verify_adjoint
@@ -34,56 +35,42 @@ from .verma import (LowestWeight, ModuleVector, VermaModule, _degree,
 _ZERO = Fraction(0)
 
 
-class _Echelon:
-    """N_w over the columns of ``weight_coords(base, w)``: the sorted pivot
-    columns and, by pivot, a sparse int row {column: value}, divided by its
-    content and zero at the pivot columns of the rows before it.  ``units``
-    holds the keys whose unit vector lies in N_w: the starting units, each
-    added row with a single entry, and every key once N_w is full."""
+class _Submodule(Echelon):
+    """N_w: the ``Echelon`` over the columns of ``coords``, the
+    ``weight_coords(base, w)``, read and written as int ((key, value), ...)
+    entries.  ``units`` holds the keys whose unit vector lies in N_w: the
+    starting units, each added row with a single entry, and every key once
+    N_w is full; ``dead`` the pivot monomials."""
 
     def __init__(self, coords, units):
-        self.labels, self.index = coords.labels, coords.index
-        self.pivots = [self.index[key] for key in units]
-        self.rows = {p: {p: 1} for p in self.pivots}
-        self.units = set(units)
-        self.dead = {mono for mono, _ in units}  # pivot monomials
+        super().__init__(coords.dim, [coords.index[key] for key in units])
+        self.coords, self.units = coords, set(units)
+        self.dead = {mono for mono, _ in units}
 
-    def full(self) -> bool:
-        return len(self.pivots) == len(self.labels)
-
-    def clear(self, entries):
-        """(f, e') for int ((key, value), ...) entries e: e' = f e less a
-        combination of the rows has no pivot key, so e' / f is e mod N_w."""
-        v = [0] * len(self.labels)
+    def vector(self, entries):
+        v = [0] * self.ncols
         for key, x in entries:
-            v[self.index[key]] += x
-        factor = 1
-        for p in self.pivots:
-            if v[p]:
-                row = self.rows[p]
-                g = gcd(row[p], v[p])
-                a, b = row[p] // g, v[p] // g
-                if a != 1:
-                    v = [a * x for x in v]
-                    factor *= a
-                for col, x in row.items():
-                    v[col] -= b * x
-        return factor, tuple((key, x) for key, x in zip(self.labels, v) if x)
+            v[self.coords.index[key]] += x
+        return v
 
-    def add(self, entries):
-        """Insert int entries at their pivot unless they clear to zero."""
-        entries = self.clear(entries)[1]
-        if entries:
-            (lead, first), g = entries[0], gcd(*(x for _, x in entries))
-            p = self.index[lead]
-            self.rows[p] = {self.index[key]: x // (g if first > 0 else -g)
-                            for key, x in entries}
-            insort(self.pivots, p)
-            self.dead.add(lead[0])
+    def reduce(self, entries):
+        """(f, e') for entries e: e' = f e less a combination of the rows
+        has no pivot key, so e' / f is e mod N_w."""
+        factor, v = self.clear(self.vector(entries))
+        return factor, tuple((key, x) for key, x in
+                             zip(self.coords.labels, v) if x)
+
+    def add(self, v):
+        """``Echelon.add``, keeping ``units`` and ``dead``."""
+        factor, v = super().add(v)
+        keys = [key for key, x in zip(self.coords.labels, v) if x]
+        if keys:
+            self.dead.add(keys[0][0])
             if self.full():
-                self.units = set(self.labels)
-            elif len(entries) == 1:
-                self.units.add(lead)
+                self.units = set(self.coords.labels)
+            elif len(keys) == 1:
+                self.units.add(keys[0])
+        return factor, v
 
 
 class FactorModule:
@@ -105,11 +92,11 @@ class FactorModule:
         self.table = base.table
         self.lw = base.lw
         self.generators = list(generators)
-        # the _Echelon of every weight to degree _top, the int rows and the
+        # the _Submodule of every weight to degree _top, the int rows and the
         # WeightCoords (singular.weight_coords)
         self._echelons, self._top, self._ints, self._coords = {}, -1, {}, {}
 
-    def _echelon(self, weight) -> _Echelon:
+    def _echelon(self, weight) -> _Submodule:
         """N_w, built degree by degree and each degree in sorted order: as
         raising degrees are lexicographically positive, N_{w - deg g} first."""
         while self._top < _degree(weight):
@@ -119,7 +106,7 @@ class FactorModule:
                 self._echelons[w] = self._build(w)
         return self._echelons[weight]
 
-    def _build(self, weight) -> _Echelon:
+    def _build(self, weight) -> _Submodule:
         """N_w.  A key (mono, f) is a unit row when (rest, f) is a unit of
         the weight below, for g the first letter of mono and rest the
         monomial without it: g rest = mono exactly, as g is the first
@@ -136,10 +123,10 @@ class FactorModule:
                 rest = base._leading_factor(mono)[1]
                 if (rest, f) in self._echelons[base.weight(rest)].units:
                     units.append((mono, f))
-        ech = _Echelon(coords, units)
+        ech = _Submodule(coords, units)
         for v in () if ech.full() else self._spanning(weight, coords):
             if any(x and key not in ech.units for key, x in v):
-                ech.add(v)
+                ech.add(ech.vector(v))
                 if ech.full():
                     break
         if coords.doubled and len(ech.pivots) != 2 * len(ech.dead):
@@ -149,17 +136,17 @@ class FactorModule:
 
     def _spanning(self, weight, coords):
         base = self.base
-        for row in _integer_rows(coords.with_chi_multiples(
+        for row in coords.with_chi_multiples(
                 coords.to_coords(vec) for vec in self.generators
-                if vec and base.weight(next(iter(vec.terms))) == weight))[0]:
-            yield list(zip(coords.labels, row))
+                if vec and base.weight(next(iter(vec.terms))) == weight):
+            yield list(zip(coords.labels, _integer_row(row)[0]))
         for g in base.plus_set:
             deg = self.table.degree(g)
             below = self._echelons.get(weight - deg[0] if len(deg) == 1
                                        else tuple(map(sub, weight, deg)))
             for n in below.rows.values() if below else ():
-                yield [(key, c * x) for col, c in n.items()
-                       for key, x in base.int_row(g, below.labels[col])[1]]
+                yield [(key, c * x) for col, c in n.items() for key, x in
+                       base.int_row(g, below.coords.labels[col])[1]]
 
     def reduce(self, vec: ModuleVector) -> ModuleVector:
         """The vector modulo N, on the surviving monomials."""
@@ -177,7 +164,7 @@ class FactorModule:
                         (key, v.numerator * (L // v.denominator)))
         acc = {}  # monomial -> [even, chi]
         for (weight, part), entries in parts.items():
-            factor, entries = self._echelon(weight).clear(entries)
+            factor, entries = self._echelon(weight).reduce(entries)
             for (mono, f), x in entries:
                 acc.setdefault(mono, [_ZERO, _ZERO])[f + part] = \
                     Fraction(x, L * factor)
@@ -231,7 +218,7 @@ class FactorModule:
                 D, entries = cached = self.base.int_row(gen, key)
                 if entries:
                     factor, entries = self._echelon(self.base.shift_weight(
-                        self.base.weight(mono), gen)).clear(entries)
+                        self.base.weight(mono), gen)).reduce(entries)
                     cached = (D * factor, entries)
             self._ints[(gen, key)] = cached
         return cached
@@ -474,25 +461,22 @@ _OMEGA1_LETTERS = {"ssch1": ("P", "H", "Q"),
 _FUNCTIONALS = WeakKeyDictionary()
 
 
-def _omega1_word(module, label, epsilon, lam):
-    """Reversed omega1-image word for a (monomial, chi) label, with sign.
+def _omega1_sign(kind, label, epsilon, lam):
+    """The sign of a (monomial, chi) label's omega1 word.
 
-    chi^e G^k K^l ... v0 equals (+-1) (word X^e suffix) v0; omega1 reverses
-    the word and maps each letter to a signed single generator, so the
-    pairing reduces to applying lowering generators to the right argument.
+    chi^e G^k K^l ... v0 equals (+-1) (word X^e suffix) v0, the word of
+    length e plus the exponents; omega1 reverses the word and maps each
+    letter to a signed single generator, so the pairing reduces to applying
+    lowering generators to the right argument.
     """
     mono, e = label
-    if module.kind == "ssch1":
+    if kind == "ssch1":
         k, l, a = mono
-        word = ["X"] * e + ["Q"] * a + ["H"] * l + ["P"] * k
-        sign = (-1) ** (a * e + epsilon * k + lam * a + (epsilon + lam) * e)
-    else:
-        k, l, a, b, c = mono
-        if e:
-            raise ValueError("N=2 coefficients carry no chi")
-        word = ["X-"] * c + ["Q+"] * b + ["Q-"] * a + ["H"] * l + ["P"] * k
-        sign = (-1) ** (lam * (a + b) + (epsilon + lam) * c + epsilon * k)
-    return word, sign
+        return (-1) ** (a * e + epsilon * k + lam * a + (epsilon + lam) * e)
+    k, l, a, b, c = mono
+    if e:
+        raise ValueError("N=2 coefficients carry no chi")
+    return (-1) ** (lam * (a + b) + (epsilon + lam) * c + epsilon * k)
 
 
 def _first_letter(kind, label):
@@ -570,8 +554,8 @@ def gram(module: VermaModule, weight, epsilon=0, lam=0,
     matrix, int_matrix, violations = [], [], []
     scale = 1
     for left, p_left in zip(labels, parities):
-        word, wsign = _omega1_word(module, left, epsilon, lam)
-        den = module.scale ** len(word) * wsign
+        den = module.scale ** (sum(left[0]) + left[1]) * \
+            _omega1_sign(module.kind, left, epsilon, lam)
         values = _functional(module, left)
         row = []
         for right, p_right in zip(labels, parities):

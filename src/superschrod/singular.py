@@ -7,10 +7,13 @@ chi are handled by doubling the linear system: the even and chi components
 of every coefficient become separate rational coordinates.  The annihilator
 blocks are filled with Python ints from the module's ``int_row`` (the
 matrix times one scale, which leaves its row space alone), and the kernel
-is computed by fraction-free (Bareiss) elimination in ints, with a
-``Fraction`` basis at the end.  Kernel bases are then regrouped into
-generators over the chi-extended ring Q[chi] so that one reported vector
-corresponds to one singular line.  The JSON key ``qi_dim`` keeps its name
+is back-substituted, as a ``Fraction`` basis, from an ``Echelon``.  That
+class is the package's one routine that reduces rows: int rows go in one
+at a time, each cleared against the rows before it and divided by its
+content.  Ranks, span tests, kernels, determinants and the factor modules'
+submodules (``quotient``) all come from it.  Kernel bases are then
+regrouped into generators over the chi-extended ring Q[chi] so that one
+reported vector corresponds to one singular line.  The JSON key ``qi_dim`` keeps its name
 and reports the dimension of the doubled rational kernel.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
@@ -32,108 +36,119 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# fraction-free exact linear algebra over the rationals
+# exact linear algebra over the rationals: one integer echelon
 
 
-def _integer_rows(rows):
-    """Rows scaled by their denominator lcm to Python ints, and the product
-    of those lcms.  Entries must be int or Fraction."""
-    out = []
-    scale = 1
+def _integer_row(row):
+    """An int/Fraction row times the lcm of its denominators, as Python
+    ints, and that lcm; other entries raise TypeError."""
+    try:
+        lcm = math.lcm(*(entry.denominator for entry in row))
+    except AttributeError:
+        raise TypeError("rational (int or Fraction) entries expected") \
+            from None
+    return [entry.numerator * (lcm // entry.denominator) for entry in row], lcm
+
+
+class Echelon:
+    """The row space of dense int vectors over columns 0..ncols-1, the one
+    routine that reduces rows.  ``pivots`` is sorted; ``rows[p]`` is a
+    sparse int row {column: value} whose first column is p, divided by its
+    content with a positive entry at p, and zero at the pivots of the rows
+    added before it.  ``units`` are pivot columns whose rows start as unit
+    vectors.  ``inversions`` counts the pairs of rows added in the opposite
+    order to their pivots."""
+
+    def __init__(self, ncols, units=()):
+        self.ncols = ncols
+        self.pivots = sorted(units)
+        self.rows = {p: {p: 1} for p in self.pivots}
+        self.inversions = 0
+
+    def full(self) -> bool:
+        return len(self.pivots) == self.ncols
+
+    def clear(self, v):
+        """(f, v') for an int vector v: v' = f v less a combination of the
+        rows is zero at every pivot, so v' / f is v modulo the rows."""
+        factor, v = 1, list(v)
+        for p in self.pivots:
+            if v[p]:
+                row = self.rows[p]
+                g = math.gcd(row[p], v[p])
+                a, b = row[p] // g, v[p] // g
+                if a != 1:
+                    v = [a * x for x in v]
+                    factor *= a
+                for col, x in row.items():
+                    v[col] -= b * x
+        return factor, v
+
+    def add(self, v):
+        """``clear`` v, and insert v' at its first nonzero column unless it
+        is zero; returns (f, v') as ``clear``."""
+        factor, v = self.clear(v)
+        p = next((col for col, x in enumerate(v) if x), None)
+        if p is not None:
+            g = math.gcd(*v)
+            g = g if v[p] > 0 else -g
+            self.rows[p] = {col: x // g for col, x in enumerate(v) if x}
+            i = bisect(self.pivots, p)
+            self.inversions += len(self.pivots) - i
+            self.pivots.insert(i, p)
+        return factor, v
+
+
+def _span(ncols, rows) -> Echelon:
+    """The Echelon of int/Fraction rows."""
+    span = Echelon(ncols)
     for row in rows:
-        try:
-            lcm = math.lcm(*(entry.denominator for entry in row))
-        except AttributeError:
-            raise TypeError("rational (int or Fraction) entries expected") \
-                from None
-        out.append([entry.numerator * (lcm // entry.denominator)
-                    for entry in row])
-        scale *= lcm
-    return out, scale
+        span.add(_integer_row(row)[0])
+    return span
 
 
-def _eliminate(m, ncols, stop_at_zero_column=False):
-    """Integer Bareiss forward elimination of the int rows ``m`` in place.
-
-    Every update is divided exactly (``//``) by the previous pivot, so each
-    entry stays the corresponding minor of the input.  A row whose head entry
-    is already 0 is only rescaled by pivot/prev.  Returns (pivot columns,
-    row swaps); with ``stop_at_zero_column`` a column without a pivot returns
-    None at once (the square matrix is singular).
-    """
-    nrows = len(m)
-    pivots = []
-    swaps = 0
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            if stop_at_zero_column:
-                return None
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            swaps += 1
-        row_r = m[r]
-        pivot = row_r[col]
-        lead = [0] * (col + 1)
-        tail_r = row_r[col + 1:]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            head = row_i[col]
-            if head:
-                m[i] = lead + [(pivot * a - head * b) // prev
-                               for a, b in zip(row_i[col + 1:], tail_r)]
-            elif pivot != prev:
-                m[i] = lead + [pivot * a // prev for a in row_i[col + 1:]]
-        pivots.append(col)
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return pivots, swaps
+def _in_span(span: Echelon, row) -> bool:
+    return not any(span.clear(_integer_row(row)[0])[1])
 
 
 def bareiss_echelon(rows, ints=False):
-    """Fraction-free (Bareiss) forward elimination of int/Fraction rows.
-
-    Returns (echelon rows, pivot column list).  Each input row is cleared of
-    denominators once, so the echelon entries are Python ints; with
-    ``ints`` the rows are Python ints already and are used as they are
-    (the input lists are not modified).
-    """
-    m = list(rows) if ints else _integer_rows(rows)[0]
-    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
-    return m[:len(pivots)], pivots
+    """Echelon rows of int/Fraction rows: (dense int rows, sorted pivot
+    columns), from ``Echelon``.  Each input row is cleared of denominators
+    once; with ``ints`` the rows are Python ints already.  The input lists
+    are not modified.  The name, from the Bareiss elimination that this
+    replaced, is what the benchmark's tracer wraps."""
+    ncols = len(rows[0]) if rows else 0
+    span = Echelon(ncols)
+    for row in rows:
+        if span.full():
+            break
+        span.add(row if ints else _integer_row(row)[0])
+    dense = []
+    for p in span.pivots:
+        row = [0] * ncols
+        for col, x in span.rows[p].items():
+            row[col] = x
+        dense.append(row)
+    return dense, span.pivots
 
 
 def nullspace(rows, ncols):
     """Deterministic kernel basis of a matrix given as Python int rows, as
     Fraction vectors: each free column is 1 in one vector and 0 in the
-    others.  The basis depends only on the row space, so a rational matrix
-    with its rows scaled to ints by any nonzero factors has the same one."""
-    if not rows:
-        return [[_ONE if j == i else _ZERO for j in range(ncols)]
-                for i in range(ncols)]
+    others, the pivot entries back-substituted from the echelon rows.  The
+    basis depends only on the row space, so a rational matrix with its rows
+    scaled to ints by any nonzero factors has the same one."""
     ech, pivots = bareiss_echelon(rows, ints=True)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
         vec = [_ZERO] * ncols
         vec[free] = _ONE
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            acc = _ZERO
-            row = ech[r]
-            for c in range(pc + 1, ncols):
-                if vec[c] and row[c]:
-                    acc = acc + row[c] * vec[c]
+        for row, pc in zip(reversed(ech), reversed(pivots)):
+            acc = sum(row[c] * vec[c] for c in range(pc + 1, ncols)
+                      if vec[c] and row[c])
             if acc:
                 vec[pc] = -acc / row[pc]
         basis.append(vec)
@@ -141,34 +156,36 @@ def nullspace(rows, ncols):
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    _, pivots = bareiss_echelon(rows)
-    return len(pivots)
+    return len(bareiss_echelon(rows)[1])
 
 
 def determinant(rows, scale=None):
     """Exact determinant of a square matrix of int/Fraction entries.
 
-    Integer Bareiss on the denominator-cleared rows: the determinant is
-    sign * last pivot / (product of the row lcms).  With ``scale`` the rows
-    are Python ints already, the matrix's rows each multiplied by a nonzero
-    factor whose product is ``scale``, and the determinant is sign * last
-    pivot / scale.  The empty matrix has determinant 1; entries other than
+    The rows are cleared of denominators (their lcms multiply to
+    ``scale``), or with ``scale`` are Python ints already, the matrix's
+    rows each multiplied by a nonzero factor whose product is ``scale``.
+    Added to an ``Echelon`` in turn, row i clears to f_i row_i less earlier
+    rows, whose leading entry x_i is its content times its stored lead, so
+    the determinant is sign * prod x_i / (prod f_i * scale), the sign that
+    of the permutation sorting the rows by pivot.  It is 0 as soon as a row
+    clears to zero.  The empty matrix has determinant 1; entries other than
     int or Fraction raise TypeError.
     """
-    n = len(rows)
-    if n == 0:
-        return _ONE
     if scale is None:
-        m, scale = _integer_rows(rows)
-    else:
-        m = list(rows)
-    result = _eliminate(m, n, stop_at_zero_column=True)
-    if result is None:
-        return _ZERO
-    det = m[n - 1][n - 1]
-    return Fraction(-det if result[1] % 2 else det, scale)
+        cleared = [_integer_row(row) for row in rows]
+        rows = [row for row, _ in cleared]
+        scale = math.prod(lcm for _, lcm in cleared)
+    span = Echelon(len(rows))
+    num = 1
+    for row in rows:
+        factor, v = span.add(row)
+        lead = next((x for x in v if x), 0)
+        if not lead:
+            return _ZERO
+        num *= lead
+        scale *= factor
+    return Fraction(-num if span.inversions % 2 else num, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +412,15 @@ def _ring_generators(coords, kernel):
     # its chi multiple keeps the rank, and once the rank reaches the kernel
     # dimension every remaining vector does.
     selected = []
-    span_rows = []
-    span_rank = 0
+    span = Echelon(coords.dim)
     for vec in kernel:
-        if span_rank == len(kernel):
+        if len(span.pivots) == len(kernel):
             break
-        pair = coords.with_chi_multiples([vec])
-        new_rank = rank(span_rows + pair)
-        if new_rank == span_rank:
-            continue
-        selected.append(vec)
-        span_rows.extend(pair)
-        span_rank = new_rank
+        before = len(span.pivots)
+        for row in coords.with_chi_multiples([vec]):
+            span.add(_integer_row(row)[0])
+        if len(span.pivots) > before:
+            selected.append(vec)
     return selected
 
 
@@ -418,9 +432,9 @@ def in_span(space, weight, vectors, candidate) -> bool:
     ``find_singular`` reports one per line over Q[chi].
     """
     coords = weight_coords(space, weight)
-    rows = coords.with_chi_multiples(coords.to_coords(v) for v in vectors)
-    echelon, pivots = bareiss_echelon(rows)
-    return rank(echelon + [coords.to_coords(candidate)]) == len(pivots)
+    span = _span(coords.dim, coords.with_chi_multiples(
+        coords.to_coords(v) for v in vectors))
+    return _in_span(span, coords.to_coords(candidate))
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +540,16 @@ def _compare_closed_forms(module: VermaModule, report: SingularVectorReport):
         return
     coords = weight_coords(module, report.weight)
     # the generators and their chi multiples span the doubled kernel
-    kernel_rows = coords.with_chi_multiples(
-        coords.to_coords(v) for v in report.vectors)
-    kernel_rank = report.qi_dim
+    kernel = _span(coords.dim, coords.with_chi_multiples(
+        coords.to_coords(v) for v in report.vectors))
     expected_rows = [coords.to_coords(vec) for _, vec in expected]
     contains = [label for (label, _), row in zip(expected, expected_rows)
-                if rank(kernel_rows + [row]) == kernel_rank]
-    expected_rows = coords.with_chi_multiples(expected_rows)
+                if _in_span(kernel, row)]
     report.contains = tuple(contains)
     exact = (
         len(contains) == len(expected)
-        and rank(expected_rows) == kernel_rank
+        and len(_span(coords.dim, coords.with_chi_multiples(
+            expected_rows)).pivots) == report.qi_dim
         and len(expected) == report.kernel_dim
     )
     if exact:

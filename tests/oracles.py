@@ -100,7 +100,7 @@ from math import lcm, prod
 from operator import add, sub
 from weakref import WeakKeyDictionary
 
-from superschrod.quotient import _omega1_word, classify
+from superschrod.quotient import _omega1_sign, classify
 from superschrod.realization import (RealizationReport, SuperDiffOp,
                                      SuperPoly, SuperSpace, _affine,
                                      _exact_int, _op, _residual_pass,
@@ -119,14 +119,26 @@ def _label_vector(module, label):
                                  module.ring.one})
 
 
+# The omega1 image of each raising exponent, in monomial order: G -> P,
+# K -> H, S -> Q (N=2: S+ -> Q-, S- -> Q+, X+ -> X-); chi maps to X.
+_OMEGA1_IMAGES = {"ssch1": ("P", "H", "Q"),
+                  "ssch2": ("P", "H", "Q-", "Q+", "X-")}
+
+
 def gram_pair(module, left_label, right_label, epsilon=0, lam=0):
-    """Single pairing value as a GradedScalar (full chi-carrying value)."""
+    """Single pairing value as a GradedScalar (full chi-carrying value):
+    the left label's whole reversed omega1 word, X^e then the images of its
+    exponents from the last, applied to the right label's vector."""
+    sign = _omega1_sign(module.kind, left_label, epsilon, lam)
     vec = _label_vector(module, right_label)
-    word, wsign = _omega1_word(module, left_label, epsilon, lam)
+    mono, e = left_label
+    word = ["X"] * e + [letter for letter, n in
+                        reversed(list(zip(_OMEGA1_IMAGES[module.kind], mono)))
+                        for _ in range(n)]
     for gen in reversed(word):
         vec = module.act(gen, vec)
     value = vec.terms.get(module.vacuum, module.ring.zero)
-    return value if wsign > 0 else -value
+    return value if sign > 0 else -value
 
 
 def annihilator_matrix_oracle(space, coords, annihilators):

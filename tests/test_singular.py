@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import annihilator_matrix_oracle, closed_form_rows_oracle
 from superschrod.quotient import classify, gram
 from superschrod.scalars import QI, QI_ZERO
-from superschrod.singular import (ANNIHILATORS, SingularVectorReport,
+from superschrod.singular import (ANNIHILATORS, Echelon, SingularVectorReport,
                                   WeightCoords, _annihilator_matrix,
                                   bareiss_echelon,
                                   binomial_coefficients, check_recurrences,
@@ -141,14 +141,14 @@ _ENTRY = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 @st.composite
 def _rational_matrices(draw):
-    """Up to 7x7 rational matrices with forced dependent rows and zero
+    """Up to 8x8 rational matrices with forced dependent rows and zero
     columns."""
-    nrows = draw(st.integers(1, 7))
-    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 8))
     row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
-    combos = st.tuples(st.integers(0, 6), st.integers(0, 6),
-                       st.integers(0, 6), _ENTRY, _ENTRY)
+    combos = st.tuples(st.integers(0, 7), st.integers(0, 7),
+                       st.integers(0, 7), _ENTRY, _ENTRY)
     for i, j, k, a, b in draw(st.lists(combos, max_size=3)):
         if nrows > 1:
             i = 1 + i % (nrows - 1)
@@ -161,12 +161,14 @@ def _rational_matrices(draw):
 
 
 def _gauss_jordan(rows):
-    """Reference (rank, determinant) by plain Fraction Gauss-Jordan
-    elimination; the determinant is meaningful for square input only."""
+    """Reference (rank, determinant, reduced rows, pivot columns) by plain
+    Fraction Gauss-Jordan elimination; the determinant is meaningful for
+    square input only."""
     m = [list(r) for r in rows]
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     r = 0
     det = F(1)
+    pivots = []
     for col in range(ncols):
         pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
@@ -182,23 +184,25 @@ def _gauss_jordan(rows):
             if i != r and m[i][col]:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
         r += 1
         if r == len(m):
             break
-    return r, det
+    return r, det, m[:r], pivots
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(_rational_matrices())
-def test_elimination_matches_gauss_jordan(rows):
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_rational_matrices(), st.data())
+def test_elimination_matches_gauss_jordan(rows, data):
     ncols = len(rows[0])
-    ref_rank, _ = _gauss_jordan(rows)
+    ref_rank, _, reduced, ref_pivots = _gauss_jordan(rows)
     assert rank(rows) == ref_rank
     echelon, pivots = bareiss_echelon(rows)
-    assert len(pivots) == ref_rank
+    assert pivots == ref_pivots
     assert all(type(entry) is int for row in echelon for entry in row)
     for row, col in zip(echelon, pivots):
-        assert row[col] and not any(row[:col])
+        assert row[col] > 0 and not any(row[:col])
+        assert math.gcd(*row) == 1
     kernel = nullspace(_cleared(rows), ncols)
     assert len(kernel) == ncols - ref_rank
     for vec in kernel:
@@ -206,10 +210,35 @@ def test_elimination_matches_gauss_jordan(rows):
             assert not sum(a * b for a, b in zip(row, vec))
     if kernel:
         assert _gauss_jordan(kernel)[0] == len(kernel)
+    # the basis read off the reduced rows: each free column 1 in its vector
+    expected = []
+    for free in range(ncols):
+        if free not in ref_pivots:
+            vec = [F(0)] * ncols
+            vec[free] = F(1)
+            for row, col in zip(reduced, ref_pivots):
+                vec[col] = -row[free]
+            expected.append(vec)
+    assert kernel == expected
+    # rows added one at a time raise the rank exactly with their prefix
+    span, prefix_rank = Echelon(ncols), 0
+    for i, row in enumerate(_cleared(rows)):
+        before = len(span.pivots)
+        span.add(row)
+        grown = _gauss_jordan(rows[:i + 1])[0]
+        assert len(span.pivots) - before == grown - prefix_rank
+        prefix_rank = grown
     n = min(len(rows), ncols)
     square = [row[:n] for row in rows[:n]]
-    _, ref_det = _gauss_jordan(square)
+    ref_det = _gauss_jordan(square)[1]
     assert determinant(square) == ref_det
+    # int rows, each the matrix row times a random nonzero factor
+    factors = data.draw(st.lists(st.integers(-9, 9).filter(bool),
+                                 min_size=n, max_size=n))
+    ints = [[f * x for x in row] for f, row in zip(factors, _cleared(square))]
+    scale = math.prod(f * math.lcm(*(x.denominator for x in row))
+                      for f, row in zip(factors, square))
+    assert determinant(ints, scale=scale) == ref_det
 
 
 # -- N=1 closed forms and search ---------------------------------------------
